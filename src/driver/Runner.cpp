@@ -87,9 +87,10 @@ TensorData slice2d(const TensorData &T, int64_t Bh, int64_t L, int64_t D) {
 
 /// Rounds a freshly filled host tensor to the kernel input precision.
 void roundHostTensor(TensorData &T, Precision P) {
-  for (int64_t I = 0, E = T.getNumElements(); I != E; ++I)
-    T.at(I) = P == Precision::FP16 ? roundToFp16(T.at(I))
-                                   : roundToFp8E4M3(T.at(I));
+  if (P == Precision::FP16)
+    roundToFp16(T.data(), T.getNumElements());
+  else
+    roundToFp8E4M3(T.data(), T.getNumElements());
 }
 
 /// Serializes every compile-time knob that shapes the generated module or

@@ -232,12 +232,10 @@ inline TensorRef applyBinary(const TensorRef &A, const TensorRef &B,
 inline void roundTensorTo(TensorData &T, Type *ElemTy) {
   switch (ElemTy->getKind()) {
   case TypeKind::F16:
-    for (int64_t I = 0, E = T.getNumElements(); I != E; ++I)
-      T.at(I) = roundToFp16(T.at(I));
+    roundToFp16(T.data(), T.getNumElements());
     break;
   case TypeKind::F8E4M3:
-    for (int64_t I = 0, E = T.getNumElements(); I != E; ++I)
-      T.at(I) = roundToFp8E4M3(T.at(I));
+    roundToFp8E4M3(T.data(), T.getNumElements());
     break;
   default:
     break; // f32/int: representable as-is.
@@ -246,56 +244,21 @@ inline void roundTensorTo(TensorData &T, Type *ElemTy) {
 
 /// C = A (MxK) x B, acc += ; B is (KxN) or, when TransB, (NxK).
 ///
-/// Saxpy (rank-1 update) formulation: for every output row the P-loop is
-/// outermost and the J-loop innermost over contiguous memory. Each output
-/// element (I, J) still accumulates its products in ascending-P order — the
-/// exact addition sequence of the naive triple loop — so results are
-/// bit-identical to the historical implementation (the bytecode diff test
-/// enforces this against the legacy engine). The J-lanes are independent,
-/// which lets the compiler vectorize without any FP reassociation; the
-/// single-chain form was latency-bound on the FP add dependency.
+/// Register-tiled (ExecCommon.cpp): each 4-row x 8-column block of the
+/// output stays in vector registers for the whole P loop, reading B as
+/// (K x N) rows (TransB is transposed into scratch first). Every output
+/// element (I, J) still starts from Acc and adds its f32 products in
+/// ascending-P order — the exact addition sequence of the naive triple
+/// loop — so the result is bit-identical to it. Both engines call this one
+/// function, so the engine diff test cannot see a change here; the oracle
+/// tests in tests/tensor_frontend_test.cpp and the goldens in
+/// tests/numerics_golden_test.cpp do.
 ///
 /// \p Arena (optional) supplies the result payload and the B-transpose
 /// scratch; the legacy engine passes nullptr and uses the heap.
-inline TensorRef matmulAcc(const TensorRef &A, const TensorRef &B,
-                           const TensorRef &Acc, bool TransB,
-                           TileArena *Arena = nullptr) {
-  int64_t MDim = A->getDim(0), KDim = A->getDim(1);
-  int64_t NDim = TransB ? B->getDim(0) : B->getDim(1);
-  TensorRef Out = Arena ? cloneArenaTile(*Acc, *Arena)
-                        : std::make_shared<TensorData>(*Acc);
-  const float *Ap = A->data(), *Bp = B->data();
-  float *Op = Out->data();
-
-  // Present B as (K x N) row-major so the inner J-loop is contiguous.
-  const float *Brows = Bp;
-  std::vector<float> Scratch;
-  if (TransB) {
-    float *Bt;
-    if (Arena) {
-      Bt = Arena->alloc(KDim * NDim);
-    } else {
-      Scratch.resize(static_cast<size_t>(KDim) * NDim);
-      Bt = Scratch.data();
-    }
-    for (int64_t J = 0; J < NDim; ++J)
-      for (int64_t P = 0; P < KDim; ++P)
-        Bt[P * NDim + J] = Bp[J * KDim + P];
-    Brows = Bt;
-  }
-
-  for (int64_t I = 0; I < MDim; ++I) {
-    const float *Ar = Ap + I * KDim;
-    float *Orow = Op + I * NDim;
-    for (int64_t P = 0; P < KDim; ++P) {
-      float Av = Ar[P];
-      const float *Br = Brows + P * NDim;
-      for (int64_t J = 0; J < NDim; ++J)
-        Orow[J] += Av * Br[J];
-    }
-  }
-  return Out;
-}
+TensorRef matmulAcc(const TensorRef &A, const TensorRef &B,
+                    const TensorRef &Acc, bool TransB,
+                    TileArena *Arena = nullptr);
 
 //===----------------------------------------------------------------------===//
 // Cost model (shared so precomputed and tree-walked costs agree bitwise)

@@ -134,3 +134,13 @@ float tawa::sim::fp8E4M3BitsToFp32(uint8_t Bits) {
 float tawa::sim::roundToFp8E4M3(float X) {
   return fp8E4M3BitsToFp32(fp32ToFp8E4M3Bits(X));
 }
+
+void tawa::sim::roundToFp16(float *Data, int64_t N) {
+  for (int64_t I = 0; I < N; ++I)
+    Data[I] = roundToFp16(Data[I]);
+}
+
+void tawa::sim::roundToFp8E4M3(float *Data, int64_t N) {
+  for (int64_t I = 0; I < N; ++I)
+    Data[I] = roundToFp8E4M3(Data[I]);
+}

@@ -23,6 +23,11 @@ float roundToFp16(float X);
 /// ±448, no infinities) and back, round-to-nearest-even with saturation.
 float roundToFp8E4M3(float X);
 
+/// Round \p N floats in place, element for element the same as the scalar
+/// forms above, in one call per tensor instead of one per element.
+void roundToFp16(float *Data, int64_t N);
+void roundToFp8E4M3(float *Data, int64_t N);
+
 /// Raw conversions (exposed for the unit tests).
 uint16_t fp32ToFp16Bits(float X);
 float fp16BitsToFp32(uint16_t Bits);

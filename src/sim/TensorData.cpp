@@ -145,18 +145,103 @@ double TensorData::maxRelDiff(const TensorData &Other) const {
   return Max;
 }
 
+namespace {
+
+/// Two f64 lanes (GCC vector extension: SSE2 on baseline x86-64).
+typedef double V2d __attribute__((vector_size(16)));
+
+V2d load2(const double *P) {
+  V2d V;
+  std::memcpy(&V, P, sizeof(V));
+  return V;
+}
+
+V2d splat2(double X) { return V2d{X, X}; }
+
+/// Packs rows [R0, R0 + 4) of the (Rows x K) matrix \p X as doubles,
+/// P-major: Dst[P * 4 + R]. Rows past \p Rows pack as zeros.
+void packRows4(const float *X, int64_t Rows, int64_t R0, int64_t K,
+               double *Dst) {
+  for (int64_t R = 0; R < 4; ++R) {
+    if (R0 + R >= Rows) {
+      for (int64_t P = 0; P < K; ++P)
+        Dst[P * 4 + R] = 0;
+      continue;
+    }
+    const float *Src = X + (R0 + R) * K;
+    for (int64_t P = 0; P < K; ++P)
+      Dst[P * 4 + R] = Src[P];
+  }
+}
+
+/// Sum[I][J] = sum over ascending P of Ap[P*4+I] * Bp[P*4+J], from +0.0.
+/// The sixteen sums stay in eight two-lane registers for the whole P loop.
+void dot4x4(const double *Ap, const double *Bp, int64_t K,
+            double Sum[4][4]) {
+  V2d C00 = {0, 0}, C01 = C00, C10 = C00, C11 = C00;
+  V2d C20 = C00, C21 = C00, C30 = C00, C31 = C00;
+  for (int64_t P = 0; P < K; ++P) {
+    const double *Ar = Ap + P * 4, *Br = Bp + P * 4;
+    V2d B0 = load2(Br), B1 = load2(Br + 2);
+    V2d X = splat2(Ar[0]);
+    C00 += X * B0;
+    C01 += X * B1;
+    X = splat2(Ar[1]);
+    C10 += X * B0;
+    C11 += X * B1;
+    X = splat2(Ar[2]);
+    C20 += X * B0;
+    C21 += X * B1;
+    X = splat2(Ar[3]);
+    C30 += X * B0;
+    C31 += X * B1;
+  }
+  const V2d Rows[4][2] = {{C00, C01}, {C10, C11}, {C20, C21}, {C30, C31}};
+  for (int I = 0; I < 4; ++I)
+    std::memcpy(Sum[I], Rows[I], sizeof(Rows[I]));
+}
+
+/// The double-precision A·Bᵀ kernel of the references: calls
+/// Emit(I, J, Dot) for every I < M and J < N, where Dot sums
+/// double(A[I,P]) * double(B[J,P]) over ascending P starting from +0.0 —
+/// the naive dot product's exact addition sequence. A product of two floats
+/// is exact in double, so that order alone decides the result.
+///
+/// Blocking: each pass packs 16 rows of B as four 4-row panels, then walks
+/// A 4 rows at a time; every 4x4 output block is one dot4x4. Scratch is
+/// 20 * K doubles — never a packed copy of all of B.
+template <typename EmitFn>
+void forEachDotAbt(const float *A, const float *B, int64_t M, int64_t N,
+                   int64_t K, EmitFn Emit) {
+  std::vector<double> Bp(static_cast<size_t>(16 * K));
+  std::vector<double> Ap(static_cast<size_t>(4 * K));
+  double Sum[4][4];
+  for (int64_t J0 = 0; J0 < N; J0 += 16) {
+    for (int64_t Q = 0; Q < 4; ++Q)
+      packRows4(B, N, J0 + 4 * Q, K, Bp.data() + Q * 4 * K);
+    for (int64_t I0 = 0; I0 < M; I0 += 4) {
+      packRows4(A, M, I0, K, Ap.data());
+      for (int64_t Q = 0; Q < 4 && J0 + 4 * Q < N; ++Q) {
+        dot4x4(Ap.data(), Bp.data() + Q * 4 * K, K, Sum);
+        for (int64_t I = 0; I < 4 && I0 + I < M; ++I)
+          for (int64_t J = 0; J < 4 && J0 + 4 * Q + J < N; ++J)
+            Emit(I0 + I, J0 + 4 * Q + J, Sum[I][J]);
+      }
+    }
+  }
+}
+
+} // namespace
+
 TensorData tawa::sim::referenceGemm(const TensorData &A, const TensorData &B) {
   int64_t M = A.getDim(0), K = A.getDim(1), N = B.getDim(0);
   assert(B.getDim(1) == K && "GEMM contraction mismatch");
   TensorData C({M, N});
-  for (int64_t I = 0; I < M; ++I)
-    for (int64_t J = 0; J < N; ++J) {
-      double Sum = 0;
-      for (int64_t P = 0; P < K; ++P)
-        Sum += static_cast<double>(A.at(I, P)) *
-               static_cast<double>(B.at(J, P));
-      C.at(I, J) = static_cast<float>(Sum);
-    }
+  float *Cp = C.data();
+  forEachDotAbt(A.data(), B.data(), M, N, K,
+                [&](int64_t I, int64_t J, double Dot) {
+                  Cp[I * N + J] = static_cast<float>(Dot);
+                });
   return C;
 }
 
@@ -168,29 +253,47 @@ TensorData tawa::sim::referenceAttention(const TensorData &Q,
   int64_t LK = K.getDim(0);
   TensorData O({L, D});
   double Scale = 1.0 / std::sqrt(static_cast<double>(D));
-  std::vector<double> Scores(LK);
-  for (int64_t I = 0; I < L; ++I) {
-    double Max = -1e300;
-    for (int64_t J = 0; J < LK; ++J) {
-      double S = 0;
-      for (int64_t P = 0; P < D; ++P)
-        S += static_cast<double>(Q.at(I, P)) * static_cast<double>(K.at(J, P));
-      S *= Scale;
-      if (Causal && J > I)
-        S = -1e300;
-      Scores[J] = S;
-      Max = std::max(Max, S);
-    }
-    double Sum = 0;
-    for (int64_t J = 0; J < LK; ++J) {
-      Scores[J] = std::exp(Scores[J] - Max);
-      Sum += Scores[J];
-    }
-    for (int64_t P = 0; P < D; ++P) {
-      double Acc = 0;
+  // Query rows per Q·Kᵀ call: each call packs all of K once, so a block of
+  // rows amortizes that, at RowBlock * LK doubles of scores.
+  constexpr int64_t RowBlock = 16;
+  std::vector<double> Scores(static_cast<size_t>(RowBlock * LK));
+  std::vector<double> Acc(static_cast<size_t>(D));
+  const float *Vp = V.data();
+  for (int64_t I0 = 0; I0 < L; I0 += RowBlock) {
+    int64_t Rows = std::min(RowBlock, L - I0);
+    // Causal: keys past the block's last row are masked in every row of the
+    // block whatever their dot product, so those products are skipped.
+    int64_t Keys = Causal ? std::min(LK, I0 + Rows) : LK;
+    for (int64_t R = 0; R < Rows; ++R)
+      std::fill(Scores.begin() + R * LK + Keys, Scores.begin() + (R + 1) * LK,
+                -1e300);
+    forEachDotAbt(Q.data() + I0 * D, K.data(), Rows, Keys, D,
+                  [&](int64_t R, int64_t J, double Dot) {
+                    Scores[R * LK + J] =
+                        Causal && J > I0 + R ? -1e300 : Dot * Scale;
+                  });
+    for (int64_t R = 0; R < Rows; ++R) {
+      double *Row = Scores.data() + R * LK;
+      double Max = -1e300;
       for (int64_t J = 0; J < LK; ++J)
-        Acc += Scores[J] * static_cast<double>(V.at(J, P));
-      O.at(I, P) = static_cast<float>(Acc / Sum);
+        Max = std::max(Max, Row[J]);
+      double Sum = 0;
+      for (int64_t J = 0; J < LK; ++J) {
+        Row[J] = std::exp(Row[J] - Max);
+        Sum += Row[J];
+      }
+      // P·V in saxpy form: the P lanes are independent, and each Acc[P]
+      // still adds Row[J] * V[J,P] in ascending J.
+      std::fill(Acc.begin(), Acc.end(), 0.0);
+      for (int64_t J = 0; J < LK; ++J) {
+        double W = Row[J];
+        const float *Vr = Vp + J * D;
+        for (int64_t P = 0; P < D; ++P)
+          Acc[P] += W * static_cast<double>(Vr[P]);
+      }
+      float *Or = O.data() + (I0 + R) * D;
+      for (int64_t P = 0; P < D; ++P)
+        Or[P] = static_cast<float>(Acc[P] / Sum);
     }
   }
   return O;
