@@ -55,8 +55,8 @@
 # Set TAWA_SKIP_TSAN=1 to skip that leg (e.g. on hosts without TSan
 # runtime support).
 #
-# Then a third build with AddressSanitizer + UBSan (-DTAWA_ASAN=ON) into
-# $BUILD_DIR-asan, running the full suite — including the fault-injection
+# Then a third build with AddressSanitizer + UBSan + libstdc++ assertions
+# (-DTAWA_ASAN=ON) into $BUILD_DIR-asan, running the full suite — including the fault-injection
 # tests, whose whole point is to drive the error/containment paths
 # (injected cache corruption, allocation failure, worker-task crashes)
 # where leaks and lifetime bugs hide. Set TAWA_SKIP_ASAN=1 to skip.

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 using namespace tawa;
 using namespace tawa::sim;
@@ -857,20 +858,31 @@ RunResult Runner::runAttentionCustom(const AttentionWorkload &W,
     R.MaxRelError = Worst;
   }
 
-  // Timing: interpret SM0's CTA list (trip counts vary under causal
-  // masking, so each sampled CTA is interpreted individually). The samples
-  // are independent, so they fan out across the worker pool; results merge
-  // by sample index, keeping the cycle report, HB counts and first-error
-  // selection bit-identical to the historical serial loop at any
-  // NumWorkers (docs/threading-and-memory.md).
+  // Timing: replay SM0's CTA list (Pid += NumSms). A CTA's trace depends
+  // on its coordinates only through the KV trip count, which causal
+  // masking ties to the query-tile index X. So only the first CTA of each
+  // class is interpreted — one class without causal masking, one per
+  // distinct X with it — and the schedule points at those traces. The
+  // first CTA of the first failing class is the first failing CTA of the
+  // whole list, so the reported error is unchanged too
+  // (docs/threading-and-memory.md).
   RunOptions TimingLaunch = Launch;
   TimingLaunch.Functional = false;
-  std::vector<CtaCoord> Sm0Ctas;
-  for (int64_t Pid = 0; Pid < TotalCtas; Pid += Config.NumSms)
-    Sm0Ctas.push_back({Pid % QTiles, Pid / QTiles});
+  std::vector<CtaCoord> ClassReps;
+  std::vector<size_t> Sm0Classes;
+  std::vector<size_t> RepOfClass(W.Causal ? QTiles : 1, SIZE_MAX);
+  for (int64_t Pid = 0; Pid < TotalCtas; Pid += Config.NumSms) {
+    int64_t X = Pid % QTiles;
+    size_t &Rep = RepOfClass[W.Causal ? X : 0];
+    if (Rep == SIZE_MAX) {
+      Rep = ClassReps.size();
+      ClassReps.push_back({X, Pid / QTiles});
+    }
+    Sm0Classes.push_back(Rep);
+  }
   std::vector<CtaTrace> SampleStorage;
   if (std::string Err =
-          Interp.runCtaBatch(TimingLaunch, Sm0Ctas, SampleStorage);
+          Interp.runCtaBatch(TimingLaunch, ClassReps, SampleStorage);
       !Err.empty()) {
     R.Error = Err;
     R.Kind = classifyError(R.Error);
@@ -911,8 +923,8 @@ RunResult Runner::runAttentionCustom(const AttentionWorkload &W,
   Params.CtaGapCycles = E.ExtraCtaCycles;
 
   std::vector<const CtaTrace *> Schedule;
-  for (const CtaTrace &T : SampleStorage)
-    Schedule.push_back(&T);
+  for (size_t Class : Sm0Classes)
+    Schedule.push_back(&SampleStorage[Class]);
   ReplayResult Rep = replaySmSchedule(Schedule, Config, Params);
   if (Rep.Deadlock) {
     R.Error = Rep.Error;

@@ -65,8 +65,8 @@ public:
   bool FuseBytecode = true;
 
   /// Worker threads for the functional all-CTA validation loops AND the
-  /// timing-mode sample fan-out (the attention causal-masking sampler, one
-  /// interpreted CTA per SM): 0 = one per hardware thread (default), 1 =
+  /// timing-mode sample fan-out (the attention sampler, one interpreted
+  /// CTA per trace class): 0 = one per hardware thread (default), 1 =
   /// the historical serial loops. Results — outputs, cycle reports, HB
   /// counts, first-error selection — are bit-identical at any worker count
   /// (both runners merge by index; see docs/threading-and-memory.md).

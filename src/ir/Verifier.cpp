@@ -5,6 +5,7 @@
 #include "ir/Ir.h"
 #include "support/Support.h"
 
+#include <limits>
 #include <set>
 
 using namespace tawa;
@@ -15,6 +16,15 @@ class VerifierImpl {
 public:
   /// Returns the first diagnostic, or "".
   std::string run(const Module &M) {
+    // The engines narrow the depth to the int32 lookahead of every
+    // pipelined copy (sim/Trace.h), which replay uses as a ring offset.
+    auto Depth = M.getAttrs().find("sw_pipeline_depth");
+    if (Depth != M.getAttrs().end()) {
+      const int64_t *D = std::get_if<int64_t>(&Depth->second);
+      if (!D || *D < 0 || *D > std::numeric_limits<int32_t>::max())
+        return "module attribute sw_pipeline_depth must be an integer in "
+               "[0, 2147483647]";
+    }
     for (Operation &Op : M.getBody()) {
       if (!isa<FuncOp>(&Op))
         return "module body may only contain tt.func ops, found " +

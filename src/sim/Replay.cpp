@@ -5,7 +5,6 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 using namespace tawa;
@@ -21,49 +20,108 @@ struct TimedBarrier {
   int64_t ArrivedTxBytes = 0;
   double PhaseMaxTime = 0;
   int64_t Completions = 0;
-  std::vector<double> CompletionTimes;
+  /// Time of the latest phase flip. A waiter blocks for the next flip and
+  /// is woken by it, so no earlier completion time is ever read.
+  double LastCompletion = 0;
 
   bool phaseComplete() const {
     return Arrivals >= ExpectedArrivals && ArrivedTxBytes >= ExpectedTxBytes;
   }
 };
 
+/// FIFO of times over a power-of-two ring that grows on demand. clear()
+/// keeps the storage, so a replay allocates only while rings first grow.
+class TimeRing {
+public:
+  void clear() { Head = Count = 0; }
+  size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  double front() const { return Buf[Head]; }
+  double operator[](size_t I) const {
+    return Buf[(Head + I) & (Buf.size() - 1)];
+  }
+  void pushBack(double T) {
+    if (Count == Buf.size())
+      grow();
+    Buf[(Head + Count) & (Buf.size() - 1)] = T;
+    ++Count;
+  }
+  void popFront() {
+    Head = (Head + 1) & (Buf.size() - 1);
+    --Count;
+  }
+
+private:
+  void grow() {
+    std::vector<double> Next(std::max<size_t>(16, 2 * Buf.size()));
+    for (size_t I = 0; I < Count; ++I)
+      Next[I] = (*this)[I];
+    Buf = std::move(Next);
+    Head = 0;
+  }
+
+  std::vector<double> Buf;
+  size_t Head = 0, Count = 0;
+};
+
 struct AgentState {
-  const AgentTrace *Trace = nullptr;
-  size_t Pc = 0;
+  const Action *Pc = nullptr;
+  const Action *End = nullptr;
   double ReadyAt = 0;
   bool Done = false;
   bool Blocked = false;
-  int32_t BlockBar = -1, BlockIdx = 0;
+  size_t BlockSlot = 0; ///< Flat barrier index the agent waits on.
   int64_t BlockTargetCompletion = 0;
-  std::deque<double> TensorInflight;     ///< Completion times, FIFO.
-  std::deque<double> IterStartHistory;   ///< For pipelined-copy lookahead.
+  TimeRing TensorInflight;   ///< Completion times, FIFO.
+  TimeRing IterStartHistory; ///< For pipelined-copy lookahead (last 64).
+
+  void reset(const AgentTrace &T, double Start) {
+    Pc = T.Actions.data();
+    End = Pc + T.Actions.size();
+    ReadyAt = Start;
+    Done = Blocked = false;
+    BlockSlot = 0;
+    BlockTargetCompletion = 0;
+    TensorInflight.clear();
+    IterStartHistory.clear();
+  }
 };
 
 class ReplayEngine {
 public:
   ReplayEngine(const GpuConfig &Config, const ReplayParams &Params)
-      : Config(Config), Params(Params) {}
+      : Config(Config), Params(Params),
+        BwPerSm(Config.HbmTBps * 1e12 /
+                (Params.BwShareSms * Config.ClockGhz * 1e9)) {}
 
   ReplayResult run(const std::vector<const CtaTrace *> &Ctas);
 
 private:
+  void resetBarriers(const CtaTrace &Cta);
+  /// Replays one CTA's agents to completion; false on deadlock.
+  bool coSimulate();
   bool step(AgentState &Agent);
-  void arrive(int32_t Bar, int32_t Idx, double Time, int64_t TxBytes);
-  TimedBarrier &barrier(int32_t Bar, int32_t Idx) {
-    return Barriers[Bar][Idx];
+  void arrive(size_t Slot, double Time, int64_t TxBytes);
+  size_t slot(const Action &A) const {
+    return BarrierBase[A.Bar] + static_cast<size_t>(A.Idx);
   }
   /// Schedules a DRAM transfer issued at \p IssueTime; returns completion.
   /// \p Reuse scales the bytes that actually consume DRAM bandwidth (loads
   /// benefit from L2 reuse across CTAs; stores do not).
   double scheduleTransfer(double IssueTime, int64_t Bytes, double Latency,
                           double BwEfficiency, double Reuse);
-  void wakeWaiters(int32_t Bar, int32_t Idx);
+  void wakeWaiters(size_t Slot);
 
   const GpuConfig &Config;
   const ReplayParams &Params;
+  /// Per-SM HBM bytes per cycle before the engine's efficiency factor.
+  const double BwPerSm;
   std::vector<AgentState> Agents;
-  std::vector<std::vector<TimedBarrier>> Barriers;
+  /// Every barrier of the current CTA, array after array; BarrierBase[B]
+  /// is array B's first index. Storage is reused across CTAs.
+  std::vector<TimedBarrier> Barriers;
+  std::vector<size_t> BarrierBase;
+  bool Woke = false; ///< Set when a phase flip unblocked an agent.
   double TcFree = 0;   ///< Tensor-core server.
   double DramFree = 0; ///< DRAM bandwidth server (per-SM share).
   ReplayResult Result;
@@ -76,31 +134,29 @@ double ReplayEngine::scheduleTransfer(double IssueTime, int64_t Bytes,
                                       double Latency, double BwEfficiency,
                                       double Reuse) {
   double EffBytes = static_cast<double>(Bytes) * Reuse;
-  double BwPerSm = Config.HbmTBps * 1e12 /
-                   (Params.BwShareSms * Config.ClockGhz * 1e9) * BwEfficiency;
+  double Service = EffBytes / (BwPerSm * BwEfficiency);
   double ServiceStart = std::max(IssueTime, DramFree);
-  DramFree = ServiceStart + EffBytes / BwPerSm;
-  Result.DramBusyCycles += EffBytes / BwPerSm;
+  DramFree = ServiceStart + Service;
+  Result.DramBusyCycles += Service;
   Result.DramBytes += static_cast<int64_t>(EffBytes);
   return DramFree + Latency;
 }
 
-void ReplayEngine::wakeWaiters(int32_t Bar, int32_t Idx) {
-  TimedBarrier &B = barrier(Bar, Idx);
+void ReplayEngine::wakeWaiters(size_t Slot) {
+  const TimedBarrier &B = Barriers[Slot];
   for (AgentState &A : Agents) {
-    if (!A.Blocked || A.BlockBar != Bar || A.BlockIdx != Idx)
+    if (!A.Blocked || A.BlockSlot != Slot)
       continue;
     if (B.Completions >= A.BlockTargetCompletion) {
       A.Blocked = false;
-      A.ReadyAt = std::max(A.ReadyAt,
-                           B.CompletionTimes[A.BlockTargetCompletion - 1]);
+      A.ReadyAt = std::max(A.ReadyAt, B.LastCompletion);
+      Woke = true;
     }
   }
 }
 
-void ReplayEngine::arrive(int32_t Bar, int32_t Idx, double Time,
-                          int64_t TxBytes) {
-  TimedBarrier &B = barrier(Bar, Idx);
+void ReplayEngine::arrive(size_t Slot, double Time, int64_t TxBytes) {
+  TimedBarrier &B = Barriers[Slot];
   ++B.Arrivals;
   B.ArrivedTxBytes += TxBytes;
   B.PhaseMaxTime = std::max(B.PhaseMaxTime, Time);
@@ -108,22 +164,22 @@ void ReplayEngine::arrive(int32_t Bar, int32_t Idx, double Time,
     return;
   // Phase flip: record completion, reset for the next phase.
   ++B.Completions;
-  B.CompletionTimes.push_back(B.PhaseMaxTime);
+  B.LastCompletion = B.PhaseMaxTime;
   B.Arrivals = 0;
   B.ArrivedTxBytes = 0;
   B.ExpectedTxBytes = 0;
   B.PhaseMaxTime = 0;
-  wakeWaiters(Bar, Idx);
+  wakeWaiters(Slot);
 }
 
 /// Executes one action of \p Agent. Returns false if the agent blocked (or
 /// finished) without consuming the action.
 bool ReplayEngine::step(AgentState &Agent) {
-  if (Agent.Pc >= Agent.Trace->Actions.size()) {
+  if (Agent.Pc == Agent.End) {
     Agent.Done = true;
     return false;
   }
-  const Action &A = Agent.Trace->Actions[Agent.Pc];
+  const Action &A = *Agent.Pc;
   switch (A.Kind) {
   case ActionKind::CudaWork:
   case ActionKind::CtaSync:
@@ -135,18 +191,21 @@ bool ReplayEngine::step(AgentState &Agent) {
     double Done = Start + A.Cycles * Params.TensorPenalty;
     TcFree = Done;
     Result.TensorBusyCycles += A.Cycles * Params.TensorPenalty;
-    Agent.TensorInflight.push_back(Done);
+    Agent.TensorInflight.pushBack(Done);
     break;
   }
   case ActionKind::TensorWait: {
-    while (static_cast<int64_t>(Agent.TensorInflight.size()) > A.Pendings) {
-      Agent.ReadyAt = std::max(Agent.ReadyAt, Agent.TensorInflight.front());
-      Agent.TensorInflight.pop_front();
+    TimeRing &Inflight = Agent.TensorInflight;
+    // The bound comes from a wgmma_wait attribute; a negative one (only a
+    // crafted module carries it) waits for every MMA, like zero.
+    size_t Keep = static_cast<size_t>(std::max<int64_t>(A.Pendings, 0));
+    while (Inflight.size() > Keep) {
+      Agent.ReadyAt = std::max(Agent.ReadyAt, Inflight.front());
+      Inflight.popFront();
     }
     // Retire anything that has already finished.
-    while (!Agent.TensorInflight.empty() &&
-           Agent.TensorInflight.front() <= Agent.ReadyAt)
-      Agent.TensorInflight.pop_front();
+    while (!Inflight.empty() && Inflight.front() <= Agent.ReadyAt)
+      Inflight.popFront();
     break;
   }
   case ActionKind::TmaIssue: {
@@ -154,33 +213,32 @@ bool ReplayEngine::step(AgentState &Agent) {
     double Done =
         scheduleTransfer(Agent.ReadyAt, A.Bytes, Config.TmaLatencyCycles,
                          Config.TmaBwEfficiency, Params.DramReuseFactor);
-    arrive(A.Bar, A.Idx, Done, A.Bytes);
+    arrive(slot(A), Done, A.Bytes);
     break;
   }
   case ActionKind::BarExpectTx: {
     Agent.ReadyAt += A.Cycles;
-    barrier(A.Bar, A.Idx).ExpectedTxBytes += A.Bytes;
+    Barriers[slot(A)].ExpectedTxBytes += A.Bytes;
     break;
   }
   case ActionKind::BarArrive: {
     Agent.ReadyAt += A.Cycles;
-    arrive(A.Bar, A.Idx, Agent.ReadyAt, 0);
+    arrive(slot(A), Agent.ReadyAt, 0);
     break;
   }
   case ActionKind::BarWait: {
     Agent.ReadyAt += A.Cycles;
-    TimedBarrier &B = barrier(A.Bar, A.Idx);
+    size_t Slot = slot(A);
+    const TimedBarrier &B = Barriers[Slot];
     if (B.Completions % 2 != A.Parity) {
       // Already flipped; data became available at the last completion.
       if (B.Completions > 0)
-        Agent.ReadyAt =
-            std::max(Agent.ReadyAt, B.CompletionTimes[B.Completions - 1]);
+        Agent.ReadyAt = std::max(Agent.ReadyAt, B.LastCompletion);
       break;
     }
     // Must wait for the next phase flip.
     Agent.Blocked = true;
-    Agent.BlockBar = A.Bar;
-    Agent.BlockIdx = A.Idx;
+    Agent.BlockSlot = Slot;
     Agent.BlockTargetCompletion = B.Completions + 1;
     ++Agent.Pc; // The wait completes when woken.
     return false;
@@ -202,12 +260,16 @@ bool ReplayEngine::step(AgentState &Agent) {
   }
   case ActionKind::CopyPipelined: {
     // Software pipelining: the copy consumed now was issued Lookahead-1
-    // iterations ago (or at the start of the CTA for the prologue).
+    // iterations ago (or at the start of the CTA for the prologue). The
+    // verifier bounds sw_pipeline_depth for parsed modules; a lookahead
+    // below 1 from any other source also issues at the CTA start rather
+    // than indexing past the history.
     Agent.ReadyAt += A.Cycles; // cp.async CUDA-core issue cost.
     double IssueTime = BaseTime;
-    if (static_cast<int64_t>(Agent.IterStartHistory.size()) >= A.Lookahead)
-      IssueTime = Agent.IterStartHistory[Agent.IterStartHistory.size() -
-                                         A.Lookahead];
+    const TimeRing &History = Agent.IterStartHistory;
+    if (A.Lookahead >= 1 &&
+        static_cast<int64_t>(History.size()) >= A.Lookahead)
+      IssueTime = History[History.size() - A.Lookahead];
     double Done = scheduleTransfer(std::max(IssueTime, BaseTime), A.Bytes,
                                    Config.CpAsyncLatencyCycles,
                                    Config.CpAsyncBwEfficiency,
@@ -216,9 +278,9 @@ bool ReplayEngine::step(AgentState &Agent) {
     break;
   }
   case ActionKind::IterMark: {
-    Agent.IterStartHistory.push_back(Agent.ReadyAt);
+    Agent.IterStartHistory.pushBack(Agent.ReadyAt);
     if (Agent.IterStartHistory.size() > 64)
-      Agent.IterStartHistory.pop_front();
+      Agent.IterStartHistory.popFront();
     break;
   }
   }
@@ -226,49 +288,76 @@ bool ReplayEngine::step(AgentState &Agent) {
   return true;
 }
 
+void ReplayEngine::resetBarriers(const CtaTrace &Cta) {
+  BarrierBase.clear();
+  size_t Total = 0;
+  for (int32_t B = 0; B < Cta.NumBarrierArrays; ++B) {
+    BarrierBase.push_back(Total);
+    Total += static_cast<size_t>(Cta.BarrierSizes[B]);
+  }
+  Barriers.assign(Total, TimedBarrier());
+  for (int32_t B = 0; B < Cta.NumBarrierArrays; ++B)
+    for (int64_t I = 0; I < Cta.BarrierSizes[B]; ++I)
+      Barriers[BarrierBase[B] + I].ExpectedArrivals = Cta.BarrierArrivals[B];
+}
+
+bool ReplayEngine::coSimulate() {
+  const size_t N = Agents.size();
+  while (true) {
+    // Always advance the runnable agent furthest behind (the lowest index
+    // on ties), so shared-server (DRAM / tensor core) contention is
+    // processed in approximately global time order. Next is the agent the
+    // same rule picks from the others.
+    size_t Best = N, Next = N;
+    for (size_t I = 0; I < N; ++I) {
+      const AgentState &A = Agents[I];
+      if (A.Done || A.Blocked)
+        continue;
+      if (Best == N) {
+        Best = I;
+      } else if (A.ReadyAt < Agents[Best].ReadyAt) {
+        Next = Best;
+        Best = I;
+      } else if (Next == N || A.ReadyAt < Agents[Next].ReadyAt) {
+        Next = I;
+      }
+    }
+    if (Best == N) {
+      for (const AgentState &A : Agents)
+        if (A.Blocked) {
+          Result.Deadlock = true;
+          Result.Error = "replay deadlock: all agents blocked on mbarriers";
+          return false;
+        }
+      return true; // All done.
+    }
+    // A step changes no other runnable agent; only a woken waiter joins
+    // them. So until one wakes, Best stays the pick while it is below
+    // Next (or level with it and ahead in index order).
+    AgentState &A = Agents[Best];
+    double Bound = Next == N ? std::numeric_limits<double>::infinity()
+                             : Agents[Next].ReadyAt;
+    bool KeepOnTie = Best < Next;
+    Woke = false;
+    while (step(A) && !Woke &&
+           (A.ReadyAt < Bound || (KeepOnTie && A.ReadyAt == Bound)))
+      ;
+  }
+}
+
 ReplayResult ReplayEngine::run(const std::vector<const CtaTrace *> &Ctas) {
   double SmTime = Config.launchCycles();
   for (const CtaTrace *Cta : Ctas) {
     BaseTime = SmTime + Config.CtaStartCycles;
 
-    // Fresh barrier state per CTA.
-    Barriers.assign(Cta->NumBarrierArrays, {});
-    for (int32_t B = 0; B < Cta->NumBarrierArrays; ++B) {
-      Barriers[B].assign(Cta->BarrierSizes[B], TimedBarrier());
-      for (TimedBarrier &Bar : Barriers[B])
-        Bar.ExpectedArrivals = Cta->BarrierArrivals[B];
-    }
+    // Fresh barrier and agent state per CTA.
+    resetBarriers(*Cta);
+    Agents.resize(Cta->Agents.size());
+    for (size_t I = 0; I < Agents.size(); ++I)
+      Agents[I].reset(Cta->Agents[I], BaseTime);
 
-    Agents.clear();
-    for (const AgentTrace &T : Cta->Agents) {
-      AgentState S;
-      S.Trace = &T;
-      S.ReadyAt = BaseTime;
-      Agents.push_back(std::move(S));
-    }
-
-    // Co-simulate: always advance the runnable agent furthest behind, so
-    // shared-server (DRAM / tensor core) contention is processed in
-    // approximately global time order.
-    while (true) {
-      AgentState *Best = nullptr;
-      for (AgentState &A : Agents)
-        if (!A.Done && !A.Blocked &&
-            (!Best || A.ReadyAt < Best->ReadyAt))
-          Best = &A;
-      if (!Best) {
-        bool AnyBlocked = false;
-        for (AgentState &A : Agents)
-          AnyBlocked |= A.Blocked;
-        if (AnyBlocked) {
-          Result.Deadlock = true;
-          Result.Error = "replay deadlock: all agents blocked on mbarriers";
-          return Result;
-        }
-        break; // All done.
-      }
-      step(*Best);
-    }
+    if (!coSimulate())
+      return Result;
 
     double CtaEnd = BaseTime;
     for (AgentState &A : Agents)

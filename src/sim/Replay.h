@@ -8,6 +8,23 @@
 // agent until another agent (or an async TMA completion) flips the barrier
 // phase. An all-blocked state is reported as deadlock.
 //
+// Stepping order. The engine always executes the next action of the
+// runnable agent with the smallest ReadyAt, the lowest agent index winning
+// ties. It does not rescan the agents before every action: after picking
+// an agent it also notes the runner-up, and keeps stepping the pick while
+// the pick has neither blocked nor finished, no waiter woke, and its
+// ReadyAt is still below the runner-up's (or equal, with the lower index).
+// A step changes no other runnable agent's state, so under those
+// conditions a full scan would pick the same agent again.
+//
+// Bit-identity. Every action therefore runs in the same order as under a
+// scan before each action, with the same floating-point operations on the
+// same operands: ring buffers replace the per-agent deques, each barrier
+// keeps only its latest completion time (the only one a waiter reads), and
+// one flat barrier array is reused across CTAs. tests/replay_test.cpp
+// keeps the scan-every-action engine as an oracle and compares every
+// ReplayResult field bit for bit.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef TAWA_SIM_REPLAY_H
@@ -50,7 +67,8 @@ struct ReplayResult {
 /// Replays a sequence of CTA traces executed back-to-back on one SM (the
 /// wave model: every SM runs the same schedule, so one SM's makespan is the
 /// kernel's). For persistent kernels the sequence has a single entry whose
-/// trace already spans all tiles.
+/// trace already spans all tiles. A pointer may repeat: CTAs with equal
+/// traces (the Runner's sample classes) share one.
 ReplayResult replaySmSchedule(const std::vector<const CtaTrace *> &Ctas,
                               const GpuConfig &Config,
                               const ReplayParams &Params);

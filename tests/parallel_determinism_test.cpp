@@ -43,11 +43,16 @@ void expectTensorsBitIdentical(const TensorData &A, const TensorData &B) {
       << "outputs differ bitwise (maxAbsDiff=" << A.maxAbsDiff(B) << ")";
 }
 
-void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B) {
+/// Agent names carry the CTA coordinates; \p SameCta = false compares two
+/// CTAs' traces on everything else.
+void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B,
+                           bool SameCta = true) {
   ASSERT_EQ(L.Agents.size(), B.Agents.size());
   for (size_t G = 0; G < L.Agents.size(); ++G) {
     const AgentTrace &La = L.Agents[G], &Ba = B.Agents[G];
-    EXPECT_EQ(La.Name, Ba.Name);
+    if (SameCta)
+      EXPECT_EQ(La.Name, Ba.Name);
+    EXPECT_EQ(La.Replicas, Ba.Replicas);
     ASSERT_EQ(La.Actions.size(), Ba.Actions.size())
         << "agent " << La.Name << ": action counts differ";
     for (size_t I = 0; I < La.Actions.size(); ++I) {
@@ -58,8 +63,13 @@ void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B) {
       EXPECT_EQ(X.Bar, Y.Bar);
       EXPECT_EQ(X.Idx, Y.Idx);
       EXPECT_EQ(X.Parity, Y.Parity);
+      EXPECT_EQ(X.Pendings, Y.Pendings);
+      EXPECT_EQ(X.Lookahead, Y.Lookahead);
     }
   }
+  EXPECT_EQ(L.NumBarrierArrays, B.NumBarrierArrays);
+  EXPECT_EQ(L.BarrierArrivals, B.BarrierArrivals);
+  EXPECT_EQ(L.BarrierSizes, B.BarrierSizes);
   EXPECT_EQ(L.SmemBytes, B.SmemBytes);
   EXPECT_EQ(L.HbEvents, B.HbEvents) << "happens-before event counts differ";
 }
@@ -377,12 +387,12 @@ TEST(SamplerDeterminism, BatchFirstErrorInListOrder) {
   auto Mod = buildDeadlockRing(Ctx);
   ASSERT_EQ(verify(*Mod), "");
 
-  auto In = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
-  auto Out = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
-  In->fillRandom(3);
+  // Timing mode, as the Runner's samplers run: no tensors, so the CTAs of
+  // this ring (which all store to the same window) share no host memory.
   RunOptions Opts;
   Opts.GridX = 4;
-  Opts.Args = {RuntimeArg::tensor(In), RuntimeArg::tensor(Out)};
+  Opts.Functional = false;
+  Opts.Args = {RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr)};
 
   // Every sampled CTA deadlocks; the report must name the first in LIST
   // order — (2,0) — regardless of which worker wedges first.
@@ -401,28 +411,161 @@ TEST(SamplerDeterminism, BatchFirstErrorInListOrder) {
 }
 
 TEST(SamplerDeterminism, RunnerAttentionTimingWorkerInvariant) {
-  // End to end through the Runner: the causal attention timing report
-  // (which replays the fanned-out SM0 sample list) is identical at any
-  // worker count.
-  AttentionWorkload W;
-  W.SeqLen = 2048;
-  W.Batch = 2;
-  W.Heads = 32;
-  W.Causal = true;
+  // End to end through the Runner: the attention timing report (which
+  // replays SM0's list from the fanned-out class samples) is identical at
+  // any worker count, with causal masking (one class per query tile) and
+  // without (one class).
+  for (bool Causal : {true, false}) {
+    SCOPED_TRACE(Causal ? "causal" : "non-causal");
+    AttentionWorkload W;
+    W.SeqLen = 2048;
+    W.Batch = 2;
+    W.Heads = 32;
+    W.Causal = Causal;
 
-  RunResult Ref;
-  for (size_t WI = 0; WI < std::size(WorkerCounts); ++WI) {
-    Runner R;
-    R.NumWorkers = WorkerCounts[WI];
-    RunResult Res = R.runAttention(Framework::Tawa, W);
-    ASSERT_TRUE(Res.ok()) << Res.Error;
-    if (WI == 0) {
-      Ref = Res;
-      continue;
+    RunResult Ref;
+    for (size_t WI = 0; WI < std::size(WorkerCounts); ++WI) {
+      Runner R;
+      R.NumWorkers = WorkerCounts[WI];
+      RunResult Res = R.runAttention(Framework::Tawa, W);
+      ASSERT_TRUE(Res.ok()) << Res.Error;
+      if (WI == 0) {
+        Ref = Res;
+        continue;
+      }
+      EXPECT_EQ(Res.Micros, Ref.Micros);
+      EXPECT_EQ(Res.TFlops, Ref.TFlops);
+      EXPECT_EQ(Res.TensorUtilization, Ref.TensorUtilization);
+      EXPECT_EQ(Res.SmemBytes, Ref.SmemBytes);
     }
-    EXPECT_EQ(Res.Micros, Ref.Micros);
-    EXPECT_EQ(Res.TFlops, Ref.TFlops);
-    EXPECT_EQ(Res.SmemBytes, Ref.SmemBytes);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Sampler classes: the Runner interprets one CTA per trace class
+//===----------------------------------------------------------------------===//
+
+/// Interprets every CTA of SM0's list (Pid += NumSms) for an attention
+/// point, checks each trace against the first trace of its class (one
+/// class without causal masking, one per query-tile index with it), and
+/// checks that Runner::runAttentionCustom reports exactly what a replay of
+/// the full list gives. The replay parameters restate the Runner's model.
+void expectSamplerClassesHold(const AttentionWorkload &W,
+                              const FrameworkEnvelope &E) {
+  GpuConfig Cfg;
+  Runner Rn(Cfg);
+  RunResult Res = Rn.runAttentionCustom(W, E, /*Functional=*/false);
+  ASSERT_TRUE(Res.ok()) << Res.Error;
+
+  AttentionKernelConfig Kernel;
+  Kernel.TileQ = E.TileQ;
+  Kernel.TileKv = E.TileKv;
+  Kernel.HeadDim = W.HeadDim;
+  Kernel.Causal = W.Causal;
+  Kernel.InPrecision = W.Prec;
+  IrContext Ctx;
+  auto Mod = buildAttentionModule(Ctx, Kernel);
+  PassManager PM;
+  buildTawaPipeline(PM, E.Options);
+  ASSERT_EQ(PM.run(*Mod), "");
+  if (!E.Options.EnableWarpSpecialization && E.SwPipelineDepth > 0)
+    ASSERT_EQ(runSoftwarePipeline(*Mod, E.SwPipelineDepth), "");
+
+  int64_t QTiles = ceilDiv(W.SeqLen, Kernel.TileQ);
+  int64_t BH = W.Batch * W.Heads;
+  int64_t TotalCtas = QTiles * BH;
+  RunOptions Launch;
+  Launch.GridX = QTiles;
+  Launch.GridY = BH;
+  Launch.Functional = false;
+  Launch.Args = {RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr),
+                 RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr),
+                 RuntimeArg::scalar(W.SeqLen)};
+  std::vector<CtaCoord> Sm0;
+  for (int64_t Pid = 0; Pid < TotalCtas; Pid += Cfg.NumSms)
+    Sm0.push_back({Pid % QTiles, Pid / QTiles});
+  Interpreter Interp(*Mod, Cfg);
+  std::vector<CtaTrace> Traces;
+  ASSERT_EQ(Interp.runCtaBatch(Launch, Sm0, Traces), "");
+
+  size_t Repeats = 0;
+  std::vector<const CtaTrace *> Schedule;
+  for (size_t I = 0; I < Sm0.size(); ++I) {
+    size_t Rep = 0;
+    while (W.Causal && Sm0[Rep].X != Sm0[I].X)
+      ++Rep;
+    if (Rep != I) {
+      SCOPED_TRACE(testing::Message() << "cta " << I << " vs class rep "
+                                      << Rep);
+      expectTracesIdentical(Traces[Rep], Traces[I], /*SameCta=*/false);
+      ++Repeats;
+    }
+    Schedule.push_back(&Traces[I]);
+  }
+  EXPECT_GT(Repeats, 0u) << "the list should revisit a class";
+
+  int64_t Budget = Cfg.RegsPerSm / 256;
+  if (E.Options.EnableWarpSpecialization)
+    Budget = std::min<int64_t>((Cfg.RegsPerSm - 128 * 24) /
+                                   (128 * E.Options.NumConsumerGroups),
+                               Cfg.MaxRegsPerThread);
+  bool Spills = Res.RegsPerThread > Budget;
+  int64_t Wave = std::min<int64_t>(TotalCtas, Cfg.NumSms);
+  double HeadsCovered =
+      std::min<double>(static_cast<double>(ceilDiv(Wave, QTiles)) + 1,
+                       static_cast<double>(BH));
+  double KvBytes = 2.0 * static_cast<double>(W.SeqLen) * W.HeadDim *
+                   getPrecisionBytes(W.Prec);
+  double QBytes = static_cast<double>(Kernel.TileQ) * W.HeadDim *
+                  getPrecisionBytes(W.Prec);
+  double KvReuse = HeadsCovered / static_cast<double>(Wave);
+  ReplayParams Params;
+  Params.BwShareSms = static_cast<double>(Wave);
+  Params.DramReuseFactor =
+      std::min(1.0, (QBytes + KvBytes * KvReuse) / (QBytes + KvBytes));
+  Params.TensorPenalty = E.ComputeScale * (Spills ? Cfg.SpillPenalty : 1.0);
+  Params.CudaPenalty = E.CudaScale * (Spills ? Cfg.SpillPenalty : 1.0);
+  Params.CtaGapCycles = E.ExtraCtaCycles;
+  ReplayResult Rep = replaySmSchedule(Schedule, Cfg, Params);
+  ASSERT_FALSE(Rep.Deadlock) << Rep.Error;
+  double Micros = Cfg.cyclesToMicros(Rep.Cycles) + E.ExtraLaunchMicros;
+  EXPECT_EQ(Res.Micros, Micros);
+  EXPECT_EQ(Res.TFlops, W.flops() / (Micros * 1e-6) / 1e12);
+  EXPECT_EQ(Res.TensorUtilization,
+            Rep.TensorBusyCycles / std::max(1.0, Rep.Cycles));
+  EXPECT_EQ(Res.SmemBytes, Traces.front().SmemBytes);
+}
+
+TEST(SamplerClasses, EveryTraceMatchesItsClassRepresentative) {
+  // L = 2048 at TileQ 128 is 16 query tiles; 64 heads make 1024 CTAs, so
+  // SM0 runs 8 of them and, with causal masking, visits X = 0, 4, 8, 12
+  // twice each.
+  for (bool Causal : {false, true}) {
+    SCOPED_TRACE(Causal ? "causal" : "non-causal");
+    AttentionWorkload W;
+    W.SeqLen = 2048;
+    W.Batch = 1;
+    W.Heads = 64;
+    W.Causal = Causal;
+    for (bool Coarse : {false, true})
+      for (int64_t Groups : {1, 2}) {
+        SCOPED_TRACE(testing::Message()
+                     << "ws coarse=" << Coarse << " groups=" << Groups);
+        FrameworkEnvelope E;
+        E.Options.CoarsePipeline = Coarse;
+        E.Options.NumConsumerGroups = Groups;
+        expectSamplerClassesHold(W, E);
+      }
+    {
+      SCOPED_TRACE("triton non-ws");
+      FrameworkEnvelope E = getAttentionEnvelope(Framework::Triton, W);
+      ASSERT_FALSE(E.Options.EnableWarpSpecialization);
+      expectSamplerClassesHold(W, E);
+    }
+    SCOPED_TRACE("tawa fp8");
+    AttentionWorkload Fp8 = W;
+    Fp8.Prec = Precision::FP8;
+    expectSamplerClassesHold(Fp8, getAttentionEnvelope(Framework::Tawa, Fp8));
   }
 }
 

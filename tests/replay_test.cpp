@@ -5,15 +5,282 @@
 // deadlock detection, DRAM serialization, and the software-pipelined copy
 // lookahead.
 //
+// Every replay here also runs through OracleReplay, the engine as it was
+// before it learned to keep stepping one agent: it rescans every agent
+// before each action, keeps each agent's in-flight MMAs and iteration
+// starts in std::deques, every barrier's full completion history, and
+// fresh barrier vectors per CTA. replaySmSchedule must match it bit for
+// bit on the hand-built traces, on the traces of every ok-path
+// tests/corpus module, and on seeded random multi-agent schedules.
+//
 //===----------------------------------------------------------------------===//
 
+#include "tests/fuzz/Gen.h"
+
+#include "sim/Interpreter.h"
 #include "sim/Replay.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
+#include <fstream>
+#include <sstream>
+
+using namespace tawa;
 using namespace tawa::sim;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Oracle: the scan-every-action engine
+//===----------------------------------------------------------------------===//
+
+struct OracleBarrier {
+  int64_t ExpectedArrivals = 1;
+  int64_t Arrivals = 0;
+  int64_t ExpectedTxBytes = 0;
+  int64_t ArrivedTxBytes = 0;
+  double PhaseMaxTime = 0;
+  int64_t Completions = 0;
+  std::vector<double> CompletionTimes;
+
+  bool phaseComplete() const {
+    return Arrivals >= ExpectedArrivals && ArrivedTxBytes >= ExpectedTxBytes;
+  }
+};
+
+struct OracleAgent {
+  const AgentTrace *Trace = nullptr;
+  size_t Pc = 0;
+  double ReadyAt = 0;
+  bool Done = false;
+  bool Blocked = false;
+  int32_t BlockBar = -1, BlockIdx = 0;
+  int64_t BlockTargetCompletion = 0;
+  std::deque<double> TensorInflight;
+  std::deque<double> IterStartHistory;
+};
+
+class OracleReplay {
+public:
+  OracleReplay(const GpuConfig &Config, const ReplayParams &Params)
+      : Config(Config), Params(Params) {}
+
+  ReplayResult run(const std::vector<const CtaTrace *> &Ctas) {
+    double SmTime = Config.launchCycles();
+    for (const CtaTrace *Cta : Ctas) {
+      BaseTime = SmTime + Config.CtaStartCycles;
+      Barriers.assign(Cta->NumBarrierArrays, {});
+      for (int32_t B = 0; B < Cta->NumBarrierArrays; ++B) {
+        Barriers[B].assign(Cta->BarrierSizes[B], OracleBarrier());
+        for (OracleBarrier &Bar : Barriers[B])
+          Bar.ExpectedArrivals = Cta->BarrierArrivals[B];
+      }
+      Agents.clear();
+      for (const AgentTrace &T : Cta->Agents) {
+        OracleAgent S;
+        S.Trace = &T;
+        S.ReadyAt = BaseTime;
+        Agents.push_back(std::move(S));
+      }
+      while (true) {
+        OracleAgent *Best = nullptr;
+        for (OracleAgent &A : Agents)
+          if (!A.Done && !A.Blocked && (!Best || A.ReadyAt < Best->ReadyAt))
+            Best = &A;
+        if (!Best) {
+          bool AnyBlocked = false;
+          for (OracleAgent &A : Agents)
+            AnyBlocked |= A.Blocked;
+          if (AnyBlocked) {
+            Result.Deadlock = true;
+            Result.Error = "replay deadlock: all agents blocked on mbarriers";
+            return Result;
+          }
+          break;
+        }
+        step(*Best);
+      }
+      double CtaEnd = BaseTime;
+      for (OracleAgent &A : Agents)
+        CtaEnd = std::max(CtaEnd, A.ReadyAt);
+      if (Ctas.size() > 1)
+        CtaEnd = std::max(CtaEnd, DramFree);
+      SmTime = CtaEnd + Params.CtaGapCycles;
+    }
+    Result.Cycles = std::max(SmTime, DramFree);
+    return Result;
+  }
+
+private:
+  double scheduleTransfer(double IssueTime, int64_t Bytes, double Latency,
+                          double BwEfficiency, double Reuse) {
+    double EffBytes = static_cast<double>(Bytes) * Reuse;
+    double BwPerSm = Config.HbmTBps * 1e12 /
+                     (Params.BwShareSms * Config.ClockGhz * 1e9) *
+                     BwEfficiency;
+    double ServiceStart = std::max(IssueTime, DramFree);
+    DramFree = ServiceStart + EffBytes / BwPerSm;
+    Result.DramBusyCycles += EffBytes / BwPerSm;
+    Result.DramBytes += static_cast<int64_t>(EffBytes);
+    return DramFree + Latency;
+  }
+
+  void arrive(int32_t Bar, int32_t Idx, double Time, int64_t TxBytes) {
+    OracleBarrier &B = Barriers[Bar][Idx];
+    ++B.Arrivals;
+    B.ArrivedTxBytes += TxBytes;
+    B.PhaseMaxTime = std::max(B.PhaseMaxTime, Time);
+    if (!B.phaseComplete())
+      return;
+    ++B.Completions;
+    B.CompletionTimes.push_back(B.PhaseMaxTime);
+    B.Arrivals = 0;
+    B.ArrivedTxBytes = 0;
+    B.ExpectedTxBytes = 0;
+    B.PhaseMaxTime = 0;
+    for (OracleAgent &A : Agents) {
+      if (!A.Blocked || A.BlockBar != Bar || A.BlockIdx != Idx)
+        continue;
+      if (B.Completions >= A.BlockTargetCompletion) {
+        A.Blocked = false;
+        A.ReadyAt = std::max(A.ReadyAt,
+                             B.CompletionTimes[A.BlockTargetCompletion - 1]);
+      }
+    }
+  }
+
+  void step(OracleAgent &Agent) {
+    if (Agent.Pc >= Agent.Trace->Actions.size()) {
+      Agent.Done = true;
+      return;
+    }
+    const Action &A = Agent.Trace->Actions[Agent.Pc];
+    switch (A.Kind) {
+    case ActionKind::CudaWork:
+    case ActionKind::CtaSync:
+      Agent.ReadyAt += A.Cycles * Params.CudaPenalty;
+      break;
+    case ActionKind::TensorIssue: {
+      Agent.ReadyAt += Config.WgmmaIssueCycles;
+      double Start = std::max(Agent.ReadyAt, TcFree);
+      double Done = Start + A.Cycles * Params.TensorPenalty;
+      TcFree = Done;
+      Result.TensorBusyCycles += A.Cycles * Params.TensorPenalty;
+      Agent.TensorInflight.push_back(Done);
+      break;
+    }
+    case ActionKind::TensorWait:
+      while (static_cast<int64_t>(Agent.TensorInflight.size()) > A.Pendings) {
+        Agent.ReadyAt = std::max(Agent.ReadyAt, Agent.TensorInflight.front());
+        Agent.TensorInflight.pop_front();
+      }
+      while (!Agent.TensorInflight.empty() &&
+             Agent.TensorInflight.front() <= Agent.ReadyAt)
+        Agent.TensorInflight.pop_front();
+      break;
+    case ActionKind::TmaIssue: {
+      Agent.ReadyAt += A.Cycles;
+      double Done =
+          scheduleTransfer(Agent.ReadyAt, A.Bytes, Config.TmaLatencyCycles,
+                           Config.TmaBwEfficiency, Params.DramReuseFactor);
+      arrive(A.Bar, A.Idx, Done, A.Bytes);
+      break;
+    }
+    case ActionKind::BarExpectTx:
+      Agent.ReadyAt += A.Cycles;
+      Barriers[A.Bar][A.Idx].ExpectedTxBytes += A.Bytes;
+      break;
+    case ActionKind::BarArrive:
+      Agent.ReadyAt += A.Cycles;
+      arrive(A.Bar, A.Idx, Agent.ReadyAt, 0);
+      break;
+    case ActionKind::BarWait: {
+      Agent.ReadyAt += A.Cycles;
+      OracleBarrier &B = Barriers[A.Bar][A.Idx];
+      if (B.Completions % 2 != A.Parity) {
+        if (B.Completions > 0)
+          Agent.ReadyAt =
+              std::max(Agent.ReadyAt, B.CompletionTimes[B.Completions - 1]);
+        break;
+      }
+      Agent.Blocked = true;
+      Agent.BlockBar = A.Bar;
+      Agent.BlockIdx = A.Idx;
+      Agent.BlockTargetCompletion = B.Completions + 1;
+      ++Agent.Pc;
+      return;
+    }
+    case ActionKind::GStoreAsync:
+      Agent.ReadyAt += A.Cycles;
+      scheduleTransfer(Agent.ReadyAt, A.Bytes, 0, Config.TmaBwEfficiency,
+                       /*Reuse=*/1.0);
+      break;
+    case ActionKind::GLoadSync:
+      Agent.ReadyAt += A.Cycles;
+      Agent.ReadyAt = scheduleTransfer(Agent.ReadyAt, A.Bytes,
+                                       Config.SyncLoadLatencyCycles,
+                                       Config.TmaBwEfficiency,
+                                       Params.DramReuseFactor);
+      break;
+    case ActionKind::CopyPipelined: {
+      Agent.ReadyAt += A.Cycles;
+      double IssueTime = BaseTime;
+      if (static_cast<int64_t>(Agent.IterStartHistory.size()) >= A.Lookahead)
+        IssueTime = Agent.IterStartHistory[Agent.IterStartHistory.size() -
+                                           A.Lookahead];
+      double Done = scheduleTransfer(std::max(IssueTime, BaseTime), A.Bytes,
+                                     Config.CpAsyncLatencyCycles,
+                                     Config.CpAsyncBwEfficiency,
+                                     Params.DramReuseFactor);
+      Agent.ReadyAt = std::max(Agent.ReadyAt, Done);
+      break;
+    }
+    case ActionKind::IterMark:
+      Agent.IterStartHistory.push_back(Agent.ReadyAt);
+      if (Agent.IterStartHistory.size() > 64)
+        Agent.IterStartHistory.pop_front();
+      break;
+    }
+    ++Agent.Pc;
+  }
+
+  const GpuConfig &Config;
+  const ReplayParams &Params;
+  std::vector<OracleAgent> Agents;
+  std::vector<std::vector<OracleBarrier>> Barriers;
+  double TcFree = 0;
+  double DramFree = 0;
+  ReplayResult Result;
+  double BaseTime = 0;
+};
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// replaySmSchedule, checked field by field against the oracle.
+ReplayResult replayChecked(const std::vector<const CtaTrace *> &Ctas,
+                           const GpuConfig &Cfg, const ReplayParams &Params) {
+  ReplayResult R = replaySmSchedule(Ctas, Cfg, Params);
+  ReplayResult O = OracleReplay(Cfg, Params).run(Ctas);
+  EXPECT_EQ(R.Deadlock, O.Deadlock);
+  EXPECT_EQ(R.Error, O.Error);
+  EXPECT_TRUE(sameBits(R.Cycles, O.Cycles))
+      << R.Cycles << " vs oracle " << O.Cycles;
+  EXPECT_TRUE(sameBits(R.TensorBusyCycles, O.TensorBusyCycles))
+      << R.TensorBusyCycles << " vs oracle " << O.TensorBusyCycles;
+  EXPECT_TRUE(sameBits(R.DramBusyCycles, O.DramBusyCycles))
+      << R.DramBusyCycles << " vs oracle " << O.DramBusyCycles;
+  EXPECT_EQ(R.DramBytes, O.DramBytes);
+  return R;
+}
+
+//===----------------------------------------------------------------------===//
+// Hand-built traces
+//===----------------------------------------------------------------------===//
 
 Action cuda(double Cycles) {
   Action A;
@@ -85,7 +352,7 @@ TEST(Replay, PureComputeAccumulates) {
   A.emit(cuda(500));
   CtaTrace T = makeCta({A}, 0, {});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   EXPECT_FALSE(R.Deadlock);
   EXPECT_GE(R.Cycles, 1500.0);
 }
@@ -101,7 +368,7 @@ TEST(Replay, BarrierWaitBlocksUntilArrival) {
   C.emit(cuda(100));
   CtaTrace T = makeCta({P, C}, 1, {1});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   EXPECT_FALSE(R.Deadlock);
   double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
   EXPECT_GE(R.Cycles, Base + 5000 + 100);
@@ -114,7 +381,7 @@ TEST(Replay, ParityOneSailsThroughFreshBarrier) {
   A.emit(cuda(10));
   CtaTrace T = makeCta({A}, 1, {1});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   EXPECT_FALSE(R.Deadlock);
 }
 
@@ -126,7 +393,7 @@ TEST(Replay, DeadlockDetected) {
   B.emit(wait(1, 0, 0));
   CtaTrace T = makeCta({A, B}, 2, {1, 1});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   EXPECT_TRUE(R.Deadlock);
 }
 
@@ -143,7 +410,7 @@ TEST(Replay, TransactionCountGatesCompletion) {
   C.emit(wait(0, 0, 0));
   CtaTrace T = makeCta({P, C}, 1, {2});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   EXPECT_FALSE(R.Deadlock);
   // Completion requires the second copy (issued after 200 cycles of work).
   double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
@@ -159,7 +426,7 @@ TEST(Replay, TensorWaitHonorsFifoOrder) {
   A.emit(cuda(1));
   CtaTrace T = makeCta({A}, 0, {});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
   // Finishes after the *second* MMA only because makespan covers agents'
   // issued work... the agent itself resumed after the first: its own time
@@ -168,6 +435,26 @@ TEST(Replay, TensorWaitHonorsFifoOrder) {
   EXPECT_GE(R.Cycles, Base + 1000);
   EXPECT_LT(R.Cycles, Base + 2 * 1000 + 500);
   EXPECT_NEAR(R.TensorBusyCycles, 2000, 1);
+}
+
+TEST(Replay, NegativePendingsWaitsForEveryMma) {
+  // A crafted module can carry wgmma_wait {pendings = -1}; the wait must
+  // drain the FIFO like pendings = 0, not read past its front.
+  auto Trace = [](int64_t Pendings) {
+    AgentTrace A;
+    A.Name = "wg";
+    A.emit(tensorIssue(1000));
+    A.emit(tensorIssue(1000));
+    A.emit(tensorWait(Pendings));
+    A.emit(tensorWait(Pendings));
+    A.emit(cuda(1));
+    return A;
+  };
+  CtaTrace Negative = makeCta({Trace(-1)}, 0, {});
+  CtaTrace Zero = makeCta({Trace(0)}, 0, {});
+  GpuConfig Cfg;
+  EXPECT_EQ(replaySmSchedule({&Negative}, Cfg, ReplayParams()).Cycles,
+            replayChecked({&Zero}, Cfg, ReplayParams()).Cycles);
 }
 
 TEST(Replay, AsyncTmaOverlapsCompute) {
@@ -183,7 +470,7 @@ TEST(Replay, AsyncTmaOverlapsCompute) {
   C.emit(cuda(100));
   CtaTrace T = makeCta({P, C}, 1, {1});
   GpuConfig Cfg;
-  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ReplayResult R = replayChecked({&T}, Cfg, ReplayParams());
   double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
   EXPECT_LT(R.Cycles, Base + 10000 + 100 + 200); // No added stall.
 }
@@ -203,7 +490,7 @@ TEST(Replay, DramSerializesTransfers) {
   C.Name = "consumer";
   C.emit(wait(0, 0, 0));
   CtaTrace T = makeCta({P, C}, 1, {2});
-  ReplayResult R = replaySmSchedule({&T}, Cfg, Params);
+  ReplayResult R = replayChecked({&T}, Cfg, Params);
   double BwPerSm = Cfg.HbmTBps * 1e12 /
                    (Params.BwShareSms * Cfg.ClockGhz * 1e9) *
                    Cfg.TmaBwEfficiency;
@@ -223,7 +510,7 @@ TEST(Replay, ReuseFactorScalesDramTraffic) {
   C.Name = "consumer";
   C.emit(wait(0, 0, 0));
   CtaTrace T = makeCta({P, C}, 1, {1});
-  ReplayResult R = replaySmSchedule({&T}, Cfg, Params);
+  ReplayResult R = replayChecked({&T}, Cfg, Params);
   EXPECT_EQ(R.DramBytes, (1 << 20) / 4);
 }
 
@@ -236,8 +523,8 @@ TEST(Replay, TensorPenaltySlowsMmas) {
   GpuConfig Cfg;
   ReplayParams Fast, Slow;
   Slow.TensorPenalty = 1.5;
-  double FastCycles = replaySmSchedule({&T}, Cfg, Fast).Cycles;
-  double SlowCycles = replaySmSchedule({&T}, Cfg, Slow).Cycles;
+  double FastCycles = replayChecked({&T}, Cfg, Fast).Cycles;
+  double SlowCycles = replayChecked({&T}, Cfg, Slow).Cycles;
   EXPECT_NEAR(SlowCycles - FastCycles, 500, 1);
 }
 
@@ -247,8 +534,8 @@ TEST(Replay, MultiCtaSchedulesSequentially) {
   A.emit(cuda(1000));
   CtaTrace T = makeCta({A}, 0, {});
   GpuConfig Cfg;
-  double OneCta = replaySmSchedule({&T}, Cfg, ReplayParams()).Cycles;
-  double ThreeCtas = replaySmSchedule({&T, &T, &T}, Cfg, ReplayParams()).Cycles;
+  double OneCta = replayChecked({&T}, Cfg, ReplayParams()).Cycles;
+  double ThreeCtas = replayChecked({&T, &T, &T}, Cfg, ReplayParams()).Cycles;
   EXPECT_NEAR(ThreeCtas - OneCta, 2 * (1000 + Cfg.CtaStartCycles), 1);
 }
 
@@ -277,10 +564,205 @@ TEST(Replay, PipelinedCopyUsesLookahead) {
   };
   CtaTrace Deep = makeCta({MakeTrace(3)}, 0, {});
   CtaTrace Shallow = makeCta({MakeTrace(1)}, 0, {});
-  double DeepCycles = replaySmSchedule({&Deep}, Cfg, ReplayParams()).Cycles;
+  double DeepCycles = replayChecked({&Deep}, Cfg, ReplayParams()).Cycles;
   double ShallowCycles =
-      replaySmSchedule({&Shallow}, Cfg, ReplayParams()).Cycles;
+      replayChecked({&Shallow}, Cfg, ReplayParams()).Cycles;
   EXPECT_LT(DeepCycles, ShallowCycles);
+}
+
+TEST(Replay, PipelinedCopyLookaheadPastHistory) {
+  // The history keeps the last 64 iteration starts, so a lookahead of 65
+  // or more never finds its iteration: every copy issues at the CTA start,
+  // exactly as with an unbounded lookahead.
+  GpuConfig Cfg;
+  auto MakeTrace = [&](int32_t Lookahead) {
+    AgentTrace A;
+    A.Name = "wg";
+    for (int K = 0; K < 70; ++K) {
+      Action Mark;
+      Mark.Kind = ActionKind::IterMark;
+      A.emit(Mark);
+      Action Copy;
+      Copy.Kind = ActionKind::CopyPipelined;
+      Copy.Bytes = 16 << 10;
+      Copy.Lookahead = Lookahead;
+      Copy.Cycles = 10;
+      A.emit(Copy);
+      A.emit(cuda(300));
+    }
+    return A;
+  };
+  CtaTrace At1 = makeCta({MakeTrace(1)}, 0, {});
+  CtaTrace At64 = makeCta({MakeTrace(64)}, 0, {});
+  CtaTrace At65 = makeCta({MakeTrace(65)}, 0, {});
+  CtaTrace Huge = makeCta({MakeTrace(1 << 30)}, 0, {});
+  double Cycles1 = replayChecked({&At1}, Cfg, ReplayParams()).Cycles;
+  replayChecked({&At64}, Cfg, ReplayParams());
+  double Cycles65 = replayChecked({&At65}, Cfg, ReplayParams()).Cycles;
+  double CyclesHuge = replayChecked({&Huge}, Cfg, ReplayParams()).Cycles;
+  EXPECT_EQ(Cycles65, CyclesHuge);
+  EXPECT_GT(Cycles1, Cycles65);
+}
+
+//===----------------------------------------------------------------------===//
+// Oracle comparisons on interpreter traces and random schedules
+//===----------------------------------------------------------------------===//
+
+std::vector<ReplayParams> paramVariants() {
+  ReplayParams Skewed;
+  Skewed.DramReuseFactor = 0.25;
+  Skewed.BwShareSms = 17;
+  Skewed.TensorPenalty = 1.3;
+  Skewed.CudaPenalty = 0.9;
+  Skewed.CtaGapCycles = 40;
+  return {ReplayParams(), Skewed};
+}
+
+std::string readCorpus(const std::string &Name) {
+  std::ifstream In(std::string(TAWA_SOURCE_DIR) + "/tests/corpus/" + Name);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+TEST(ReplayOracle, CorpusTracesMatch) {
+  std::istringstream Manifest(readCorpus("MANIFEST"));
+  std::string Name;
+  GpuConfig Cfg;
+  size_t Replayed = 0;
+  while (std::getline(Manifest, Name)) {
+    if (Name.empty() || Name[0] == '#')
+      continue;
+    SCOPED_TRACE(Name);
+    fuzz::PreparedCase P;
+    ASSERT_EQ(fuzz::loadCase(readCorpus(Name), P), "");
+    RunOptions Opts;
+    Opts.GridX = P.Launch.GridX;
+    Opts.GridY = P.Launch.GridY;
+    Opts.MaxSteps = 1000000;
+    for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args)
+      Opts.Args.push_back(A.IsScalar
+                              ? RuntimeArg::scalar(A.Scalar)
+                              : RuntimeArg::tensor(fuzz::materializeArg(A)));
+    Interpreter Interp(*P.Mod, Cfg);
+    std::vector<CtaTrace> Traces;
+    if (!Interp.runGrid(Opts, nullptr, &Traces).empty())
+      continue; // Error-path files (deadlocks) leave no traces to replay.
+    ASSERT_FALSE(Traces.empty());
+    std::vector<const CtaTrace *> Grid;
+    for (const CtaTrace &T : Traces)
+      Grid.push_back(&T);
+    // The whole grid on one SM, the first CTA alone, and the first CTA
+    // repeated the way the Runner's sample classes repeat a pointer.
+    for (const ReplayParams &Params : paramVariants()) {
+      replayChecked(Grid, Cfg, Params);
+      replayChecked({Grid[0]}, Cfg, Params);
+      replayChecked(std::vector<const CtaTrace *>(5, Grid[0]), Cfg, Params);
+    }
+    ++Replayed;
+  }
+  EXPECT_GE(Replayed, 9u);
+}
+
+/// A random CTA: up to four agents over up to three barrier arrays. Cycle
+/// costs come from a short list, so agents often tie on ReadyAt; waits make
+/// some schedules deadlock. A quarter of the agents run a software-
+/// pipelined loop long enough to overflow the 64-entry history, with
+/// lookaheads on both sides of it.
+CtaTrace randomCta(fuzz::Rng &R, bool Waits) {
+  CtaTrace T;
+  T.NumBarrierArrays = static_cast<int32_t>(R.range(0, 3));
+  for (int32_t B = 0; B < T.NumBarrierArrays; ++B) {
+    T.BarrierArrivals.push_back(R.range(1, 3));
+    T.BarrierSizes.push_back(R.range(1, 4));
+  }
+  auto Cycles = [&] {
+    return R.pick({0.0, 0.0, 1.0, 2.0, 2.0, 0.5, 10.0, 100.0, 1000.0});
+  };
+  int64_t NumAgents = R.range(1, 4);
+  for (int64_t G = 0; G < NumAgents; ++G) {
+    AgentTrace A;
+    A.Name = "wg" + std::to_string(G);
+    if (R.chance(25)) {
+      int32_t Lookahead = R.pick({1, 3, 64, 65, 100});
+      for (int64_t K = 0, E = R.range(60, 140); K < E; ++K) {
+        Action Mark;
+        Mark.Kind = ActionKind::IterMark;
+        A.emit(Mark);
+        Action Copy;
+        Copy.Kind = ActionKind::CopyPipelined;
+        Copy.Bytes = R.pick<int64_t>({0, 4096, 65536});
+        Copy.Lookahead = Lookahead;
+        Copy.Cycles = Cycles();
+        A.emit(Copy);
+        A.emit(cuda(Cycles()));
+      }
+      T.Agents.push_back(std::move(A));
+      continue;
+    }
+    for (int64_t K = 0, E = R.range(0, 80); K < E; ++K) {
+      Action X;
+      X.Kind = static_cast<ActionKind>(
+          R.range(0, static_cast<int64_t>(ActionKind::CtaSync)));
+      bool OnBarrier = X.Kind == ActionKind::TmaIssue ||
+                       X.Kind == ActionKind::BarExpectTx ||
+                       X.Kind == ActionKind::BarArrive ||
+                       X.Kind == ActionKind::BarWait;
+      if (OnBarrier && T.NumBarrierArrays == 0)
+        X.Kind = ActionKind::CudaWork;
+      else if (X.Kind == ActionKind::BarWait && !Waits)
+        X.Kind = ActionKind::BarArrive;
+      X.Cycles = Cycles();
+      X.Bytes = R.pick<int64_t>({0, 128, 4096, 65536});
+      if (T.NumBarrierArrays > 0) {
+        X.Bar = static_cast<int32_t>(R.range(0, T.NumBarrierArrays - 1));
+        X.Idx = static_cast<int32_t>(R.range(0, T.BarrierSizes[X.Bar] - 1));
+      }
+      X.Parity = static_cast<int32_t>(R.range(0, 1));
+      X.Pendings = R.range(0, 3);
+      X.Lookahead = R.pick({1, 2, 3, 64, 65, 100});
+      A.emit(X);
+    }
+    T.Agents.push_back(std::move(A));
+  }
+  return T;
+}
+
+TEST(ReplayOracle, RandomSchedulesMatch) {
+  GpuConfig Cfg;
+  int Deadlocks = 0, Completed = 0, RepeatedMultiCta = 0;
+  for (uint64_t Seed = 1; Seed <= 2000; ++Seed) {
+    SCOPED_TRACE(Seed);
+    fuzz::Rng R(Seed);
+    bool Waits = !R.chance(30);
+    std::vector<CtaTrace> Ctas;
+    for (int64_t I = 0, E = R.range(1, 3); I < E; ++I)
+      Ctas.push_back(randomCta(R, Waits));
+    // A schedule of up to six CTAs that repeats pointers.
+    std::vector<const CtaTrace *> Schedule;
+    for (int64_t I = 0, E = R.range(1, 6); I < E; ++I)
+      Schedule.push_back(&Ctas[R.range(0, static_cast<int64_t>(Ctas.size()) -
+                                             1)]);
+    ReplayParams Params;
+    Params.DramReuseFactor = R.pick({1.0, 0.25});
+    Params.BwShareSms = R.pick({132.0, 7.0});
+    Params.TensorPenalty = R.pick({1.0, 1.5});
+    Params.CudaPenalty = R.pick({1.0, 0.75});
+    Params.CtaGapCycles = R.pick({0.0, 25.0});
+    ReplayResult Rep = replayChecked(Schedule, Cfg, Params);
+    if (Rep.Deadlock) {
+      ++Deadlocks;
+      continue;
+    }
+    ++Completed;
+    if (Schedule.size() > 1 &&
+        std::count(Schedule.begin(), Schedule.end(), Schedule[0]) > 1)
+      ++RepeatedMultiCta;
+  }
+  // The seeds exercise both outcomes and pointer-repeating schedules.
+  EXPECT_GT(Deadlocks, 100);
+  EXPECT_GT(Completed, 100);
+  EXPECT_GT(RepeatedMultiCta, 50);
 }
 
 } // namespace

@@ -11,12 +11,14 @@
 //  * chaos soak: every fault-injection site armed at once, every request
 //    still answered with a structured response,
 //  * corpus replay: responses through the socket match responses rendered
-//    from a direct Interpreter run byte-for-byte.
+//    from a direct Interpreter run byte-for-byte,
+//  * crafted ir modules end in a classified error, never in the engines.
 //
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
 
+#include "serve/Execute.h"
 #include "sim/Diag.h"
 #include "sim/Interpreter.h"
 #include "sim/Replay.h"
@@ -553,6 +555,38 @@ bool recvLine(int Fd, std::string &Buf, std::string &Line) {
 std::string testSocketPath(const char *Tag) {
   return formatString("/tmp/tawa-serve-%s-%lld.sock", Tag,
                       static_cast<long long>(::getpid()));
+}
+
+TEST(ServeExecute, OutOfRangePipelineDepthIsCompileError) {
+  // The engines narrow sw_pipeline_depth to the int32 lookahead of every
+  // pipelined copy: 2^32 - 1 used to reach replay as -1 and index past the
+  // end of its iteration history. The verifier now rejects the module.
+  std::string Text = readFile(corpusPath("gemm_swp_ptr_epilogue.tawa"));
+  const std::string Attr = "sw_pipeline_depth = 2";
+  size_t At = Text.find(Attr);
+  ASSERT_NE(At, std::string::npos);
+  auto Run = [&](const std::string &Depth, ErrorKind &Kind) {
+    std::string Crafted = Text;
+    Crafted.replace(At, Attr.size(), "sw_pipeline_depth = " + Depth);
+    ServeRequest Req;
+    EXPECT_EQ(parseRequest(irReq("depth-" + Depth, Crafted), Req), "");
+    ServeResponse Resp;
+    Kind = ErrorKind::None;
+    return executeRequest(Req, ExecEnv(), Resp, Kind);
+  };
+  for (const char *Depth : {"4294967295", "2147483648", "-1"}) {
+    SCOPED_TRACE(Depth);
+    ErrorKind Kind;
+    std::string Err = Run(Depth, Kind);
+    EXPECT_NE(Err.find("sw_pipeline_depth must be an integer"),
+              std::string::npos)
+        << Err;
+    EXPECT_EQ(Kind, ErrorKind::CompileError);
+  }
+  // The largest accepted depth runs; no copy ever finds its iteration.
+  ErrorKind Kind;
+  EXPECT_EQ(Run("2147483647", Kind), "");
+  EXPECT_EQ(Kind, ErrorKind::None);
 }
 
 TEST(ServeSocket, RoundTripAndGracefulShutdown) {
