@@ -80,8 +80,6 @@ struct AgentState {
     End = Pc + T.Actions.size();
     ReadyAt = Start;
     Done = Blocked = false;
-    BlockSlot = 0;
-    BlockTargetCompletion = 0;
     TensorInflight.clear();
     IterStartHistory.clear();
   }

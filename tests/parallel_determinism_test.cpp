@@ -7,7 +7,9 @@
 // isolation and results are merged by CTA index. These tests pin the
 // contract at NumWorkers = 1, 2 and 8 and against the historical serial
 // per-CTA loop; scripts/check.sh additionally runs them under
-// ThreadSanitizer so pool/arena races fail CI.
+// ThreadSanitizer so pool/arena races fail CI. SamplerClasses.* checks the
+// Runner's attention sampler, which interprets one CTA per trace class,
+// against SM0's full CTA list.
 //
 //===----------------------------------------------------------------------===//
 

@@ -5,13 +5,13 @@
 // deadlock detection, DRAM serialization, and the software-pipelined copy
 // lookahead.
 //
-// Every replay here also runs through OracleReplay, the engine as it was
-// before it learned to keep stepping one agent: it rescans every agent
-// before each action, keeps each agent's in-flight MMAs and iteration
-// starts in std::deques, every barrier's full completion history, and
-// fresh barrier vectors per CTA. replaySmSchedule must match it bit for
-// bit on the hand-built traces, on the traces of every ok-path
-// tests/corpus module, and on seeded random multi-agent schedules.
+// Every replay here also runs through OracleReplay, the replay model in
+// its plainest form: it rescans every agent before each action, keeps each
+// agent's in-flight MMAs and iteration starts in std::deques, every
+// barrier's full completion history, and fresh barrier vectors per CTA.
+// replaySmSchedule must match it bit for bit on the hand-built traces, on
+// the traces of every ok-path tests/corpus module, and on seeded random
+// multi-agent schedules.
 //
 //===----------------------------------------------------------------------===//
 
