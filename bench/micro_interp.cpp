@@ -1,8 +1,9 @@
 //===- micro_interp.cpp - Execution engine microbenchmarks --------------------//
 //
-// Head-to-head ops/sec of the two execution engines — the legacy
-// tree-walking interpreter vs the slot-indexed bytecode executor — on the
-// workloads that dominate every figure benchmark, plus:
+// Head-to-head ops/sec of the two execution engines — the tree-walking
+// oracle kept in the test tree (tests/oracle/TreeWalk.h) vs the library's
+// slot-indexed bytecode executor — on the workloads that dominate every
+// figure benchmark, plus:
 //
 //   * worker-pool scaling of the functional all-CTA grid
 //     (Interpreter::runGrid at NumWorkers 1/2/4/8, one arena per worker);
@@ -36,6 +37,7 @@
 #include "support/ProgramCache.h"
 #include "support/Support.h"
 #include "support/WorkerPool.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <chrono>
 #include <cmath>
@@ -158,38 +160,42 @@ int64_t countTraceOps(const CtaTrace &T) {
 }
 
 /// Runs one repetition of the workload: the whole grid for functional
-/// workloads (GridCtas CTAs through runGrid), one CTA otherwise.
-std::string runOnce(Interpreter &Interp, const Workload &W,
-                    const RunOptions &Opts) {
+/// workloads (GridCtas CTAs), one CTA otherwise — on the tree-walking
+/// oracle when \p Interp is null.
+std::string runOnce(Interpreter *Interp, const Workload &W,
+                    const GpuConfig &Cfg, const RunOptions &Opts) {
   if (W.GridCtas > 1)
-    return Interp.runGrid(Opts);
+    return Interp ? Interp->runGrid(Opts) : runGridOracle(*W.M, Cfg, Opts);
   CtaTrace T;
-  return Interp.runCta(Opts, 0, 0, T);
+  return Interp ? Interp->runCta(Opts, 0, 0, T)
+                : runCtaOracle(*W.M, Cfg, Opts, 0, 0, T);
 }
 
 /// Times repeated executions of one engine; returns ops/sec where "ops" are
 /// trace actions (identical for both engines on the same workload, so the
 /// ratio equals the wall-clock speedup). \p NumWorkers drives the grid
-/// runner for multi-CTA workloads (1 = the historical serial loop).
-EngineRate timeEngine(Workload &W, bool Legacy, int64_t NumWorkers,
+/// runner for multi-CTA workloads (1 = the historical serial loop; the
+/// oracle always runs serially).
+EngineRate timeEngine(Workload &W, bool Oracle, int64_t NumWorkers,
                       int64_t OpsPerCta, double MinSeconds, int MinReps,
                       bool Fuse = true) {
   RunOptions Opts = W.Launch;
-  Opts.UseLegacyInterp = Legacy;
   Opts.NumWorkers = NumWorkers;
   Opts.FuseBytecode = Fuse;
-  Interpreter Interp(*W.M, GpuConfig());
+  GpuConfig Cfg;
+  Interpreter Bytecode(*W.M, Cfg);
+  Interpreter *Interp = Oracle ? nullptr : &Bytecode;
   // Warm-up (and bytecode compilation, outside the timed loop — sweeps pay
   // it once).
-  if (std::string Err = runOnce(Interp, W, Opts); !Err.empty()) {
+  if (std::string Err = runOnce(Interp, W, Cfg, Opts); !Err.empty()) {
     std::fprintf(stderr, "%s (%s): %s\n", W.Name.c_str(),
-                 Legacy ? "legacy" : "bytecode", Err.c_str());
+                 Oracle ? "oracle" : "bytecode", Err.c_str());
     std::exit(1);
   }
   int Reps = 0;
   double Start = nowSec(), Elapsed = 0;
   do {
-    if (!runOnce(Interp, W, Opts).empty())
+    if (!runOnce(Interp, W, Cfg, Opts).empty())
       std::exit(1);
     ++Reps;
     Elapsed = nowSec() - Start;
@@ -205,16 +211,16 @@ BenchRow benchWorkload(Workload &W, double MinSeconds, int MinReps) {
   BenchRow Row;
   Row.Name = W.Name;
   {
-    RunOptions Opts = W.Launch;
-    Interpreter Interp(*W.M, GpuConfig());
+    GpuConfig Cfg;
+    Interpreter Interp(*W.M, Cfg);
     CtaTrace T;
-    if (!Interp.runCta(Opts, 0, 0, T).empty())
+    if (!Interp.runCta(W.Launch, 0, 0, T).empty())
       std::exit(1);
     Row.OpsPerCta = countTraceOps(T);
   }
-  Row.Legacy = timeEngine(W, /*Legacy=*/true, /*NumWorkers=*/1,
+  Row.Legacy = timeEngine(W, /*Oracle=*/true, /*NumWorkers=*/1,
                           Row.OpsPerCta, MinSeconds, MinReps);
-  Row.Bytecode = timeEngine(W, /*Legacy=*/false, /*NumWorkers=*/1,
+  Row.Bytecode = timeEngine(W, /*Oracle=*/false, /*NumWorkers=*/1,
                             Row.OpsPerCta, MinSeconds, MinReps);
   return Row;
 }
@@ -241,7 +247,7 @@ std::vector<ScalePoint> benchWorkerScaling(Workload &W, int64_t OpsPerCta,
         W.GridCtas < SerialGridCtaThreshold
             ? 1
             : std::min(Workers, WorkerPool::shared().getNumWorkers());
-    P.OpsPerSec = timeEngine(W, /*Legacy=*/false, Workers, OpsPerCta,
+    P.OpsPerSec = timeEngine(W, /*Oracle=*/false, Workers, OpsPerCta,
                              MinSeconds, MinReps)
                       .OpsPerSec;
     Points.push_back(P);
@@ -320,12 +326,12 @@ FusionRow benchFusion(Workload &W, int64_t OpsPerCta, double MinSeconds,
   R.Name = W.Name;
   for (int Round = 0; Round < 4; ++Round) {
     R.UnfusedOps = std::max(
-        R.UnfusedOps, timeEngine(W, /*Legacy=*/false, /*NumWorkers=*/1,
+        R.UnfusedOps, timeEngine(W, /*Oracle=*/false, /*NumWorkers=*/1,
                                  OpsPerCta, MinSeconds, MinReps,
                                  /*Fuse=*/false)
                           .OpsPerSec);
     R.FusedOps = std::max(
-        R.FusedOps, timeEngine(W, /*Legacy=*/false, /*NumWorkers=*/1,
+        R.FusedOps, timeEngine(W, /*Oracle=*/false, /*NumWorkers=*/1,
                                OpsPerCta, MinSeconds, MinReps,
                                /*Fuse=*/true)
                         .OpsPerSec);

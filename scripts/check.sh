@@ -31,7 +31,7 @@
 # repo, so docs cannot silently rot as files move.
 #
 # Then runs the differential fuzz smoke: tawa-fuzz sweeps seeded kernel
-# configurations across all nine engine x worker combos (docs/fuzzing.md)
+# configurations across all seven engine x worker combos (docs/fuzzing.md)
 # under a time budget, and every committed tests/corpus/*.tawa regression
 # file is replayed. TAWA_FUZZ_SEED / TAWA_FUZZ_ITERS override the sweep's
 # seed base and size.
@@ -97,7 +97,7 @@ echo "== differential fuzz smoke (tawa-fuzz) =="
 (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./tawa-fuzz \
   --budget-ms $(( SMOKE_TIMEOUT * 500 )))
 # Every committed corpus regression file must load from its textual form
-# and agree across all nine combos (also a ctest entry, so the sanitizer
+# and agree across all seven combos (also a ctest entry, so the sanitizer
 # legs replay the corpus too).
 (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./tawa-fuzz \
   --replay-all "$REPO_ROOT/tests/corpus")

@@ -225,15 +225,12 @@ ProgramCache::EntryRef Runner::getOrCompile(
       return nullptr;
     if (!Options.EnableWarpSpecialization && SwPipelineDepth > 0)
       runSoftwarePipeline(*E->M, SwPipelineDepth);
-    if (!UseLegacyInterp)
-      E->Prog = sim::bc::compileModule(*E->M, Config, Fuse);
+    E->Prog = sim::bc::compileModule(*E->M, Config, Fuse);
     return E;
   };
   ProgramCache::Outcome Outcome;
-  ProgramCache::EntryRef E = ProgramCache::shared().getOrCompile(
-      Key, Config, /*NeedModule=*/UseLegacyInterp,
-      /*NeedProgram=*/!UseLegacyInterp, /*Fuse=*/Fuse, Compile, Err,
-      &Outcome);
+  ProgramCache::EntryRef E =
+      ProgramCache::shared().getOrCompile(Key, Config, Compile, Err, &Outcome);
   if (E) {
     // A disk hit skips compilation — that is the point — so it counts as a
     // hit (the warm-start acceptance bar is cache_misses == 0).
@@ -465,7 +462,6 @@ RunResult Runner::runGemmCustom(const GemmWorkload &W,
                  RuntimeArg::scalar(TotalM),
                  RuntimeArg::scalar(W.N),
                  RuntimeArg::scalar(W.K)};
-  Launch.UseLegacyInterp = UseLegacyInterp;
   Launch.NumWorkers = NumWorkers;
   Launch.FuseBytecode = FuseBytecode;
   Launch.MaxSteps = MaxSteps;
@@ -654,7 +650,6 @@ RunResult Runner::runGemmMoe(const GemmWorkload &W,
   Launch.Args = {RuntimeArg::tensor(A),     RuntimeArg::tensor(B),
                  RuntimeArg::tensor(C),     RuntimeArg::tensor(Table),
                  RuntimeArg::scalar(W.N),   RuntimeArg::scalar(W.K)};
-  Launch.UseLegacyInterp = UseLegacyInterp;
   Launch.NumWorkers = NumWorkers;
   Launch.FuseBytecode = FuseBytecode;
   Launch.MaxSteps = MaxSteps;
@@ -830,7 +825,6 @@ RunResult Runner::runAttentionCustom(const AttentionWorkload &W,
   Launch.Args = {RuntimeArg::tensor(Q), RuntimeArg::tensor(K),
                  RuntimeArg::tensor(V), RuntimeArg::tensor(O),
                  RuntimeArg::scalar(W.SeqLen)};
-  Launch.UseLegacyInterp = UseLegacyInterp;
   Launch.NumWorkers = NumWorkers;
   Launch.FuseBytecode = FuseBytecode;
   Launch.MaxSteps = MaxSteps;

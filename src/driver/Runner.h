@@ -50,11 +50,6 @@ public:
 
   const sim::GpuConfig &getConfig() const { return Config; }
 
-  /// Route simulation through the legacy tree-walking engine instead of the
-  /// bytecode executor (differential benchmarking; bypasses no semantics —
-  /// both engines are observably identical).
-  bool UseLegacyInterp = false;
-
   /// Run the post-compile peephole fusion pass (sim/Peephole.h) on every
   /// program this Runner compiles: superinstructions, observably identical
   /// execution, fewer dispatches. Default on; TAWA_NO_FUSE=1 overrides to
@@ -76,13 +71,12 @@ public:
   /// engine-independent step units. 0 = no explicit budget; the
   /// TAWA_MAX_STEPS environment variable then supplies a process-wide
   /// default. A trip fails the run with ErrorKind::StepBudget and a
-  /// deterministic message — identical at any NumWorkers and across
-  /// engines.
+  /// deterministic message — identical at any NumWorkers.
   int64_t MaxSteps = 0;
 
-  /// Wall-clock guard in milliseconds per CTA (bytecode engine only; 0 =
-  /// off, TAWA_MAX_WALL_MS supplies a default). A non-deterministic safety
-  /// net for harnesses — prefer MaxSteps wherever determinism matters.
+  /// Wall-clock guard in milliseconds per CTA (0 = off, TAWA_MAX_WALL_MS
+  /// supplies a default). A non-deterministic safety net for harnesses —
+  /// prefer MaxSteps wherever determinism matters.
   int64_t MaxWallMs = 0;
 
   /// When non-null, a deadlock / watchdog / protocol abort during
@@ -164,10 +158,7 @@ private:
   /// covers every compile-time knob — (kernel, tile shape, precision,
   /// pipeline options) — so runtime dims (M/N/K, grid) are launch
   /// arguments and one entry serves a whole sweep. Returns null with
-  /// \p Err set on pipeline failure (failed compiles are not cached). In
-  /// legacy-interpreter mode flattening is skipped until a bytecode run
-  /// first needs it, and the disk layer is bypassed (the legacy engine
-  /// walks IR, which disk entries do not carry).
+  /// \p Err set on pipeline failure (failed compiles are not cached).
   ProgramCache::EntryRef
   getOrCompile(const std::string &Key,
                const std::function<std::unique_ptr<Module>(IrContext &)>

@@ -77,7 +77,7 @@ public:
   explicit Sweep(std::string Name,
                  sim::GpuConfig Config = sim::GpuConfig());
 
-  /// The underlying Runner — set NumWorkers / UseLegacyInterp here before
+  /// The underlying Runner — set NumWorkers / FuseBytecode here before
   /// prewarm()/run().
   Runner &runner() { return R; }
 

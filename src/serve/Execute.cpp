@@ -6,131 +6,20 @@
 #include "ir/Parser.h"
 #include "sim/Diag.h"
 #include "sim/Interpreter.h"
+#include "sim/Launch.h"
 #include "sim/Replay.h"
 #include "support/FaultInject.h"
 #include "support/Support.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <thread>
-#include <variant>
 #include <vector>
 
 using namespace tawa;
 using namespace tawa::serve;
 
 namespace {
-
-/// Minimal decoder for the fuzz corpus's launch attributes (fuzz.grid /
-/// fuzz.args / fuzz.faults — the same grammar tests/fuzz/Gen.cpp encodes).
-/// Lives here because the serving layer must not depend on test code.
-struct IrLaunch {
-  int64_t GridX = 1, GridY = 1;
-  struct Arg {
-    bool IsScalar = false;
-    int64_t Scalar = 0;
-    std::vector<int64_t> Shape;
-    uint64_t FillSeed = 0;
-    /// Explicit integer payload ('d' entries — grouped-GEMM offset tables).
-    /// Non-empty marks the tensor as an input even when FillSeed == 0.
-    std::vector<int64_t> Data;
-  };
-  std::vector<Arg> Args;
-  std::string FaultSpec;
-};
-
-std::string decodeIrLaunch(const Module &M, IrLaunch &L) {
-  const auto &Attrs = M.getAttrs();
-  auto GridIt = Attrs.find("fuzz.grid");
-  if (GridIt == Attrs.end())
-    return "missing fuzz.grid module attribute";
-  const auto *Grid = std::get_if<std::vector<int64_t>>(&GridIt->second);
-  if (!Grid || Grid->size() != 2)
-    return "fuzz.grid must be [gridX, gridY]";
-  L.GridX = (*Grid)[0];
-  L.GridY = (*Grid)[1];
-
-  auto ArgsIt = Attrs.find("fuzz.args");
-  if (ArgsIt == Attrs.end())
-    return "missing fuzz.args module attribute";
-  const auto *Spec = std::get_if<std::string>(&ArgsIt->second);
-  if (!Spec)
-    return "fuzz.args must be a string";
-  size_t Pos = 0;
-  while (Pos < Spec->size()) {
-    size_t End = Spec->find(';', Pos);
-    if (End == std::string::npos)
-      End = Spec->size();
-    std::string Tok = Spec->substr(Pos, End - Pos);
-    Pos = End + 1;
-    if (Tok.empty())
-      return "empty fuzz.args entry";
-    IrLaunch::Arg A;
-    if (Tok[0] == 's') {
-      A.IsScalar = true;
-      A.Scalar = std::strtoll(Tok.c_str() + 1, nullptr, 10);
-    } else if (Tok[0] == 't') {
-      size_t Colon = Tok.find(':');
-      if (Colon == std::string::npos)
-        return "malformed tensor entry in fuzz.args: " + Tok;
-      A.FillSeed =
-          std::strtoull(Tok.substr(1, Colon - 1).c_str(), nullptr, 10);
-      size_t P = Colon + 1;
-      while (P < Tok.size()) {
-        size_t X = Tok.find('x', P);
-        if (X == std::string::npos)
-          X = Tok.size();
-        A.Shape.push_back(
-            std::strtoll(Tok.substr(P, X - P).c_str(), nullptr, 10));
-        P = X + 1;
-      }
-      if (A.Shape.empty())
-        return "tensor entry with no shape in fuzz.args: " + Tok;
-    } else if (Tok[0] == 'd') {
-      size_t Colon = Tok.find(':');
-      if (Colon == std::string::npos)
-        return "malformed data entry in fuzz.args: " + Tok;
-      size_t P = 1;
-      while (P < Colon) {
-        size_t X = Tok.find('x', P);
-        if (X == std::string::npos || X > Colon)
-          X = Colon;
-        A.Shape.push_back(
-            std::strtoll(Tok.substr(P, X - P).c_str(), nullptr, 10));
-        P = X + 1;
-      }
-      P = Colon + 1;
-      while (P < Tok.size()) {
-        size_t Comma = Tok.find(',', P);
-        if (Comma == std::string::npos)
-          Comma = Tok.size();
-        A.Data.push_back(
-            std::strtoll(Tok.substr(P, Comma - P).c_str(), nullptr, 10));
-        P = Comma + 1;
-      }
-      if (A.Shape.empty() || A.Data.empty())
-        return "data entry with no shape or values in fuzz.args: " + Tok;
-      int64_t Elems = 1;
-      for (int64_t S : A.Shape)
-        Elems *= S;
-      if (Elems != static_cast<int64_t>(A.Data.size()))
-        return "data entry shape/value count mismatch in fuzz.args: " + Tok;
-    } else {
-      return "unknown fuzz.args entry kind: " + Tok;
-    }
-    L.Args.push_back(std::move(A));
-  }
-
-  auto FaultsIt = Attrs.find("fuzz.faults");
-  if (FaultsIt != Attrs.end()) {
-    const auto *F = std::get_if<std::string>(&FaultsIt->second);
-    if (!F)
-      return "fuzz.faults must be a string";
-    L.FaultSpec = *F;
-  }
-  return "";
-}
 
 std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
                       ServeResponse &Resp, ErrorKind &KindOut) {
@@ -141,16 +30,14 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
     KindOut = ErrorKind::CompileError;
     return "ir parse: " + Err;
   }
-  IrLaunch Launch;
-  if (std::string DErr = decodeIrLaunch(*Mod, Launch); !DErr.empty()) {
+  sim::LaunchSpec Launch;
+  if (std::string DErr = sim::decodeLaunchSpec(*Mod, Launch); !DErr.empty()) {
     KindOut = ErrorKind::CompileError;
     return "ir launch: " + DErr;
   }
 
   sim::GpuConfig Cfg;
   sim::RunOptions Opts;
-  Opts.GridX = Launch.GridX;
-  Opts.GridY = Launch.GridY;
   Opts.Functional = true;
   Opts.FuseBytecode = Env.Level < 1;
   Opts.NumWorkers = Env.Level >= 2 ? 1 : Env.ExecWorkers;
@@ -159,25 +46,8 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
   sim::ExecDiagnostic Diag;
   Opts.Diag = &Diag;
 
-  std::vector<sim::TensorRef> OutputTensors;
-  for (const IrLaunch::Arg &A : Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(sim::RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    auto T = std::make_shared<sim::TensorData>(A.Shape);
-    if (!A.Data.empty()) {
-      int64_t E = std::min<int64_t>(T->getNumElements(),
-                                    static_cast<int64_t>(A.Data.size()));
-      for (int64_t I = 0; I < E; ++I)
-        T->at(I) = static_cast<float>(A.Data[I]);
-    } else if (A.FillSeed != 0) {
-      T->fillRandom(A.FillSeed, 1.0f);
-    } else {
-      OutputTensors.push_back(T);
-    }
-    Opts.Args.push_back(sim::RuntimeArg::tensor(T));
-  }
+  std::vector<sim::TensorRef> OutputTensors =
+      sim::materializeLaunch(Launch, Opts);
 
   // A request-carried fault spec arms the PROCESS-wide injection sites
   // for the duration of this run (replay/debug affordance — matches the

@@ -690,11 +690,10 @@ void SocketServer::acceptLoop() {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
       continue;
+    // Served even when shutdown() has begun: it joins this thread before
+    // walking ConnFds, so the peer gets the structured shutting-down
+    // rejection instead of a bare EOF.
     std::lock_guard<std::mutex> L(ConnMu);
-    if (Stopped) {
-      ::close(Fd);
-      return;
-    }
     ConnFds.push_back(Fd);
     ConnThreads.emplace_back([this, Fd] { handleConnection(Fd); });
   }

@@ -13,8 +13,8 @@
 // on the per-op path — and replaces the legacy std::function wait-condition
 // machinery with a tagged WaitCond evaluated inline. Semantics (numerics,
 // trace event sequences, protocol monitors, happens-before recording) are
-// bit-identical to the legacy tree-walking interpreter, which remains
-// available behind RunOptions::UseLegacyInterp as a differential oracle.
+// bit-identical to the legacy tree-walking interpreter, which the tests
+// keep as a differential oracle (tests/oracle/TreeWalk.h).
 //
 //===----------------------------------------------------------------------===//
 

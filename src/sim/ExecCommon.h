@@ -2,12 +2,13 @@
 //
 // Runtime value representation, per-CTA shared state, tensor math and cost
 // helpers used by BOTH execution engines: the legacy tree-walking
-// interpreter (LegacyInterp.cpp, the differential-testing oracle) and the
-// bytecode executor (Executor.cpp). Keeping the arithmetic in one place is
-// what makes the two engines bit-identical: every float operation runs
-// through exactly the same code in the same order.
+// interpreter (tests/oracle/TreeWalk.cpp, the differential-testing oracle)
+// and the bytecode executor (Executor.cpp). Keeping the arithmetic in one
+// place is what makes the two engines bit-identical: every float operation
+// runs through exactly the same code in the same order.
 //
-// Internal to src/sim — not part of the public simulator API.
+// Internal to src/sim and the oracle — not part of the public simulator
+// API.
 //
 //===----------------------------------------------------------------------===//
 

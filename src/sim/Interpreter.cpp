@@ -1,9 +1,7 @@
-//===- Interpreter.cpp - Engine selection façade ------------------------------//
+//===- Interpreter.cpp - Bytecode execution façade ---------------------------//
 //
-// Thin façade preserving the historical public API: picks the bytecode
-// executor (default, compiled lazily and cached for the lifetime of the
-// Interpreter) or the legacy tree-walking oracle (RunOptions flag), and
-// hosts the two pool-backed runners:
+// Thin façade over the bytecode executor (compiled lazily and cached for
+// the lifetime of the Interpreter) that hosts the two pool-backed runners:
 //
 //   * runGrid — every CTA of a GridX x GridY launch (functional
 //     validation);
@@ -20,7 +18,6 @@
 
 #include "sim/Bytecode.h"
 #include "sim/Diag.h"
-#include "sim/LegacyInterp.h"
 #include "sim/Peephole.h"
 #include "support/FaultInject.h"
 #include "support/Support.h"
@@ -42,16 +39,6 @@ int64_t tawa::sim::resolveNumWorkers(int64_t Requested) {
 Interpreter::Interpreter(Module &M, const GpuConfig &Config)
     : M(&M), Config(Config) {}
 
-Interpreter::Interpreter(Module &M, const GpuConfig &Config,
-                         std::shared_ptr<const bc::CompiledProgram> Prog)
-    : M(&M), Config(Config), Prog(std::move(Prog)) {}
-
-Interpreter::Interpreter(const GpuConfig &Config,
-                         std::shared_ptr<const bc::CompiledProgram> Prog)
-    : M(nullptr), Config(Config), Prog(std::move(Prog)) {
-  assert(this->Prog && "module-less Interpreter needs a compiled program");
-}
-
 Interpreter::Interpreter(Module *M, const GpuConfig &Config,
                          std::shared_ptr<const bc::CompiledProgram> Prog)
     : M(M), Config(Config), Prog(std::move(Prog)) {
@@ -70,17 +57,6 @@ std::string Interpreter::ensureProgram(const RunOptions &Opts) {
 
 std::string Interpreter::runCta(const RunOptions &Opts, int64_t PidX,
                                 int64_t PidY, CtaTrace &Out) {
-  if (Opts.UseLegacyInterp) {
-    // Diagnostic, not assert: a disk-loaded (module-less) program cannot
-    // feed the IR-walking oracle, and misuse should report like every
-    // other execution failure.
-    if (!M)
-      return "legacy engine unavailable: program was loaded without IR";
-    std::string Err = runCtaLegacy(*M, Config, Opts, PidX, PidY, Out);
-    if (Err.empty())
-      applyAtomicContribs(Opts, Out.Atomics);
-    return Err;
-  }
   if (std::string Err = ensureProgram(Opts); !Err.empty())
     return Err;
   std::string Err = bc::executeProgram(*Prog, Opts, PidX, PidY, Out, &Arena);
@@ -221,12 +197,9 @@ std::string Interpreter::runGrid(const RunOptions &Opts, CtaTrace *Sample,
   }
 
   int64_t Workers = resolveNumWorkers(Opts.NumWorkers);
-  // The legacy oracle keeps its historical serial execution (it backs one
-  // OS thread per warp group already and is scheduled for removal). Small
-  // grids run serial too (SerialGridCtaThreshold): fan-out setup cannot
+  // Small grids run serial (SerialGridCtaThreshold): fan-out setup cannot
   // amortize over a handful of CTAs, and the result is bit-identical.
-  if (Opts.UseLegacyInterp || Workers <= 1 ||
-      Total < SerialGridCtaThreshold) {
+  if (Workers <= 1 || Total < SerialGridCtaThreshold) {
     for (int64_t Y = 0; Y < GridY; ++Y)
       for (int64_t X = 0; X < GridX; ++X) {
         CtaTrace Local;
@@ -269,7 +242,7 @@ std::string Interpreter::runCtaBatch(const RunOptions &Opts,
   Out.resize(Coords.size());
 
   int64_t Workers = std::min(resolveNumWorkers(Opts.NumWorkers), Total);
-  if (Opts.UseLegacyInterp || Workers <= 1 || Total <= 1) {
+  if (Workers <= 1 || Total <= 1) {
     // Exactly the historical serial sample loop.
     for (int64_t I = 0; I < Total; ++I) {
       std::string Err = containCtaCrash(

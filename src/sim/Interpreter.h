@@ -6,16 +6,12 @@
 // every tensor op computes real data (functional mode). Each agent emits a
 // timed action trace; Replay.h turns the traces into cycle counts.
 //
-// Two engines implement these semantics observably identically:
-//
-//   * the bytecode executor (default): the module is flattened once into a
-//     dense CompiledProgram (Bytecode.h) with slot-indexed operands and
-//     precomputed costs, then executed with switch dispatch — the hot path
-//     for benchmark sweeps, which compile once and execute many CTAs;
-//
-//   * the legacy tree-walking interpreter (RunOptions::UseLegacyInterp):
-//     walks the IR per op, resolving values through pointer-keyed maps.
-//     Kept for one release as the differential-testing oracle.
+// The engine is the bytecode executor: the module is flattened once into a
+// dense CompiledProgram (Bytecode.h) with slot-indexed operands and
+// precomputed costs, then executed by Executor.cpp's dispatch loop — the
+// hot path for benchmark sweeps, which compile once and execute many CTAs.
+// The original tree-walking interpreter lives only in the test tree
+// (tests/oracle/TreeWalk.h), as the differential-testing oracle.
 //
 // Protocol checking is layered (per DESIGN.md):
 //   * per-slot state monitors (the Fig. 4 machine extended with multi-writer
@@ -78,16 +74,11 @@ struct RunOptions {
   /// large benchmark shapes); scalars, control flow, traces and protocol
   /// monitors still run.
   bool Functional = true;
-  /// Route execution through the legacy tree-walking interpreter instead of
-  /// the bytecode executor (differential-testing oracle; scheduled for
-  /// removal after one release).
-  bool UseLegacyInterp = false;
   /// Worker threads for whole-grid runs (Interpreter::runGrid): 0 = one per
   /// hardware thread (the default), 1 = serial (exactly the historical
   /// per-CTA loop). Results are bit-identical at every worker count — see
-  /// docs/threading-and-memory.md. Per-CTA runCta is unaffected. The legacy
-  /// engine always runs serial. Grids smaller than SerialGridCtaThreshold
-  /// run serial regardless.
+  /// docs/threading-and-memory.md. Per-CTA runCta is unaffected. Grids
+  /// smaller than SerialGridCtaThreshold run serial regardless.
   int64_t NumWorkers = 0;
   /// Run the post-compile peephole fusion pass (sim/Peephole.h) when this
   /// Interpreter compiles its bytecode program lazily: superinstructions,
@@ -108,8 +99,8 @@ struct RunOptions {
   /// Wall-clock watchdog per CTA in milliseconds (0 = off; TAWA_MAX_WALL_MS
   /// supplies a default). A safety net behind MaxSteps for kernels whose
   /// step rate is pathological: NOT deterministic (depends on host speed),
-  /// so prefer MaxSteps anywhere reproducibility matters. Bytecode engine
-  /// only. Trips fail the agent with a "wall clock" error
+  /// so prefer MaxSteps anywhere reproducibility matters. The test-side
+  /// oracle ignores it. Trips fail the agent with a "wall clock" error
   /// (ErrorKind::WallClock).
   int64_t MaxWallMs = 0;
   /// When non-null, a deadlock or watchdog abort fills this with the
@@ -150,24 +141,13 @@ class Interpreter {
 public:
   /// \p M must be fully lowered (warp-specialized path) or a plain tile
   /// module (Triton baseline paths). The bytecode program is compiled
-  /// lazily on the first non-legacy runCta and reused for every CTA.
+  /// lazily on the first run and reused for every CTA.
   Interpreter(Module &M, const GpuConfig &Config);
 
   /// Reuses an already-compiled program (the program cache) so repeated
-  /// sweeps skip flattening entirely. \p M must be the module \p Prog was
-  /// compiled from.
-  Interpreter(Module &M, const GpuConfig &Config,
-              std::shared_ptr<const bc::CompiledProgram> Prog);
-
-  /// Module-less execution of an already-compiled (possibly disk-loaded)
-  /// program: a CompiledProgram is self-contained, so no IR is needed.
-  /// RunOptions::UseLegacyInterp is not available on such an Interpreter
-  /// (the legacy oracle walks the IR).
-  Interpreter(const GpuConfig &Config,
-              std::shared_ptr<const bc::CompiledProgram> Prog);
-
-  /// Generalized form (the Runner's program-cache path): \p M may be null
-  /// when \p Prog is set — e.g. a disk-loaded cache entry.
+  /// sweeps skip flattening entirely. A CompiledProgram is self-contained,
+  /// so \p M may be null — e.g. a disk-loaded cache entry; when set it must
+  /// be the module \p Prog was compiled from.
   Interpreter(Module *M, const GpuConfig &Config,
               std::shared_ptr<const bc::CompiledProgram> Prog);
 

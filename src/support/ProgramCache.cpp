@@ -236,8 +236,7 @@ ProgramCache &ProgramCache::shared() {
 }
 
 ProgramCache::EntryRef ProgramCache::getOrCompile(
-    const std::string &Key, const GpuConfig &Config, bool NeedModule,
-    bool NeedProgram, bool Fuse,
+    const std::string &Key, const GpuConfig &Config,
     const std::function<EntryRef(std::string &Err)> &Compile,
     std::string &Err, Outcome *Out) {
   Impl &I = *Pimpl;
@@ -248,66 +247,35 @@ ProgramCache::EntryRef ProgramCache::getOrCompile(
   };
 
   std::string Dir;
-  EntryRef NeedsFlatten;
   {
     std::lock_guard<std::mutex> L(I.Mu);
     Dir = I.PersistDir;
     auto It = I.Map.find(FullKey);
-    // A disk-loaded entry carries no IR module, so it cannot serve the
-    // legacy engine; fall through and recompile (the fresh entry, with
-    // both module and program, then replaces it).
-    if (It != I.Map.end() && !(NeedModule && !It->second.E->M)) {
-      EntryRef E = It->second.E;
+    if (It != I.Map.end()) {
       I.touch(It->second, FullKey);
       ++I.St.MemoryHits;
-      if (!(NeedProgram && !E->Prog && E->M)) {
-        Report(Outcome::MemoryHit);
-        return E;
-      }
-      NeedsFlatten = E; // Legacy-compiled entry: flatten outside the lock.
+      Report(Outcome::MemoryHit);
+      return It->second.E;
     }
-  }
-
-  // A bytecode caller hit an entry a legacy compile left unflattened.
-  // Entries are immutable (other threads read them unlocked), so build a
-  // replacement sharing the module and supersede the old one in the map;
-  // the insert re-accounts the entry's bytes with the program included.
-  if (NeedsFlatten) {
-    auto E = std::make_shared<Entry>();
-    E->Ctx = NeedsFlatten->Ctx;
-    E->M = NeedsFlatten->M;
-    E->Prog = bc::compileModule(*E->M, Config, Fuse);
-    bool Saved = true;
-    if (E->Prog && E->Prog->CompileError.empty())
-      Saved = Impl::saveToDisk(Dir, FullKey, *E->Prog);
-    std::lock_guard<std::mutex> L(I.Mu);
-    if (!Saved)
-      ++I.St.DiskWriteFailures;
-    I.insert(FullKey, E);
-    Report(Outcome::MemoryHit);
-    return E;
   }
 
   // Disk, then compile — both outside the lock (slow).
-  if (!NeedModule) {
-    bool ReadFailed = false;
-    auto Prog = Impl::loadFromDisk(Dir, FullKey, ReadFailed);
-    if (Prog) {
-      auto E = std::make_shared<Entry>();
-      E->Prog = std::move(Prog);
-      std::lock_guard<std::mutex> L(I.Mu);
-      ++I.St.DiskHits;
-      I.insert(FullKey, E);
-      Report(Outcome::DiskHit);
-      return E;
-    }
-    if (ReadFailed) {
-      // A cache file existed but was unusable (IO error / corruption):
-      // count it and fall through to a silent recompile — any defect in
-      // the disk layer degrades to a compile, never to a failure.
-      std::lock_guard<std::mutex> L(I.Mu);
-      ++I.St.DiskReadFailures;
-    }
+  bool ReadFailed = false;
+  if (auto Prog = Impl::loadFromDisk(Dir, FullKey, ReadFailed)) {
+    auto E = std::make_shared<Entry>();
+    E->Prog = std::move(Prog);
+    std::lock_guard<std::mutex> L(I.Mu);
+    ++I.St.DiskHits;
+    I.insert(FullKey, E);
+    Report(Outcome::DiskHit);
+    return E;
+  }
+  if (ReadFailed) {
+    // A cache file existed but was unusable (IO error / corruption): count
+    // it and fall through to a silent recompile — any defect in the disk
+    // layer degrades to a compile, never to a failure.
+    std::lock_guard<std::mutex> L(I.Mu);
+    ++I.St.DiskReadFailures;
   }
 
   EntryRef E = Compile(Err);

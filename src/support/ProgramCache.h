@@ -46,12 +46,8 @@ struct CompiledProgram;
 class ProgramCache {
 public:
   /// One cached kernel. Ctx/M are null for disk-loaded entries (the
-  /// CompiledProgram is self-contained); Prog is null only for entries
-  /// compiled on behalf of the legacy tree-walking engine. Entries are
-  /// IMMUTABLE once inserted: when a bytecode caller needs a program a
-  /// legacy compile did not flatten, the cache builds a replacement entry
-  /// sharing Ctx/M (hence shared_ptr) rather than mutating one that other
-  /// threads may be reading.
+  /// CompiledProgram is self-contained). Entries are IMMUTABLE once
+  /// inserted: other threads read them without the cache lock.
   struct Entry {
     Entry();
     ~Entry();
@@ -88,25 +84,30 @@ public:
   static ProgramCache &shared();
 
   /// Returns the cached entry for \p Key (+ the config digest), trying in
-  /// order: the in-memory map, the persist directory (unless \p NeedModule
-  /// — the legacy engine needs IR, which disk entries do not carry), and
-  /// finally \p Compile. \p Compile returns a fresh entry or null with
-  /// \p Err set; failed compiles are never cached. \p NeedProgram makes
-  /// the returned entry carry a CompiledProgram; a legacy-compiled
-  /// resident entry is flattened into a replacement entry (sharing its
-  /// module) that supersedes it in the map. \p Fuse controls the peephole
-  /// pass of that lazy flatten — callers fold it into \p Key as well, so
-  /// fused and unfused programs never alias an entry.
+  /// order: the in-memory map, the persist directory, and finally
+  /// \p Compile. \p Compile returns a fresh entry or null with \p Err set;
+  /// failed compiles are never cached. Callers fold every compile-time knob
+  /// (the fusion flag included) into \p Key.
   ///
-  /// Thread-safe; \p Compile and the lazy flatten run outside the cache
-  /// lock (two threads racing the same key may both compile — last one
-  /// wins, both get valid entries).
+  /// Thread-safe; \p Compile runs outside the cache lock (two threads
+  /// racing the same key may both compile — last one wins, both get valid
+  /// entries).
   EntryRef getOrCompile(const std::string &Key,
-                        const sim::GpuConfig &Config, bool NeedModule,
-                        bool NeedProgram, bool Fuse,
+                        const sim::GpuConfig &Config,
                         const std::function<EntryRef(std::string &Err)>
                             &Compile,
                         std::string &Err, Outcome *Out = nullptr);
+
+  /// The previous signature, kept only because perfbench/src/Traced.cpp
+  /// calls it; the three flags are ignored. Delete it in the next change
+  /// to the benchmark.
+  EntryRef getOrCompile(const std::string &Key, const sim::GpuConfig &Config,
+                        bool, bool, bool,
+                        const std::function<EntryRef(std::string &Err)>
+                            &Compile,
+                        std::string &Err, Outcome *Out = nullptr) {
+    return getOrCompile(Key, Config, Compile, Err, Out);
+  }
 
   /// Drops every in-memory entry (live EntryRefs stay valid). The persist
   /// directory is untouched — this is exactly a simulated process restart,

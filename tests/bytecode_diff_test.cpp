@@ -1,14 +1,14 @@
 //===- bytecode_diff_test.cpp - Engine equivalence proofs ---------------------//
 //
 // Runs every kernel family (GEMM variants, MHA variants, hand-built aref
-// protocol rings) through THREE engines — the legacy tree-walking
-// interpreter (RunOptions::UseLegacyInterp), the unfused bytecode executor
+// protocol rings) through THREE engines — the tree-walking oracle
+// (tests/oracle/TreeWalk.h), the unfused bytecode executor
 // (RunOptions::FuseBytecode = false), and the fused bytecode executor
 // (superinstructions, the default) — and asserts bit-identical numerics,
 // identical trace event sequences, identical happens-before event counts,
-// and identical diagnostics (including the deadlock report). The legacy
-// engine is the oracle; any drift here is a bytecode compiler/executor (or
-// peephole fusion) bug.
+// and identical diagnostics (including the deadlock report). Any drift
+// from the oracle is a bytecode compiler/executor (or peephole fusion)
+// bug.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include "passes/Passes.h"
 #include "sim/Interpreter.h"
 #include "support/Support.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <gtest/gtest.h>
 
@@ -29,12 +30,31 @@ using namespace tawa::sim;
 namespace {
 
 /// The three engine configurations every differential case runs:
-/// 0 = legacy oracle, 1 = unfused bytecode, 2 = fused bytecode.
+/// 0 = tree-walking oracle, 1 = unfused bytecode, 2 = fused bytecode.
 constexpr int NumEngines = 3;
 
-void configureEngine(RunOptions &Opts, int Engine) {
-  Opts.UseLegacyInterp = Engine == 0;
+/// Runs CTA (X, Y) of \p M on one engine configuration.
+std::string runEngineCta(Module &M, RunOptions Opts, int Engine, int64_t X,
+                         int64_t Y, CtaTrace &Out) {
+  GpuConfig Cfg;
+  if (Engine == 0)
+    return runCtaOracle(M, Cfg, Opts, X, Y, Out);
   Opts.FuseBytecode = Engine == 2;
+  Interpreter Interp(M, Cfg);
+  return Interp.runCta(Opts, X, Y, Out);
+}
+
+/// Runs every CTA of the grid serially on one engine configuration;
+/// returns the first error.
+std::string runEngineGrid(Module &M, RunOptions Opts, int Engine,
+                          std::vector<CtaTrace> &Out) {
+  GpuConfig Cfg;
+  if (Engine == 0)
+    return runGridOracle(M, Cfg, Opts, &Out);
+  Opts.FuseBytecode = Engine == 2;
+  Opts.NumWorkers = 1;
+  Interpreter Interp(M, Cfg);
+  return Interp.runGrid(Opts, nullptr, &Out);
 }
 
 void expectTensorsBitIdentical(const TensorData &A, const TensorData &B) {
@@ -72,22 +92,6 @@ void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B) {
   EXPECT_EQ(L.BarrierSizes, B.BarrierSizes);
   EXPECT_EQ(L.SmemBytes, B.SmemBytes);
   EXPECT_EQ(L.HbEvents, B.HbEvents) << "happens-before event counts differ";
-}
-
-/// Runs every CTA of a grid through one engine; returns the first error.
-std::string runGrid(Interpreter &Interp, const RunOptions &Opts,
-                    int64_t GridX, int64_t GridY,
-                    std::vector<CtaTrace> &Out) {
-  for (int64_t Y = 0; Y < GridY; ++Y)
-    for (int64_t X = 0; X < GridX; ++X) {
-      CtaTrace T;
-      if (std::string Err = Interp.runCta(Opts, X, Y, T); !Err.empty())
-        return formatString("cta (%lld,%lld): ", static_cast<long long>(X),
-                            static_cast<long long>(Y)) +
-               Err;
-      Out.push_back(std::move(T));
-    }
-  return "";
 }
 
 //===----------------------------------------------------------------------===//
@@ -141,13 +145,11 @@ void diffGemm(const GemmDiffCase &C) {
     Launch.GridX = GridX;
     Launch.GridY = GridY;
     Launch.Functional = true;
-    configureEngine(Launch, Engine);
     Launch.Args = {RuntimeArg::tensor(A),  RuntimeArg::tensor(B),
                    RuntimeArg::tensor(Cc), RuntimeArg::scalar(C.M),
                    RuntimeArg::scalar(C.N), RuntimeArg::scalar(C.K)};
 
-    Interpreter Interp(*Mod, Cfg);
-    Errors[Engine] = runGrid(Interp, Launch, GridX, GridY, Traces[Engine]);
+    Errors[Engine] = runEngineGrid(*Mod, Launch, Engine, Traces[Engine]);
     Outputs[Engine] = Cc;
   }
 
@@ -169,11 +171,9 @@ void diffGemm(const GemmDiffCase &C) {
                  RuntimeArg::tensor(nullptr), RuntimeArg::scalar(C.M),
                  RuntimeArg::scalar(C.N),     RuntimeArg::scalar(C.K)};
   CtaTrace TimingTraces[NumEngines];
-  for (int Engine = 0; Engine < NumEngines; ++Engine) {
-    configureEngine(Timing, Engine);
-    Interpreter Interp(*Mod, Cfg);
-    ASSERT_EQ(Interp.runCta(Timing, 0, 0, TimingTraces[Engine]), "");
-  }
+  for (int Engine = 0; Engine < NumEngines; ++Engine)
+    ASSERT_EQ(runEngineCta(*Mod, Timing, Engine, 0, 0, TimingTraces[Engine]),
+              "");
   expectTracesIdentical(TimingTraces[0], TimingTraces[1]);
   expectTracesIdentical(TimingTraces[0], TimingTraces[2]);
 }
@@ -253,7 +253,6 @@ struct MhaDiffCase {
 };
 
 void diffAttention(const MhaDiffCase &C) {
-  GpuConfig Cfg;
   IrContext Ctx;
   auto Mod = buildAttentionModule(Ctx, C.Kernel);
   PassManager PM;
@@ -280,13 +279,11 @@ void diffAttention(const MhaDiffCase &C) {
     Launch.GridX = QTiles;
     Launch.GridY = BH;
     Launch.Functional = true;
-    configureEngine(Launch, Engine);
     Launch.Args = {RuntimeArg::tensor(Q), RuntimeArg::tensor(K),
                    RuntimeArg::tensor(V), RuntimeArg::tensor(O),
                    RuntimeArg::scalar(C.SeqLen)};
 
-    Interpreter Interp(*Mod, Cfg);
-    Errors[Engine] = runGrid(Interp, Launch, QTiles, BH, Traces[Engine]);
+    Errors[Engine] = runEngineGrid(*Mod, Launch, Engine, Traces[Engine]);
     Outputs[Engine] = O;
   }
 
@@ -403,7 +400,6 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
 }
 
 TEST(BytecodeDiff, ArefProtocolRing) {
-  GpuConfig Cfg;
   IrContext Ctx;
   auto Mod = buildProtocolRing(Ctx, /*Depth=*/2, /*Iters=*/6,
                                /*SkipRelease=*/false);
@@ -417,10 +413,8 @@ TEST(BytecodeDiff, ArefProtocolRing) {
     auto Out = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
     In->fillRandom(3);
     RunOptions Opts;
-    configureEngine(Opts, Engine);
     Opts.Args = {RuntimeArg::tensor(In), RuntimeArg::tensor(Out)};
-    Interpreter Interp(*Mod, Cfg);
-    Errors[Engine] = Interp.runCta(Opts, 0, 0, Traces[Engine]);
+    Errors[Engine] = runEngineCta(*Mod, Opts, Engine, 0, 0, Traces[Engine]);
     Outputs[Engine] = Out;
   }
   EXPECT_EQ(Errors[0], "");
@@ -432,10 +426,9 @@ TEST(BytecodeDiff, ArefProtocolRing) {
 }
 
 TEST(BytecodeDiff, NestedWarpGroupAtAgentTopLevelIgnored) {
-  // The legacy engine's interpretBlock silently skips warp_group ops at the
-  // top level of an agent body (they are forked only from function level);
-  // the bytecode compiler must do the same rather than reject them.
-  GpuConfig Cfg;
+  // The oracle's interpretBlock silently skips warp_group ops at the top
+  // level of an agent body (they are forked only from function level); the
+  // bytecode compiler must do the same rather than reject them.
   IrContext Ctx;
   Module Mod(Ctx);
   OpBuilder B(Ctx);
@@ -453,12 +446,9 @@ TEST(BytecodeDiff, NestedWarpGroupAtAgentTopLevelIgnored) {
 
   CtaTrace Traces[NumEngines];
   std::string Errors[NumEngines];
-  for (int Engine = 0; Engine < NumEngines; ++Engine) {
-    RunOptions Opts;
-    configureEngine(Opts, Engine);
-    Interpreter Interp(Mod, Cfg);
-    Errors[Engine] = Interp.runCta(Opts, 0, 0, Traces[Engine]);
-  }
+  for (int Engine = 0; Engine < NumEngines; ++Engine)
+    Errors[Engine] =
+        runEngineCta(Mod, RunOptions(), Engine, 0, 0, Traces[Engine]);
   EXPECT_EQ(Errors[0], "");
   for (int Engine = 1; Engine < NumEngines; ++Engine) {
     EXPECT_EQ(Errors[Engine], "");
@@ -469,7 +459,6 @@ TEST(BytecodeDiff, NestedWarpGroupAtAgentTopLevelIgnored) {
 TEST(BytecodeDiff, DeadlockDiagnosticsMatch) {
   // The consumer never releases: both engines must converge to the same
   // blocked fixpoint and render the identical deadlock report.
-  GpuConfig Cfg;
   IrContext Ctx;
   auto Mod = buildProtocolRing(Ctx, /*Depth=*/2, /*Iters=*/6,
                                /*SkipRelease=*/true);
@@ -481,11 +470,9 @@ TEST(BytecodeDiff, DeadlockDiagnosticsMatch) {
     auto Out = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
     In->fillRandom(3);
     RunOptions Opts;
-    configureEngine(Opts, Engine);
     Opts.Args = {RuntimeArg::tensor(In), RuntimeArg::tensor(Out)};
-    Interpreter Interp(*Mod, Cfg);
     CtaTrace T;
-    Errors[Engine] = Interp.runCta(Opts, 0, 0, T);
+    Errors[Engine] = runEngineCta(*Mod, Opts, Engine, 0, 0, T);
   }
   EXPECT_NE(Errors[0].find("deadlock"), std::string::npos) << Errors[0];
   for (int Engine = 1; Engine < NumEngines; ++Engine)

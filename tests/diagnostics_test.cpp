@@ -3,11 +3,11 @@
 // Robustness contract of the execution guardrails (docs/robustness.md):
 //   * the step-budget watchdog terminates a runaway kernel with a
 //     deterministic "step budget exceeded" error — bit-identical across
-//     the legacy, unfused-bytecode and fused-bytecode engines and at
-//     NumWorkers 1, 2 and 8;
+//     the serial tree-walking oracle and the unfused-bytecode and
+//     fused-bytecode engines at NumWorkers 1, 2 and 8;
 //   * a deadlock or watchdog abort fills RunOptions::Diag with a snapshot
 //     whose renderText()/renderJson() output is byte-identical across all
-//     nine engine x worker combinations — pinned here against embedded
+//     seven engine x worker combinations — pinned here against embedded
 //     golden strings;
 //   * classifyError maps every engine message prefix onto the ErrorKind
 //     taxonomy (support/Status.h);
@@ -26,6 +26,7 @@
 #include "sim/Interpreter.h"
 #include "support/Env.h"
 #include "support/Status.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <gtest/gtest.h>
 
@@ -43,7 +44,7 @@ constexpr int64_t WorkerCounts[] = {1, 2, 8};
 /// one scalar loop with an astronomically large trip count. No warp groups,
 /// so both engines execute it as the lone "preamble" agent — the step
 /// counting of the two engines (bytecode LoopBegin/LoopEnd events vs the
-/// legacy evalFor iteration counter) must agree exactly for the budget trip
+/// oracle's evalFor iteration counter) must agree exactly for the budget trip
 /// to be engine-identical.
 std::unique_ptr<Module> buildRunawayLoop(IrContext &Ctx) {
   auto M = std::make_unique<Module>(Ctx);
@@ -148,14 +149,14 @@ struct DiagCapture {
   std::string Json;
 };
 
-enum class Engine { Legacy, Unfused, Fused };
-constexpr Engine Engines[] = {Engine::Legacy, Engine::Unfused,
+enum class Engine { Oracle, Unfused, Fused };
+constexpr Engine Engines[] = {Engine::Oracle, Engine::Unfused,
                               Engine::Fused};
 
 const char *engineName(Engine E) {
   switch (E) {
-  case Engine::Legacy:
-    return "legacy";
+  case Engine::Oracle:
+    return "oracle";
   case Engine::Unfused:
     return "unfused";
   case Engine::Fused:
@@ -167,7 +168,6 @@ const char *engineName(Engine E) {
 DiagCapture runGridDiag(Module &M, const RunOptions &Base, Engine E,
                         int64_t Workers) {
   RunOptions Opts = Base;
-  Opts.UseLegacyInterp = E == Engine::Legacy;
   Opts.FuseBytecode = E == Engine::Fused;
   Opts.NumWorkers = Workers;
   ExecDiagnostic D;
@@ -177,7 +177,8 @@ DiagCapture runGridDiag(Module &M, const RunOptions &Base, Engine E,
   DiagCapture C;
   C.Label = std::string(engineName(E)) + "/workers=" +
             std::to_string(Workers);
-  C.Err = Interp.runGrid(Opts);
+  C.Err = E == Engine::Oracle ? runGridOracle(M, Cfg, Opts)
+                              : Interp.runGrid(Opts);
   C.Text = D.renderText();
   C.Json = D.renderJson();
   return C;
@@ -191,6 +192,8 @@ void expectDiagGolden(Module &M, const RunOptions &Base,
   bool Dumped = false;
   for (Engine E : Engines)
     for (int64_t W : WorkerCounts) {
+      if (E == Engine::Oracle && W != WorkerCounts[0])
+        continue; // The oracle ignores NumWorkers: one run covers it.
       DiagCapture C = runGridDiag(M, Base, E, W);
       if (!Dumped && envFlag("TAWA_DUMP_DIAG")) {
         std::fprintf(stderr, "=== ERR ===\n%s\n=== TEXT ===\n%s=== JSON "
@@ -523,12 +526,11 @@ TEST(Diag, UntouchedOnSuccessAndEmptyByDefault) {
   Opts.MaxSteps = 100;
   ExecDiagnostic D;
   Opts.Diag = &D;
-  for (bool Legacy : {false, true}) {
-    Opts.UseLegacyInterp = Legacy;
-    Interpreter Interp(*M, Cfg);
-    EXPECT_EQ(Interp.runGrid(Opts), "");
-    EXPECT_TRUE(D.empty());
-  }
+  Interpreter Interp(*M, Cfg);
+  EXPECT_EQ(Interp.runGrid(Opts), "");
+  EXPECT_TRUE(D.empty());
+  EXPECT_EQ(runGridOracle(*M, Cfg, Opts), "");
+  EXPECT_TRUE(D.empty());
 }
 
 } // namespace

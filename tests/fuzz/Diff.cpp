@@ -1,4 +1,4 @@
-//===- Diff.cpp - Nine-combo differential execution ---------------------------//
+//===- Diff.cpp - Seven-run differential execution ----------------------------//
 
 #include "tests/fuzz/Diff.h"
 
@@ -8,6 +8,7 @@
 #include "support/FaultInject.h"
 #include "support/Status.h"
 #include "support/Support.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <cstring>
 
@@ -18,20 +19,23 @@ using namespace tawa::sim;
 namespace {
 
 struct Combo {
-  bool Legacy;
+  bool Oracle;
   bool Fuse;
   int64_t Workers;
 };
 
+/// Combo 0 is the oracle, which runs serially at any worker count; 1-3 are
+/// unfused bytecode and 4-6 fused, at 1, 2 and 4 workers.
 Combo comboFor(int I) {
   static const int64_t WorkerGrid[3] = {1, 2, 4};
-  int Engine = I / 3; // 0 = legacy, 1 = unfused bytecode, 2 = fused.
-  return {Engine == 0, Engine == 2, WorkerGrid[I % 3]};
+  if (I == 0)
+    return {true, false, 1};
+  return {false, I > 3, WorkerGrid[(I - 1) % 3]};
 }
 
 std::string comboName(int I) {
   Combo C = comboFor(I);
-  const char *Engine = C.Legacy ? "legacy" : C.Fuse ? "fused" : "unfused";
+  const char *Engine = C.Oracle ? "oracle" : C.Fuse ? "fused" : "unfused";
   return formatString("%s/w%lld", Engine, static_cast<long long>(C.Workers));
 }
 
@@ -57,10 +61,7 @@ std::string runCombo(const PreparedCase &P, int I, bool Corrupt,
   GpuConfig Cfg;
 
   RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
   Opts.Functional = true;
-  Opts.UseLegacyInterp = C.Legacy;
   Opts.FuseBytecode = C.Fuse;
   Opts.NumWorkers = C.Workers;
   // Deterministic runaway bound: identical across engines/workers, so a
@@ -69,25 +70,19 @@ std::string runCombo(const PreparedCase &P, int I, bool Corrupt,
   ExecDiagnostic Diag;
   Opts.Diag = &Diag;
 
-  std::vector<TensorRef> OutputTensors;
-  for (const LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    TensorRef T = materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      OutputTensors.push_back(T);
-    Opts.Args.push_back(RuntimeArg::tensor(T));
-  }
+  std::vector<TensorRef> OutputTensors = materializeLaunch(P.Launch, Opts);
 
   if (!P.Launch.FaultSpec.empty()) {
     std::string FErr;
     if (!faults::configure(P.Launch.FaultSpec, &FErr))
       return "fault spec: " + FErr;
   }
-  Interpreter Interp(*P.Mod, Cfg);
-  Out.Error = Interp.runGrid(Opts, nullptr, &Out.Traces);
+  if (C.Oracle) {
+    Out.Error = runGridOracle(*P.Mod, Cfg, Opts, &Out.Traces);
+  } else {
+    Interpreter Interp(*P.Mod, Cfg);
+    Out.Error = Interp.runGrid(Opts, nullptr, &Out.Traces);
+  }
   faults::reset();
 
   if (!Out.Error.empty()) {
@@ -236,20 +231,18 @@ std::string diffTimingLeg(const PreparedCase &P) {
     Opts.GridX = P.Launch.GridX;
     Opts.GridY = P.Launch.GridY;
     Opts.Functional = false;
-    Opts.UseLegacyInterp = Engine == 0;
     Opts.FuseBytecode = Engine == 2;
     Opts.MaxSteps = 1000000;
     for (const LaunchSpec::Arg &A : P.Launch.Args)
       Opts.Args.push_back(A.IsScalar ? RuntimeArg::scalar(A.Scalar)
                                      : RuntimeArg::tensor(nullptr));
+    if (Engine == 0) {
+      RefErr = runCtaOracle(*P.Mod, Cfg, Opts, 0, 0, Ref);
+      continue;
+    }
     Interpreter Interp(*P.Mod, Cfg);
     CtaTrace T;
     std::string Err = Interp.runCta(Opts, 0, 0, T);
-    if (Engine == 0) {
-      Ref = std::move(T);
-      RefErr = Err;
-      continue;
-    }
     if (Err != RefErr)
       return formatString("[timing/engine%d] error '%s' vs '%s'", Engine,
                           Err.c_str(), RefErr.c_str());

@@ -1,10 +1,11 @@
-//===- Diff.h - Nine-combo differential execution ---------------*- C++ -*-===//
+//===- Diff.h - Seven-run differential execution ----------------*- C++ -*-===//
 //
-// The oracle half of the fuzzing harness: runs one prepared case on every
-// engine × worker-count combination and compares every observable the
-// engines promise to keep identical — output tensor bytes, per-CTA action
-// traces, happens-before event counts, error strings and their ErrorKind
-// classification, deadlock diagnostic JSON, and replayed cycle totals.
+// The oracle half of the fuzzing harness: runs one prepared case on the
+// tree-walking oracle and on every bytecode engine × worker-count
+// combination, and compares every observable the engines promise to keep
+// identical — output tensor bytes, per-CTA action traces, happens-before
+// event counts, error strings and their ErrorKind classification, deadlock
+// diagnostic JSON, and replayed cycle totals.
 // Returns "" when all combos agree, or a description of the first
 // divergence (which doubles as the minimization oracle's signal).
 //
@@ -20,9 +21,10 @@
 namespace tawa {
 namespace fuzz {
 
-/// The 3 engines × {1, 2, 4} workers grid. Combo 0 (legacy, serial) is the
-/// reference.
-constexpr int NumDiffCombos = 9;
+/// The serial oracle (combo 0, the reference) plus unfused and fused
+/// bytecode × {1, 2, 4} workers. The oracle ignores the worker count, so
+/// it runs once.
+constexpr int NumDiffCombos = 7;
 
 struct DiffOptions {
   /// Fault-injection hook for exercising the minimizer end-to-end: XOR a
@@ -31,7 +33,7 @@ struct DiffOptions {
   bool CorruptFusedOutput = false;
 };
 
-/// Runs \p P on all nine combos (honoring P.Launch.FaultSpec for each run)
+/// Runs \p P on all seven combos (honoring P.Launch.FaultSpec for each run)
 /// plus a serial timing-mode leg, compares all observables against combo 0,
 /// and returns "" or a one-line divergence description.
 std::string diffCase(const PreparedCase &P, const DiffOptions &Opts = {});

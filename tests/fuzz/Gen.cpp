@@ -9,7 +9,6 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace tawa;
 using namespace tawa::fuzz;
@@ -292,15 +291,16 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
   return M;
 }
 
-LaunchSpec::Arg tensorArg(std::vector<int64_t> Shape, uint64_t FillSeed) {
-  LaunchSpec::Arg A;
+sim::LaunchSpec::Arg tensorArg(std::vector<int64_t> Shape,
+                               uint64_t FillSeed) {
+  sim::LaunchSpec::Arg A;
   A.Shape = std::move(Shape);
   A.FillSeed = FillSeed;
   return A;
 }
 
-LaunchSpec::Arg scalarArg(int64_t V) {
-  LaunchSpec::Arg A;
+sim::LaunchSpec::Arg scalarArg(int64_t V) {
+  sim::LaunchSpec::Arg A;
   A.IsScalar = true;
   A.Scalar = V;
   return A;
@@ -318,7 +318,7 @@ std::string faultSpecFor(const FuzzCase &C) {
 std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
   Out.Ctx = std::make_unique<IrContext>();
   IrContext &Ctx = *Out.Ctx;
-  LaunchSpec L;
+  sim::LaunchSpec L;
   L.FaultSpec = faultSpecFor(C);
   std::unique_ptr<Module> M;
 
@@ -416,7 +416,7 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
     int64_t Experts = static_cast<int64_t>(C.GroupMs.size());
     int64_t MaxCtas = 1;
     int64_t SumM = 0;
-    LaunchSpec::Arg Table;
+    sim::LaunchSpec::Arg Table;
     Table.Shape = {Experts, 2};
     for (int64_t Ex = 0; Ex < Experts; ++Ex) {
       Table.Data.push_back(SumM);
@@ -437,163 +437,12 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
   }
   }
 
-  encodeLaunchSpec(*M, L);
+  sim::encodeLaunchSpec(*M, L);
   M->setAttr("fuzz.seed", static_cast<int64_t>(C.Seed));
   M->setAttr("fuzz.family", std::string(familyName(C.Kind)));
   Out.Mod = std::move(M);
   Out.Launch = std::move(L);
   return "";
-}
-
-//===----------------------------------------------------------------------===//
-// Launch-spec encoding (module attributes)
-//===----------------------------------------------------------------------===//
-
-void tawa::fuzz::encodeLaunchSpec(Module &M, const LaunchSpec &L) {
-  M.setAttr("fuzz.grid", std::vector<int64_t>{L.GridX, L.GridY});
-  std::string Args;
-  for (const LaunchSpec::Arg &A : L.Args) {
-    if (!Args.empty())
-      Args += ";";
-    if (A.IsScalar) {
-      Args += "s" + std::to_string(A.Scalar);
-    } else if (!A.Data.empty()) {
-      // Explicit payload (group-offset tables): dSHAPE:v0,v1,...
-      Args += "d";
-      for (size_t I = 0; I < A.Shape.size(); ++I) {
-        if (I)
-          Args += "x";
-        Args += std::to_string(A.Shape[I]);
-      }
-      Args += ":";
-      for (size_t I = 0; I < A.Data.size(); ++I) {
-        if (I)
-          Args += ",";
-        Args += std::to_string(A.Data[I]);
-      }
-    } else {
-      Args += "t" + std::to_string(A.FillSeed) + ":";
-      for (size_t I = 0; I < A.Shape.size(); ++I) {
-        if (I)
-          Args += "x";
-        Args += std::to_string(A.Shape[I]);
-      }
-    }
-  }
-  M.setAttr("fuzz.args", Args);
-  if (!L.FaultSpec.empty())
-    M.setAttr("fuzz.faults", L.FaultSpec);
-  else
-    M.removeAttr("fuzz.faults");
-}
-
-std::string tawa::fuzz::decodeLaunchSpec(const Module &M, LaunchSpec &L) {
-  const auto &Attrs = M.getAttrs();
-  auto GridIt = Attrs.find("fuzz.grid");
-  if (GridIt == Attrs.end())
-    return "missing fuzz.grid module attribute";
-  const auto *Grid = std::get_if<std::vector<int64_t>>(&GridIt->second);
-  if (!Grid || Grid->size() != 2)
-    return "fuzz.grid must be [gridX, gridY]";
-  L.GridX = (*Grid)[0];
-  L.GridY = (*Grid)[1];
-
-  auto ArgsIt = Attrs.find("fuzz.args");
-  if (ArgsIt == Attrs.end())
-    return "missing fuzz.args module attribute";
-  const auto *Spec = std::get_if<std::string>(&ArgsIt->second);
-  if (!Spec)
-    return "fuzz.args must be a string";
-  L.Args.clear();
-  size_t Pos = 0;
-  while (Pos < Spec->size()) {
-    size_t End = Spec->find(';', Pos);
-    if (End == std::string::npos)
-      End = Spec->size();
-    std::string Tok = Spec->substr(Pos, End - Pos);
-    Pos = End + 1;
-    if (Tok.empty())
-      return "empty fuzz.args entry";
-    if (Tok[0] == 's') {
-      L.Args.push_back(scalarArg(std::strtoll(Tok.c_str() + 1, nullptr, 10)));
-    } else if (Tok[0] == 't') {
-      size_t Colon = Tok.find(':');
-      if (Colon == std::string::npos)
-        return "malformed tensor entry in fuzz.args: " + Tok;
-      uint64_t Seed = std::strtoull(Tok.substr(1, Colon - 1).c_str(),
-                                    nullptr, 10);
-      std::vector<int64_t> Shape;
-      size_t P = Colon + 1;
-      while (P < Tok.size()) {
-        size_t X = Tok.find('x', P);
-        if (X == std::string::npos)
-          X = Tok.size();
-        Shape.push_back(std::strtoll(Tok.substr(P, X - P).c_str(), nullptr,
-                                     10));
-        P = X + 1;
-      }
-      if (Shape.empty())
-        return "tensor entry with no shape in fuzz.args: " + Tok;
-      L.Args.push_back(tensorArg(std::move(Shape), Seed));
-    } else if (Tok[0] == 'd') {
-      size_t Colon = Tok.find(':');
-      if (Colon == std::string::npos)
-        return "malformed data entry in fuzz.args: " + Tok;
-      LaunchSpec::Arg A;
-      size_t P = 1;
-      while (P < Colon) {
-        size_t X = Tok.find('x', P);
-        if (X == std::string::npos || X > Colon)
-          X = Colon;
-        A.Shape.push_back(std::strtoll(Tok.substr(P, X - P).c_str(),
-                                       nullptr, 10));
-        P = X + 1;
-      }
-      P = Colon + 1;
-      while (P < Tok.size()) {
-        size_t Comma = Tok.find(',', P);
-        if (Comma == std::string::npos)
-          Comma = Tok.size();
-        A.Data.push_back(std::strtoll(Tok.substr(P, Comma - P).c_str(),
-                                      nullptr, 10));
-        P = Comma + 1;
-      }
-      if (A.Shape.empty() || A.Data.empty())
-        return "data entry with no shape or values in fuzz.args: " + Tok;
-      int64_t Elems = 1;
-      for (int64_t S : A.Shape)
-        Elems *= S;
-      if (Elems != static_cast<int64_t>(A.Data.size()))
-        return "data entry shape/value count mismatch in fuzz.args: " + Tok;
-      L.Args.push_back(std::move(A));
-    } else {
-      return "unknown fuzz.args entry kind: " + Tok;
-    }
-  }
-
-  auto FaultsIt = Attrs.find("fuzz.faults");
-  if (FaultsIt != Attrs.end()) {
-    const auto *F = std::get_if<std::string>(&FaultsIt->second);
-    if (!F)
-      return "fuzz.faults must be a string";
-    L.FaultSpec = *F;
-  } else {
-    L.FaultSpec = "";
-  }
-  return "";
-}
-
-sim::TensorRef tawa::fuzz::materializeArg(const LaunchSpec::Arg &A) {
-  auto T = std::make_shared<sim::TensorData>(A.Shape);
-  if (!A.Data.empty()) {
-    int64_t E = std::min<int64_t>(T->getNumElements(),
-                                  static_cast<int64_t>(A.Data.size()));
-    for (int64_t I = 0; I < E; ++I)
-      T->at(I) = static_cast<float>(A.Data[I]);
-  } else if (A.FillSeed != 0) {
-    T->fillRandom(A.FillSeed, 1.0f);
-  }
-  return T;
 }
 
 std::string tawa::fuzz::loadCase(const std::string &Text, PreparedCase &Out) {
@@ -602,7 +451,7 @@ std::string tawa::fuzz::loadCase(const std::string &Text, PreparedCase &Out) {
   Out.Mod = parseModule(*Out.Ctx, Text, Err);
   if (!Out.Mod)
     return "parse: " + Err;
-  if (std::string DErr = decodeLaunchSpec(*Out.Mod, Out.Launch);
+  if (std::string DErr = sim::decodeLaunchSpec(*Out.Mod, Out.Launch);
       !DErr.empty())
     return "launch: " + DErr;
   return "";

@@ -4,9 +4,9 @@
 // a seeded PRNG maps a 64-bit seed to one FuzzCase — a kernel family,
 // tile/launch shapes, precision, pipeline options, and an optional
 // fault-injection spec — plus the machinery to prepare (build + compile) a
-// case, encode/decode its launch configuration as module attributes so a
-// printed `.tawa` file is self-contained, and greedily minimize a case
-// while an oracle keeps reporting a divergence.
+// case, stamp its launch configuration as module attributes so a printed
+// `.tawa` file is self-contained (sim/Launch.h), and greedily minimize a
+// case while an oracle keeps reporting a divergence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +16,7 @@
 #include "frontend/Kernels.h"
 #include "ir/Ir.h"
 #include "passes/Passes.h"
-#include "sim/TensorData.h"
+#include "sim/Launch.h"
 
 #include <functional>
 #include <memory>
@@ -106,47 +106,17 @@ struct FuzzCase {
 /// (TawaOptions::validate() passes, shapes divide tiles).
 FuzzCase generateCase(uint64_t Seed);
 
-/// Launch configuration for a prepared module, in a form that survives a
-/// print/parse round trip as module attributes.
-struct LaunchSpec {
-  int64_t GridX = 1, GridY = 1;
-  struct Arg {
-    bool IsScalar = false;
-    int64_t Scalar = 0;              ///< Scalar value.
-    std::vector<int64_t> Shape;      ///< Tensor shape.
-    uint64_t FillSeed = 0;           ///< 0 = zero-filled (outputs).
-    /// Explicit integer-valued payload (row-major, cast to float), used for
-    /// the grouped family's group-offset table. Non-empty marks the tensor
-    /// as an input even when FillSeed == 0.
-    std::vector<int64_t> Data;
-  };
-  std::vector<Arg> Args;
-  /// faults::configure() spec, "" = none.
-  std::string FaultSpec;
-};
-
 /// A case ready to run: compiled module + launch. Owns its IrContext.
 struct PreparedCase {
   std::unique_ptr<IrContext> Ctx;
   std::unique_ptr<Module> Mod;
-  LaunchSpec Launch;
+  sim::LaunchSpec Launch;
 };
 
 /// Builds the case's module, runs the compile pipeline, computes the
-/// launch, and stamps the launch as `fuzz.*` module attributes. Returns ""
-/// or an error.
+/// launch, and stamps the launch as `fuzz.*` module attributes
+/// (sim/Launch.h). Returns "" or an error.
 std::string prepareCase(const FuzzCase &C, PreparedCase &Out);
-
-/// Materializes one non-scalar launch arg as a fresh tensor: explicit Data
-/// (the grouped family's offset table), seeded random fill, or zeros
-/// (outputs). Shared by every harness that binds a LaunchSpec.
-sim::TensorRef materializeArg(const LaunchSpec::Arg &A);
-
-/// Stamps \p L onto \p M as `fuzz.grid` / `fuzz.args` / `fuzz.faults`.
-void encodeLaunchSpec(Module &M, const LaunchSpec &L);
-/// Recovers a LaunchSpec from a module's `fuzz.*` attributes. Returns ""
-/// or an error (missing/malformed attributes).
-std::string decodeLaunchSpec(const Module &M, LaunchSpec &L);
 
 /// Parses a committed `.tawa` regression file (printed module + fuzz.*
 /// attributes) back into a runnable case. Returns "" or an error.

@@ -1,8 +1,9 @@
 //===- tawa_fuzz.cpp - Differential fuzzing driver ----------------------------//
 //
 // Command-line driver for the differential fuzzing harness (docs/fuzzing.md):
-// generates seeded kernel configurations (Gen.h), runs each on all nine
-// engine × worker combinations (Diff.h), and reports any divergence. A
+// generates seeded kernel configurations (Gen.h), runs each on the
+// tree-walking oracle and on every bytecode engine × worker combination
+// (Diff.h, seven grid runs), and reports any divergence. A
 // failing case is greedily minimized and written as a self-contained
 // `.tawa` regression file (textual IR + fuzz.* launch attributes) that
 // reproduces via --replay.
@@ -131,9 +132,9 @@ int runFuzz(uint64_t BaseSeed, int64_t Configs, int64_t BudgetMs,
         std::fprintf(stderr, "tawa-fuzz: wrote %s\n", Path.c_str());
     }
   }
-  std::printf("tawa-fuzz: %lld configs run, %lld divergences, %lld "
-              "prepare errors (seed base %llu, %.0f ms)\n",
-              static_cast<long long>(Ran),
+  std::printf("tawa-fuzz: %lld configs run (%d grid runs each), %lld "
+              "divergences, %lld prepare errors (seed base %llu, %.0f ms)\n",
+              static_cast<long long>(Ran), NumDiffCombos,
               static_cast<long long>(Divergences),
               static_cast<long long>(PrepareErrors),
               static_cast<unsigned long long>(BaseSeed), elapsedMs(Start));
@@ -442,7 +443,8 @@ int runReplay(const std::string &Path) {
   }
   std::string Div = diffCase(P);
   if (Div.empty()) {
-    std::printf("tawa-fuzz: %s: all nine combos agree\n", Path.c_str());
+    std::printf("tawa-fuzz: %s: all %d combos agree\n", Path.c_str(),
+                NumDiffCombos);
     return 0;
   }
   std::fprintf(stderr, "tawa-fuzz: %s: DIVERGENCE\n  %s\n", Path.c_str(),

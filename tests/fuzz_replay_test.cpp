@@ -12,6 +12,7 @@
 
 #include "sim/Interpreter.h"
 #include "sim/Replay.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <gtest/gtest.h>
 
@@ -21,25 +22,18 @@ using namespace tawa::sim;
 
 namespace {
 
-/// Runs every CTA of \p P on one engine/worker combo and returns the grid's
-/// traces ("" error expected from the caller).
-std::string runForTraces(const PreparedCase &P, bool Legacy, bool Fuse,
+/// Runs every CTA of \p P on the oracle or one bytecode engine/worker combo
+/// and returns the grid's traces ("" error expected from the caller).
+std::string runForTraces(const PreparedCase &P, bool Oracle, bool Fuse,
                          int64_t Workers, std::vector<CtaTrace> &Out) {
   GpuConfig Cfg;
   RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
-  Opts.UseLegacyInterp = Legacy;
   Opts.FuseBytecode = Fuse;
   Opts.NumWorkers = Workers;
   Opts.MaxSteps = 1000000;
-  for (const LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    Opts.Args.push_back(RuntimeArg::tensor(materializeArg(A)));
-  }
+  materializeLaunch(P.Launch, Opts);
+  if (Oracle)
+    return runGridOracle(*P.Mod, Cfg, Opts, &Out);
   Interpreter Interp(*P.Mod, Cfg);
   return Interp.runGrid(Opts, nullptr, &Out);
 }
@@ -72,7 +66,7 @@ bool prepareClean(uint64_t Seed, PreparedCase &P) {
 
 TEST(FuzzReplay, TotalsMatchAcrossEnginesAndWorkers) {
   struct ComboSpec {
-    bool Legacy;
+    bool Oracle;
     bool Fuse;
     int64_t Workers;
   };
@@ -86,7 +80,7 @@ TEST(FuzzReplay, TotalsMatchAcrossEnginesAndWorkers) {
       continue;
 
     std::vector<CtaTrace> RefTraces;
-    ASSERT_EQ(runForTraces(P, Combos[0].Legacy, Combos[0].Fuse,
+    ASSERT_EQ(runForTraces(P, Combos[0].Oracle, Combos[0].Fuse,
                            Combos[0].Workers, RefTraces),
               "");
     ReplayResult Ref = replayAll(RefTraces);
@@ -96,7 +90,7 @@ TEST(FuzzReplay, TotalsMatchAcrossEnginesAndWorkers) {
 
     for (size_t I = 1; I < 3; ++I) {
       std::vector<CtaTrace> Traces;
-      ASSERT_EQ(runForTraces(P, Combos[I].Legacy, Combos[I].Fuse,
+      ASSERT_EQ(runForTraces(P, Combos[I].Oracle, Combos[I].Fuse,
                              Combos[I].Workers, Traces),
                 "");
       expectReplayEq(Ref, replayAll(Traces));

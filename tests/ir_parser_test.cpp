@@ -4,8 +4,8 @@
 // and print -> parse -> print is byte-identical. Covered here for every
 // opcode in ir/Ops.h, for the attribute edge cases (floats that %g used
 // to print ambiguously, escaped strings), for full kernel modules before
-// and after the Tawa pipeline, and for the pinned golden corpus under
-// tests/corpus/.
+// and after the Tawa pipeline, for the pinned golden corpus under
+// tests/corpus/, and for the fuzz.* launch attributes (sim/Launch.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,12 +14,14 @@
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "passes/Passes.h"
+#include "sim/Launch.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace tawa;
@@ -405,6 +407,68 @@ TEST(ParserRoundTrip, GoldenCorpus) {
     // Pinned files are stored in printed form (comments stripped), so
     // parse -> print must reproduce the file bytes exactly.
     EXPECT_EQ(M->print(), Text) << Name;
+    // So must re-encoding the decoded launch over the fuzz.* attributes.
+    sim::LaunchSpec L;
+    ASSERT_EQ(sim::decodeLaunchSpec(*M, L), "") << Name;
+    sim::encodeLaunchSpec(*M, L);
+    EXPECT_EQ(M->print(), Text) << Name;
+  }
+}
+
+void expectSameLaunch(const sim::LaunchSpec &A, const sim::LaunchSpec &B) {
+  EXPECT_EQ(A.GridX, B.GridX);
+  EXPECT_EQ(A.GridY, B.GridY);
+  EXPECT_EQ(A.FaultSpec, B.FaultSpec);
+  ASSERT_EQ(A.Args.size(), B.Args.size());
+  for (size_t I = 0; I < A.Args.size(); ++I) {
+    SCOPED_TRACE(I);
+    EXPECT_EQ(A.Args[I].IsScalar, B.Args[I].IsScalar);
+    EXPECT_EQ(A.Args[I].Scalar, B.Args[I].Scalar);
+    EXPECT_EQ(A.Args[I].Shape, B.Args[I].Shape);
+    EXPECT_EQ(A.Args[I].FillSeed, B.Args[I].FillSeed);
+    EXPECT_EQ(A.Args[I].Data, B.Args[I].Data);
+  }
+}
+
+TEST(LaunchCodec, EncodePrintParseDecodeRoundTrip) {
+  auto Tensor = [](std::vector<int64_t> Shape, uint64_t Seed) {
+    sim::LaunchSpec::Arg A;
+    A.Shape = std::move(Shape);
+    A.FillSeed = Seed;
+    return A;
+  };
+  auto Scalar = [](int64_t V) {
+    sim::LaunchSpec::Arg A;
+    A.IsScalar = true;
+    A.Scalar = V;
+    return A;
+  };
+  sim::LaunchSpec::Arg Table;
+  Table.Shape = {2, 2};
+  Table.Data = {0, -1, 40, 17};
+  sim::LaunchSpec L;
+  L.GridX = 64;
+  L.GridY = 64; // Exactly MaxLaunchCtas.
+  L.Args = {Tensor({64}, 7),
+            Tensor({2, 3, 4, 5}, 0),
+            Tensor({sim::MaxLaunchDim, 256},
+                   std::numeric_limits<uint64_t>::max()),
+            Scalar(std::numeric_limits<int64_t>::min()),
+            Scalar(std::numeric_limits<int64_t>::max()),
+            Table};
+  for (const char *Faults : {"", "worker-task:0.50:7"}) {
+    SCOPED_TRACE(Faults);
+    L.FaultSpec = Faults;
+    IrContext Ctx;
+    Module M(Ctx);
+    sim::encodeLaunchSpec(M, L);
+    IrContext Ctx2;
+    std::string Err;
+    auto Parsed = parseModule(Ctx2, M.print(), Err);
+    ASSERT_TRUE(Parsed) << Err;
+    sim::LaunchSpec Back;
+    ASSERT_EQ(sim::decodeLaunchSpec(*Parsed, Back), "");
+    expectSameLaunch(L, Back);
   }
 }
 

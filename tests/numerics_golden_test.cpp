@@ -6,7 +6,7 @@
 // These goldens pin it from the outside:
 //   * fnv1a64 of every output tensor of each ok-path tests/corpus/*.tawa
 //     functional replay, on the bytecode engine at NumWorkers 1 and 4 and on
-//     the legacy engine (which takes matmulAcc's heap path);
+//     the tree-walking oracle (which takes matmulAcc's heap path);
 //   * the exact MaxRelError of one small functional Runner run per kernel
 //     family. MaxRelError compares the kernel's output against the
 //     double-precision reference, so it pins the reference kernels too.
@@ -21,6 +21,7 @@
 #include "driver/Runner.h"
 #include "sim/Interpreter.h"
 #include "support/Support.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <gtest/gtest.h>
 
@@ -64,30 +65,19 @@ const char *const CorpusErrorPaths[] = {"protocol_ring_deadlock.tawa",
 /// Runs \p Text functionally and returns the fnv1a64 of each output tensor,
 /// or the run error as the only element, prefixed with "error: ".
 std::vector<std::string> replayOutputHashes(const std::string &Text,
-                                            bool Legacy, int64_t Workers) {
+                                            bool Oracle, int64_t Workers) {
   fuzz::PreparedCase P;
   if (std::string Err = fuzz::loadCase(Text, P); !Err.empty())
     return {"error: " + Err};
   sim::RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
-  Opts.UseLegacyInterp = Legacy;
   Opts.NumWorkers = Workers;
   Opts.MaxSteps = 1000000;
-  std::vector<sim::TensorRef> Outputs;
-  for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(sim::RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    sim::TensorRef T = fuzz::materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      Outputs.push_back(T);
-    Opts.Args.push_back(sim::RuntimeArg::tensor(T));
-  }
+  std::vector<sim::TensorRef> Outputs = sim::materializeLaunch(P.Launch, Opts);
   sim::GpuConfig Cfg;
   sim::Interpreter Interp(*P.Mod, Cfg);
-  if (std::string Err = Interp.runGrid(Opts); !Err.empty())
+  std::string Err = Oracle ? sim::runGridOracle(*P.Mod, Cfg, Opts)
+                           : Interp.runGrid(Opts);
+  if (!Err.empty())
     return {"error: " + Err};
   std::vector<std::string> Hashes;
   for (const sim::TensorRef &T : Outputs)
@@ -100,15 +90,15 @@ std::vector<std::string> replayOutputHashes(const std::string &Text,
 
 TEST(NumericsGolden, CorpusOutputHashes) {
   struct Combo {
-    bool Legacy;
+    bool Oracle;
     int64_t Workers;
   };
   for (const CorpusGolden &G : CorpusGoldens) {
     std::string Text = readCorpus(G.File);
     ASSERT_FALSE(Text.empty()) << G.File;
     for (Combo C : {Combo{false, 1}, Combo{false, 4}, Combo{true, 1}})
-      EXPECT_EQ(replayOutputHashes(Text, C.Legacy, C.Workers), G.Outputs)
-          << G.File << (C.Legacy ? " legacy" : " bytecode") << " workers "
+      EXPECT_EQ(replayOutputHashes(Text, C.Oracle, C.Workers), G.Outputs)
+          << G.File << (C.Oracle ? " oracle" : " bytecode") << " workers "
           << C.Workers;
   }
 }

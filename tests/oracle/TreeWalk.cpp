@@ -1,19 +1,20 @@
-//===- LegacyInterp.cpp - Tree-walking interpreter (oracle) -------------------//
+//===- TreeWalk.cpp - Tree-walking interpreter (oracle) -----------------------//
 //
-// The original execution engine, kept behind RunOptions::UseLegacyInterp as
-// the differential-testing oracle: per-op IR walking with pointer-keyed
+// The original execution engine, kept in the test tree as the
+// differential-testing oracle: per-op IR walking with pointer-keyed
 // environment maps and std::function wait conditions. The bytecode executor
 // (Executor.cpp) must stay observably identical to this code.
 //
 //===----------------------------------------------------------------------===//
 
-#include "sim/LegacyInterp.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include "ir/Ir.h"
 #include "sem/HappensBefore.h"
 #include "sim/Diag.h"
 #include "sim/ExecCommon.h"
 #include "support/Env.h"
+#include "support/FaultInject.h"
 #include "support/Status.h"
 #include "support/Support.h"
 
@@ -22,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 using namespace tawa;
@@ -1278,9 +1280,50 @@ std::string CtaExec::run(CtaTrace &Out) {
 // Entry point
 //===----------------------------------------------------------------------===//
 
-std::string tawa::sim::runCtaLegacy(Module &M, const GpuConfig &Config,
+std::string tawa::sim::runCtaOracle(Module &M, const GpuConfig &Config,
                                     const RunOptions &Opts, int64_t PidX,
                                     int64_t PidY, CtaTrace &Out) {
   CtaExec Exec(M, Config, Opts, PidX, PidY);
-  return Exec.run(Out);
+  std::string Err = Exec.run(Out);
+  if (Err.empty())
+    applyAtomicContribs(Opts, Out.Atomics);
+  return Err;
+}
+
+// The serial half of Interpreter::runGrid, restated: the worker-task fault
+// site is keyed by serial CTA index with the same message, atomics are
+// applied in CTA order (runCtaOracle applies them as it goes), and the
+// first failing CTA stops the loop, so Opts.Diag holds its snapshot and its
+// error carries the "cta (x,y): " prefix.
+std::string tawa::sim::runGridOracle(Module &M, const GpuConfig &Config,
+                                     const RunOptions &Opts,
+                                     std::vector<CtaTrace> *AllTraces) {
+  if (AllTraces) {
+    AllTraces->clear();
+    AllTraces->resize(Opts.GridX * Opts.GridY);
+  }
+  for (int64_t Y = 0; Y < Opts.GridY; ++Y)
+    for (int64_t X = 0; X < Opts.GridX; ++X) {
+      int64_t Index = Y * Opts.GridX + X;
+      CtaTrace Local;
+      CtaTrace &T = AllTraces ? (*AllTraces)[Index] : Local;
+      std::string Err;
+      try {
+        if (faults::enabled() &&
+            faults::shouldFail(faults::Site::WorkerTask, Index))
+          throw std::runtime_error(
+              formatString("injected worker-task fault (item %lld)",
+                           static_cast<long long>(Index)));
+        Err = runCtaOracle(M, Config, Opts, X, Y, T);
+      } catch (const std::exception &Ex) {
+        Err = std::string("worker crash: ") + Ex.what();
+      } catch (...) {
+        Err = "worker crash: unknown exception";
+      }
+      if (!Err.empty())
+        return formatString("cta (%lld,%lld): ", static_cast<long long>(X),
+                            static_cast<long long>(Y)) +
+               Err;
+    }
+  return "";
 }

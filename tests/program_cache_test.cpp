@@ -150,9 +150,9 @@ TEST(Serializer, RoundTripExecutesIdentically) {
   RunOptions Launch = gemmTimingLaunch();
   GpuConfig Cfg;
   CtaTrace A, B;
-  Interpreter Orig(*M, Cfg, Prog);
+  Interpreter Orig(M.get(), Cfg, Prog);
   ASSERT_EQ(Orig.runCta(Launch, 3, 0, A), "");
-  Interpreter FromDisk(Cfg, Loaded);
+  Interpreter FromDisk(nullptr, Cfg, Loaded);
   ASSERT_EQ(FromDisk.runCta(Launch, 3, 0, B), "");
   expectTracesIdentical(A, B);
 
@@ -220,7 +220,7 @@ TEST(ProgramCacheLru, EvictsLeastRecentlyUsedFirst) {
   std::string Err;
   ProgramCache::Outcome Out;
   auto Get = [&](const char *Key) {
-    C.getOrCompile(Key, Cfg, false, false, true, Compile, Err, &Out);
+    C.getOrCompile(Key, Cfg, Compile, Err, &Out);
     return Out;
   };
 
@@ -246,10 +246,10 @@ TEST(ProgramCacheLru, ByteBoundEvicts) {
   };
   std::string Err;
   ProgramCache::Outcome Out;
-  C.getOrCompile("bytes-A", Cfg, false, false, true, Compile, Err, &Out);
-  C.getOrCompile("bytes-B", Cfg, false, false, true, Compile, Err, &Out);
+  C.getOrCompile("bytes-A", Cfg, Compile, Err, &Out);
+  C.getOrCompile("bytes-B", Cfg, Compile, Err, &Out);
   EXPECT_EQ(C.getStats().Entries, 1u);
-  C.getOrCompile("bytes-A", Cfg, false, false, true, Compile, Err, &Out);
+  C.getOrCompile("bytes-A", Cfg, Compile, Err, &Out);
   EXPECT_EQ(Out, ProgramCache::Outcome::Compiled); // A was evicted by B.
 }
 
@@ -425,36 +425,6 @@ TEST(ProgramCacheKeys, FusedAndUnfusedNeverCollide) {
   ASSERT_TRUE(Unfused.runGemm(Framework::Tawa, W).ok());
   EXPECT_EQ(Fused.cacheStats().Hits, 1u);
   EXPECT_EQ(Unfused.cacheStats().Hits, 1u);
-}
-
-TEST(ProgramCacheDisk, LegacyEngineBypassesDiskEntries) {
-  CacheGuard Guard;
-  auto Dir = makeTempDir("cache-legacy");
-  auto &C = ProgramCache::shared();
-  C.setPersistDir(Dir.string());
-
-  GemmWorkload W;
-  {
-    Runner R;
-    ASSERT_TRUE(R.runGemm(Framework::Tawa, W).ok());
-  }
-  C.clear();
-  {
-    // The legacy tree-walker needs IR, which disk entries do not carry: it
-    // must recompile (correctly), not crash on a module-less entry.
-    Runner R;
-    R.UseLegacyInterp = true;
-    RunResult Res = R.runGemm(Framework::Tawa, W);
-    ASSERT_TRUE(Res.ok()) << Res.Error;
-    EXPECT_EQ(R.cacheStats().Misses, 1u);
-    // And a later bytecode run shares the module-bearing entry in memory.
-    Runner R2;
-    ASSERT_TRUE(R2.runGemm(Framework::Tawa, W).ok());
-    EXPECT_EQ(R2.cacheStats().Misses, 0u);
-  }
-
-  std::error_code Ec;
-  std::filesystem::remove_all(Dir, Ec);
 }
 
 } // namespace

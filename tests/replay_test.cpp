@@ -637,13 +637,8 @@ TEST(ReplayOracle, CorpusTracesMatch) {
     fuzz::PreparedCase P;
     ASSERT_EQ(fuzz::loadCase(readCorpus(Name), P), "");
     RunOptions Opts;
-    Opts.GridX = P.Launch.GridX;
-    Opts.GridY = P.Launch.GridY;
     Opts.MaxSteps = 1000000;
-    for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args)
-      Opts.Args.push_back(A.IsScalar
-                              ? RuntimeArg::scalar(A.Scalar)
-                              : RuntimeArg::tensor(fuzz::materializeArg(A)));
+    materializeLaunch(P.Launch, Opts);
     Interpreter Interp(*P.Mod, Cfg);
     std::vector<CtaTrace> Traces;
     if (!Interp.runGrid(Opts, nullptr, &Traces).empty())

@@ -372,7 +372,7 @@ TEST(FlightRecorder, DumpRoundTripsThroughParserAndFuzzReplay) {
   EXPECT_EQ(readFile(DumpDir + "/req-1.json"), GemmLine + "\n");
 
   // The ir entry's .tawa artifact IS the corpus text, and replays through
-  // the fuzz harness — ir/Parser round trip + nine-combo differential,
+  // the fuzz harness — ir/Parser round trip + seven-combo differential,
   // exactly what `tawa-fuzz --replay` runs on a committed repro.
   std::string Tawa = readFile(DumpDir + "/req-2.tawa");
   EXPECT_EQ(Tawa, Corpus);

@@ -12,7 +12,8 @@
 //    still answered with a structured response,
 //  * corpus replay: responses through the socket match responses rendered
 //    from a direct Interpreter run byte-for-byte,
-//  * crafted ir modules end in a classified error, never in the engines.
+//  * crafted ir modules end in a classified error, never in the engines,
+//    and the service keeps answering after them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "serve/Execute.h"
 #include "sim/Diag.h"
 #include "sim/Interpreter.h"
+#include "sim/Launch.h"
 #include "sim/Replay.h"
 #include "support/FaultInject.h"
 #include "support/Json.h"
@@ -589,6 +591,61 @@ TEST(ServeExecute, OutOfRangePipelineDepthIsCompileError) {
   EXPECT_EQ(Kind, ErrorKind::None);
 }
 
+TEST(ServeExecute, OutOfRangeLaunchIsCompileErrorAndServiceSurvives) {
+  // Each launch below once killed the daemon: a negative or huge extent
+  // sized an allocation (length_error, SIGSEGV, bad_alloc), a rank-5 shape
+  // overflowed ShapeVec, a non-numeric extent decoded as 0. The decoder
+  // now rejects them, and the same service goes on answering.
+  std::string Text = readFile(corpusPath("protocol_ring.tawa"));
+  const std::string Args = "fuzz.args = \"t3:64x64;t0:64x64\"";
+  const std::string Grid = "fuzz.grid = [1, 1]";
+  ASSERT_NE(Text.find(Args), std::string::npos);
+  ASSERT_NE(Text.find(Grid), std::string::npos);
+  auto Craft = [&](const std::string &Attr, const std::string &Value) {
+    std::string Out = Text;
+    Out.replace(Out.find(Attr), Attr.size(), Value);
+    return Out;
+  };
+  struct Case {
+    std::string Ir;
+    const char *Error;
+  };
+  const Case Cases[] = {
+      {Craft(Args, "fuzz.args = \"t3:64x64;t0:-64x64\""),
+       "dimension -64 outside [1, 65536]"},
+      {Craft(Args, "fuzz.args = \"t3:64x64;t0:4611686018427387904x4\""),
+       "dimension 4611686018427387904 outside [1, 65536]"},
+      {Craft(Args, "fuzz.args = \"t3:64x64;t0:1x1x1x64x64\""),
+       "rank 5 exceeds 4"},
+      {Craft(Grid, "fuzz.grid = [-1, 1]"), "fuzz.grid must have axes"},
+      {Craft(Grid, "fuzz.grid = [100000, 100000]"),
+       "fuzz.grid must have axes"},
+      {Craft(Args, "fuzz.args = \"t3:64x64;t0:65536x65536\""),
+       "more than 16777216 elements"},
+      {Craft(Args, "fuzz.args = \"t3:64x64;t0:abcx64\""),
+       "bad dimension 'abc'"},
+      {Craft(Args, "fuzz.args = \"t3:64x64;t0:64x64junk\""),
+       "bad dimension '64junk'"},
+  };
+
+  ServeConfig C;
+  C.Workers = 1;
+  Service Svc(C);
+  int I = 0;
+  for (const Case &K : Cases) {
+    SCOPED_TRACE(K.Error);
+    std::string Id = formatString("bad-%d", I++);
+    std::string L = Svc.call(irReq(Id, K.Ir));
+    EXPECT_EQ(respField(L, "status"), "failed") << L;
+    EXPECT_EQ(respField(L, "error_kind"), "compile-error") << L;
+    std::string Err = respField(L, "error");
+    EXPECT_EQ(Err.rfind("ir launch: ", 0), 0u) << L;
+    EXPECT_NE(Err.find(K.Error), std::string::npos) << L;
+    EXPECT_EQ(respField(Svc.call(irReq(Id + "-ok", Text)), "status"), "ok");
+  }
+  Svc.shutdown();
+}
+
 TEST(ServeSocket, RoundTripAndGracefulShutdown) {
   ServeConfig C;
   C.Workers = 2;
@@ -607,7 +664,11 @@ TEST(ServeSocket, RoundTripAndGracefulShutdown) {
 
   // Park one request on the gate, connect a second client, then start a
   // graceful shutdown: the parked request must complete and the late one
-  // must shed — exactly the daemon's SIGTERM semantics.
+  // must shed — exactly the daemon's SIGTERM semantics. "hello" stays in
+  // flight until just after its response is written, so wait for it to
+  // retire first: otherwise in-flight 1 can still be "hello", shutdown can
+  // begin before "parked" is admitted, and "parked" is shed instead.
+  waitInflight(Svc, 0);
   Svc.closeGate();
   ASSERT_TRUE(sendLine(A, pingReq("parked", true)));
   waitInflight(Svc, 1);
@@ -615,6 +676,18 @@ TEST(ServeSocket, RoundTripAndGracefulShutdown) {
   ASSERT_GE(B, 0);
 
   std::thread Stopper([&] { Srv.shutdown(); });
+  // A failed ASSERT below returns early. Open the gate first (shutdown()
+  // waits for the parked request), then join: destroying a joinable
+  // std::thread would abort the whole binary.
+  struct StopOnExit {
+    Service &Svc;
+    std::thread &Stopper;
+    ~StopOnExit() {
+      Svc.openGate();
+      if (Stopper.joinable())
+        Stopper.join();
+    }
+  } Guard{Svc, Stopper};
   // Admission closes as soon as Stopper's beginShutdown lands; until
   // then probes still answer "ok" (the second executor serves them past
   // the parked request). Poll until a probe is shed.
@@ -661,26 +734,13 @@ ServeResponse directIrResponse(const std::string &Id,
 
   sim::GpuConfig Cfg;
   sim::RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
   Opts.Functional = true;
   Opts.FuseBytecode = true;
   Opts.NumWorkers = NumWorkers;
   Opts.MaxSteps = 1000000;
   sim::ExecDiagnostic Diag;
   Opts.Diag = &Diag;
-
-  std::vector<sim::TensorRef> Outputs;
-  for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(sim::RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    sim::TensorRef T = fuzz::materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      Outputs.push_back(T);
-    Opts.Args.push_back(sim::RuntimeArg::tensor(T));
-  }
+  std::vector<sim::TensorRef> Outputs = sim::materializeLaunch(P.Launch, Opts);
   if (!P.Launch.FaultSpec.empty())
     EXPECT_TRUE(faults::configure(P.Launch.FaultSpec));
   sim::Interpreter Interp(*P.Mod, Cfg);

@@ -5,11 +5,11 @@
 //   * split-K GEMM — K sliced across grid axis 1, partial sums accumulated
 //     into C through the deferred-atomic reduction surface — produces
 //     bit-identical outputs, traces and happens-before event counts across
-//     all nine engine x worker combinations (legacy, unfused bytecode,
-//     fused bytecode x NumWorkers 1, 2, 8);
+//     all seven engine x worker combinations (the serial tree-walking
+//     oracle once; unfused and fused bytecode x NumWorkers 1, 2, 8);
 //   * grouped/MoE GEMM — ragged per-expert batches driven by a group-offset
 //     table, including empty experts and masked partial tiles — meets the
-//     same nine-way bar;
+//     same seven-way bar;
 //   * a deliberately wedged split-K reduction (GemmKernelConfig::
 //     DeadlockEpilogue) fails with one deterministic deadlock error and a
 //     byte-identical tawa-diag-v1 post-mortem on every combo, pinned here
@@ -26,6 +26,7 @@
 #include "sim/Interpreter.h"
 #include "support/Env.h"
 #include "support/Status.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <cstdio>
 #include <cstring>
@@ -38,14 +39,14 @@ namespace {
 
 constexpr int64_t WorkerCounts[] = {1, 2, 8};
 
-enum class Engine { Legacy, Unfused, Fused };
-constexpr Engine Engines[] = {Engine::Legacy, Engine::Unfused,
+enum class Engine { Oracle, Unfused, Fused };
+constexpr Engine Engines[] = {Engine::Oracle, Engine::Unfused,
                               Engine::Fused};
 
 const char *engineName(Engine E) {
   switch (E) {
-  case Engine::Legacy:
-    return "legacy";
+  case Engine::Oracle:
+    return "oracle";
   case Engine::Unfused:
     return "unfused";
   case Engine::Fused:
@@ -69,33 +70,21 @@ struct ComboOut {
 ComboOut runCombo(const fuzz::PreparedCase &P, Engine E, int64_t Workers) {
   GpuConfig Cfg;
   RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
   Opts.Functional = true;
-  Opts.UseLegacyInterp = E == Engine::Legacy;
   Opts.FuseBytecode = E == Engine::Fused;
   Opts.NumWorkers = Workers;
   Opts.MaxSteps = 1000000;
   ExecDiagnostic Diag;
   Opts.Diag = &Diag;
-
-  std::vector<TensorRef> Outs;
-  for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    TensorRef T = fuzz::materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      Outs.push_back(T);
-    Opts.Args.push_back(RuntimeArg::tensor(T));
-  }
+  std::vector<TensorRef> Outs = materializeLaunch(P.Launch, Opts);
 
   ComboOut R;
   R.Label = formatString("%s/w%lld", engineName(E),
                          static_cast<long long>(Workers));
   Interpreter Interp(*P.Mod, Cfg);
-  R.Error = Interp.runGrid(Opts, nullptr, &R.Traces);
+  R.Error = E == Engine::Oracle
+                ? runGridOracle(*P.Mod, Cfg, Opts, &R.Traces)
+                : Interp.runGrid(Opts, nullptr, &R.Traces);
   R.ErrorKindName = errorKindName(classifyError(R.Error));
   R.DiagJson = Diag.renderJson();
   if (!R.Error.empty()) {
@@ -145,19 +134,21 @@ std::string traceDiff(const CtaTrace &A, const CtaTrace &B) {
   return "";
 }
 
-/// Prepares \p C and asserts all nine combos reproduce the legacy/serial
+/// Prepares \p C and asserts every bytecode combo reproduces the oracle
 /// reference bit-for-bit: outputs, traces, HB counts, atomic logs.
-void expectNineWayIdentical(const fuzz::FuzzCase &C) {
+void expectSevenWayIdentical(const fuzz::FuzzCase &C) {
   fuzz::PreparedCase P;
   ASSERT_EQ(fuzz::prepareCase(C, P), "") << C.describe();
 
-  ComboOut Ref = runCombo(P, Engine::Legacy, 1);
+  ComboOut Ref = runCombo(P, Engine::Oracle, 1);
   ASSERT_EQ(Ref.Error, "") << C.describe();
   ASSERT_FALSE(Ref.Outputs.empty());
   ASSERT_FALSE(Ref.Traces.empty());
 
   for (Engine E : Engines)
     for (int64_t W : WorkerCounts) {
+      if (E == Engine::Oracle)
+        continue; // The reference itself.
       ComboOut R = runCombo(P, E, W);
       ASSERT_EQ(R.Error, "") << R.Label;
       ASSERT_EQ(R.Outputs.size(), Ref.Outputs.size()) << R.Label;
@@ -176,10 +167,10 @@ void expectNineWayIdentical(const fuzz::FuzzCase &C) {
 }
 
 //===----------------------------------------------------------------------===//
-// Split-K: nine-way bit-identity
+// Split-K: seven-way bit-identity
 //===----------------------------------------------------------------------===//
 
-TEST(SplitKNineCombo, WarpSpecializedCooperative) {
+TEST(SplitKSevenCombo, WarpSpecializedCooperative) {
   fuzz::FuzzCase C;
   C.Kind = fuzz::Family::SplitK;
   C.Gemm.TileM = 64;
@@ -194,10 +185,10 @@ TEST(SplitKNineCombo, WarpSpecializedCooperative) {
   // contributions (stores are idempotent, accumulation is not).
   C.Options.NumConsumerGroups = 2;
   C.Options.ArefDepth = 3;
-  expectNineWayIdentical(C);
+  expectSevenWayIdentical(C);
 }
 
-TEST(SplitKNineCombo, SoftwarePipelinedUnevenSplit) {
+TEST(SplitKSevenCombo, SoftwarePipelinedUnevenSplit) {
   fuzz::FuzzCase C;
   C.Kind = fuzz::Family::SplitK;
   C.Gemm.TileM = 32;
@@ -212,14 +203,14 @@ TEST(SplitKNineCombo, SoftwarePipelinedUnevenSplit) {
   C.SplitKFactor = 3;
   C.Options.EnableWarpSpecialization = false;
   C.SwPipelineDepth = 2;
-  expectNineWayIdentical(C);
+  expectSevenWayIdentical(C);
 }
 
 //===----------------------------------------------------------------------===//
-// Grouped/MoE: nine-way bit-identity
+// Grouped/MoE: seven-way bit-identity
 //===----------------------------------------------------------------------===//
 
-TEST(GroupedNineCombo, WarpSpecializedRaggedExperts) {
+TEST(GroupedSevenCombo, WarpSpecializedRaggedExperts) {
   fuzz::FuzzCase C;
   C.Kind = fuzz::Family::Grouped;
   C.Gemm.TileM = 64;
@@ -231,10 +222,10 @@ TEST(GroupedNineCombo, WarpSpecializedRaggedExperts) {
   // Empty expert + partial tiles + an expert larger than the tile: the
   // rectangular grid over-approximation masks the excess tiles.
   C.GroupMs = {96, 0, 200, 64};
-  expectNineWayIdentical(C);
+  expectSevenWayIdentical(C);
 }
 
-TEST(GroupedNineCombo, CooperativeSingleExpert) {
+TEST(GroupedSevenCombo, CooperativeSingleExpert) {
   fuzz::FuzzCase C;
   C.Kind = fuzz::Family::Grouped;
   C.Gemm.TileM = 32;
@@ -246,7 +237,7 @@ TEST(GroupedNineCombo, CooperativeSingleExpert) {
   C.GroupMs = {50};
   C.Options.NumConsumerGroups = 2;
   C.Options.ArefDepth = 2;
-  expectNineWayIdentical(C);
+  expectSevenWayIdentical(C);
 }
 
 //===----------------------------------------------------------------------===//
@@ -298,7 +289,7 @@ const char kSplitKDeadlockJson[] = R"gold({
 }
 )gold";
 
-TEST(SplitKDeadlock, PinnedDiagAcrossNineCombos) {
+TEST(SplitKDeadlock, PinnedDiagAcrossSevenCombos) {
   fuzz::FuzzCase C;
   C.Kind = fuzz::Family::SplitK;
   C.Gemm.TileM = 32;
@@ -321,6 +312,8 @@ TEST(SplitKDeadlock, PinnedDiagAcrossNineCombos) {
   bool Dumped = false;
   for (Engine E : Engines)
     for (int64_t W : WorkerCounts) {
+      if (E == Engine::Oracle && W != WorkerCounts[0])
+        continue; // The oracle ignores NumWorkers: one run covers it.
       ComboOut R = runCombo(P, E, W);
       if (!Dumped && envFlag("TAWA_DUMP_DIAG")) {
         std::fprintf(stderr, "=== ERR ===\n%s\n=== JSON ===\n%s\n=== END ===\n",
