@@ -174,8 +174,8 @@ std::string runOnce(Interpreter *Interp, const Workload &W,
 /// Times repeated executions of one engine; returns ops/sec where "ops" are
 /// trace actions (identical for both engines on the same workload, so the
 /// ratio equals the wall-clock speedup). \p NumWorkers drives the grid
-/// runner for multi-CTA workloads (1 = the historical serial loop; the
-/// oracle always runs serially).
+/// runner for multi-CTA workloads (1 = every CTA inline on the caller;
+/// the oracle always runs serially).
 EngineRate timeEngine(Workload &W, bool Oracle, int64_t NumWorkers,
                       int64_t OpsPerCta, double MinSeconds, int MinReps,
                       bool Fuse = true) {
@@ -240,7 +240,7 @@ std::vector<ScalePoint> benchWorkerScaling(Workload &W, int64_t OpsPerCta,
   for (int64_t Workers : {int64_t(1), int64_t(2), int64_t(4), int64_t(8)}) {
     ScalePoint P;
     P.Workers = Workers;
-    // Grids below the serial threshold run the serial path regardless of
+    // Grids below the serial threshold run on one worker regardless of
     // the requested worker count (fan-out cannot amortize; see
     // Interpreter.h) — report what actually executes.
     P.EffectiveWorkers =
@@ -578,7 +578,7 @@ int main(int argc, char **argv) {
   // "hardware_workers" name conflated the two.
   J.field("pool_workers", PoolWorkers);
   J.field("hardware_concurrency", WorkerPool::hardwareWorkers());
-  // Grids below this CTA count run runGrid's serial path at any requested
+  // Grids below this CTA count run runGrid on one worker at any requested
   // worker count (sim/Interpreter.h).
   J.field("serial_grid_threshold", SerialGridCtaThreshold);
   J.key("worker_scaling").beginArray();

@@ -15,16 +15,14 @@
 # defect that changes observable behavior fails here even if every
 # individual test passes.
 #
-# Then runs the sweep-driver smoke: fig8_gemm twice against one
-# TAWA_CACHE_DIR — cold (prewarm compiles + serializes every kernel) and
-# warm (prewarm loads everything from disk) — asserting the warm pass
-# performed ZERO compiles and that the per-point JSON records are
+# Then runs the sweep-driver smoke on fig8_gemm and on fig13_splitk (the
+# split-K / MoE kernel-family sweep, whose split factors are launch
+# parameters sharing one compile key). One shell function runs each
+# twice against its own fresh TAWA_CACHE_DIR — cold (prewarm compiles +
+# serializes every kernel) and warm (prewarm loads everything from disk)
+# — asserting that neither run phase compiled, that the warm prewarm
+# performed ZERO compiles, and that the per-point JSON records are
 # byte-identical (docs/reproducing-figures.md).
-#
-# Then the same cold/warm contract for fig13_splitk (the split-K / MoE
-# kernel-family sweep): the warm pass must perform zero prewarm compiles —
-# split factors are launch parameters sharing one compile key — and the
-# per-point JSON records must be byte-identical.
 #
 # Then checks the documentation tree: every relative .md link and every
 # source-file path mentioned in docs/ and README.md must exist in the
@@ -39,7 +37,8 @@
 # Then runs the serving smoke: tawa-serve is started on a scratch unix
 # socket, serve_load fires a closed-loop request mix against it (writing
 # $BUILD_DIR/BENCH_serve.json), and SIGTERM must drain gracefully — the
-# daemon exits 0 with every request answered (docs/serving.md).
+# daemon exits 0 with every request answered (docs/serving.md). The chaos
+# drill after it starts its daemon through the same readiness function.
 #
 # Then runs the whole test suite once more with TAWA_NO_FUSE=1 (the
 # peephole superinstruction pass disabled) and asserts micro_interp --smoke
@@ -102,30 +101,35 @@ echo "== differential fuzz smoke (tawa-fuzz) =="
 (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./tawa-fuzz \
   --replay-all "$REPO_ROOT/tests/corpus")
 
+# Starts tawa-serve on a fresh socket and waits for its readiness line
+# before anything fires load; sets DAEMON_PID. Fails the check when the
+# daemon exits or never comes up.
+start_daemon() { # <label> <socket> <log> [tawa-serve flags...]
+  local LABEL="$1" SOCK="$2" LOG="$3"
+  shift 3
+  rm -f "$SOCK"
+  "$BUILD_DIR/tawa-serve" --socket "$SOCK" "$@" >"$LOG" 2>&1 &
+  DAEMON_PID=$!
+  for _ in $(seq 1 100); do
+    if grep -q "listening on" "$LOG" 2>/dev/null; then
+      return 0
+    fi
+    if ! kill -0 "$DAEMON_PID" 2>/dev/null; then
+      break
+    fi
+    sleep 0.1
+  done
+  echo "FAIL: tawa-serve ($LABEL) did not come up"
+  cat "$LOG"
+  kill "$DAEMON_PID" 2>/dev/null || true
+  exit 1
+}
+
 echo "== serve smoke (tawa-serve + serve_load + SIGTERM drain) =="
 SERVE_SOCK="$BUILD_DIR/tawa-serve-smoke.sock"
 SERVE_LOG="$BUILD_DIR/serve-smoke.log"
-rm -f "$SERVE_SOCK"
-"$BUILD_DIR/tawa-serve" --socket "$SERVE_SOCK" >"$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-# Wait for the readiness line before firing load.
-SERVE_UP=0
-for _ in $(seq 1 100); do
-  if grep -q "listening on" "$SERVE_LOG" 2>/dev/null; then
-    SERVE_UP=1
-    break
-  fi
-  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-    break
-  fi
-  sleep 0.1
-done
-if [[ "$SERVE_UP" != 1 ]]; then
-  echo "FAIL: tawa-serve did not come up"
-  cat "$SERVE_LOG"
-  kill "$SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
+start_daemon smoke "$SERVE_SOCK" "$SERVE_LOG"
+SERVE_PID=$DAEMON_PID
 if ! (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./serve_load \
       --connect "$SERVE_SOCK" --requests 32 --concurrency 4 \
       --out "$BUILD_DIR/BENCH_serve.json" >/dev/null); then
@@ -165,27 +169,9 @@ echo "== serve chaos drill (SIGKILL a sandbox mid-run, crash dump) =="
 CHAOS_SOCK="$BUILD_DIR/tawa-serve-chaos.sock"
 CHAOS_LOG="$BUILD_DIR/serve-chaos.log"
 CHAOS_CRASH_DIR="$BUILD_DIR/serve-chaos-crash"
-rm -rf "$CHAOS_SOCK" "$CHAOS_CRASH_DIR"
-"$BUILD_DIR/tawa-serve" --socket "$CHAOS_SOCK" \
-  --crash-dir "$CHAOS_CRASH_DIR" >"$CHAOS_LOG" 2>&1 &
-CHAOS_PID=$!
-CHAOS_UP=0
-for _ in $(seq 1 100); do
-  if grep -q "listening on" "$CHAOS_LOG" 2>/dev/null; then
-    CHAOS_UP=1
-    break
-  fi
-  if ! kill -0 "$CHAOS_PID" 2>/dev/null; then
-    break
-  fi
-  sleep 0.1
-done
-if [[ "$CHAOS_UP" != 1 ]]; then
-  echo "FAIL: tawa-serve (chaos) did not come up"
-  cat "$CHAOS_LOG"
-  kill "$CHAOS_PID" 2>/dev/null || true
-  exit 1
-fi
+rm -rf "$CHAOS_CRASH_DIR"
+start_daemon chaos "$CHAOS_SOCK" "$CHAOS_LOG" --crash-dir "$CHAOS_CRASH_DIR"
+CHAOS_PID=$DAEMON_PID
 (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./serve_load \
   --connect "$CHAOS_SOCK" --requests 24 --concurrency 2 \
   --sandbox --sleep-ms 200 \
@@ -297,102 +283,63 @@ if [[ "$COLD_SUMMARY" != "$WARM_SUMMARY" || -z "$COLD_SUMMARY" ]]; then
 fi
 echo "cache cold/warm results identical: $COLD_SUMMARY"
 
-echo "== sweep driver cold/warm smoke (fig8_gemm) =="
-# Cold: prewarm compiles every distinct kernel of the grid and serializes
-# it; the run phase must already be compile-free. Warm: a fresh process
-# prewarm-loads everything from disk — zero compiles end to end.
-# (fig8_gemm itself exits non-zero when its run phase compiled; the
-# explicit check keeps set -e from aborting before the diagnostic.)
-run_fig8() { # <label> <output-json>
-  if ! (cd "$BUILD_DIR" &&
-        TAWA_CACHE_DIR="$SWEEP_CACHE_DIR" \
-          timeout "$SMOKE_TIMEOUT" ./fig8_gemm >/dev/null); then
-    echo "FAIL: fig8_gemm ($1) exited non-zero — run phase compiled" \
-         "or the sweep errored"
+# Sweep driver cold/warm smoke. Cold: prewarm compiles every distinct
+# kernel of the grid and serializes it; the run phase must already be
+# compile-free. Warm: a fresh process prewarm-loads everything from disk
+# — zero compiles end to end. The per-point records — axes, results,
+# per-point cache statistics — must be byte-identical whether the kernels
+# were compiled or disk-loaded. (The benches themselves exit non-zero
+# when their run phase compiled; the explicit checks keep set -e from
+# aborting before the diagnostic.)
+extract_points() { sed -n '/^  "points": \[$/,/^  \],$/p' "$1"; }
+sweep_cold_warm() { # <bench> <short name: BENCH_<name>.json>
+  local BENCH="$1" NAME="$2" LABEL
+  local DIR="$SWEEP_CACHE_DIR/$NAME"
+  mkdir -p "$DIR"
+  for LABEL in cold warm; do
+    if ! (cd "$BUILD_DIR" &&
+          TAWA_CACHE_DIR="$DIR" timeout "$SMOKE_TIMEOUT" "./$BENCH" \
+            >/dev/null); then
+      echo "FAIL: $BENCH ($LABEL) exited non-zero — run phase compiled" \
+           "or the sweep errored"
+      exit 1
+    fi
+    mv "$BUILD_DIR/BENCH_$NAME.json" "$BUILD_DIR/$NAME-sweep-$LABEL.json"
+    grep -q '"run_compiles": 0' "$BUILD_DIR/$NAME-sweep-$LABEL.json" || {
+      echo "FAIL: $LABEL $NAME sweep compiled during the run phase"
+      exit 1
+    }
+  done
+  grep -q '"prewarm_compiles": 0' "$BUILD_DIR/$NAME-sweep-warm.json" || {
+    echo "FAIL: warm $NAME sweep compiled kernels (disk cache not used)"
+    exit 1
+  }
+  if ! diff <(extract_points "$BUILD_DIR/$NAME-sweep-cold.json") \
+            <(extract_points "$BUILD_DIR/$NAME-sweep-warm.json") >/dev/null
+  then
+    echo "FAIL: cold/warm $NAME sweep JSON point values differ:"
+    diff <(extract_points "$BUILD_DIR/$NAME-sweep-cold.json") \
+         <(extract_points "$BUILD_DIR/$NAME-sweep-warm.json") | head -20
     exit 1
   fi
-  mv "$BUILD_DIR/BENCH_fig8.json" "$BUILD_DIR/$2"
+  # grep -c exits 1 on zero matches; '|| true' keeps set -e from killing
+  # the script before the empty-extraction diagnostic below can fire.
+  local POINTS
+  POINTS="$(extract_points "$BUILD_DIR/$NAME-sweep-cold.json" |
+    grep -c '"tflops":' || true)"
+  if [[ "$POINTS" -eq 0 ]]; then
+    echo "FAIL: $NAME sweep JSON point extraction found no records"
+    exit 1
+  fi
+  echo "$NAME cold/warm identical ($POINTS points), warm pass" \
+       "performed zero compiles"
 }
-run_fig8 cold fig8-sweep-cold.json
-run_fig8 warm fig8-sweep-warm.json
-grep -q '"run_compiles": 0' "$BUILD_DIR/fig8-sweep-cold.json" || {
-  echo "FAIL: cold sweep compiled during the run phase (prewarm leak)"
-  exit 1
-}
-grep -q '"prewarm_compiles": 0' "$BUILD_DIR/fig8-sweep-warm.json" || {
-  echo "FAIL: warm sweep compiled kernels (disk cache not used)"
-  exit 1
-}
-grep -q '"run_compiles": 0' "$BUILD_DIR/fig8-sweep-warm.json" || {
-  echo "FAIL: warm sweep compiled during the run phase"
-  exit 1
-}
-# The per-point records — axes, results, per-point cache statistics —
-# must be byte-identical whether the kernels were compiled or disk-loaded.
-extract_points() { sed -n '/^  "points": \[$/,/^  \],$/p' "$1"; }
-if ! diff <(extract_points "$BUILD_DIR/fig8-sweep-cold.json") \
-          <(extract_points "$BUILD_DIR/fig8-sweep-warm.json") >/dev/null
-then
-  echo "FAIL: cold/warm sweep JSON point values differ:"
-  diff <(extract_points "$BUILD_DIR/fig8-sweep-cold.json") \
-       <(extract_points "$BUILD_DIR/fig8-sweep-warm.json") | head -20
-  exit 1
-fi
-# grep -c exits 1 on zero matches; '|| true' keeps set -e from killing
-# the script before the empty-extraction diagnostic below can fire.
-POINT_COUNT="$(extract_points "$BUILD_DIR/fig8-sweep-cold.json" |
-  grep -c '"tflops":' || true)"
-if [[ "$POINT_COUNT" -eq 0 ]]; then
-  echo "FAIL: sweep JSON point extraction found no records"
-  exit 1
-fi
-echo "sweep cold/warm identical ($POINT_COUNT points), warm pass" \
-     "performed zero compiles"
+
+echo "== sweep driver cold/warm smoke (fig8_gemm) =="
+sweep_cold_warm fig8_gemm fig8
 
 echo "== sweep driver cold/warm smoke (fig13_splitk) =="
-# Same cold/warm contract for the split-K / MoE kernel-family sweep, which
-# additionally proves the split factor is a pure launch parameter: all
-# split points per framework share one compile key, so the warm pass
-# performs zero prewarm compiles and the per-point records are
-# byte-identical.
-FIG13_CACHE_DIR="$(mktemp -d)"
-trap 'rm -rf "$CACHE_DIR" "$SWEEP_CACHE_DIR" "$FIG13_CACHE_DIR"' EXIT
-run_fig13() { # <label> <output-json>
-  if ! (cd "$BUILD_DIR" &&
-        TAWA_CACHE_DIR="$FIG13_CACHE_DIR" \
-          timeout "$SMOKE_TIMEOUT" ./fig13_splitk >/dev/null); then
-    echo "FAIL: fig13_splitk ($1) exited non-zero — run phase compiled" \
-         "or the sweep errored"
-    exit 1
-  fi
-  mv "$BUILD_DIR/BENCH_fig13.json" "$BUILD_DIR/$2"
-}
-run_fig13 cold fig13-sweep-cold.json
-run_fig13 warm fig13-sweep-warm.json
-grep -q '"run_compiles": 0' "$BUILD_DIR/fig13-sweep-cold.json" || {
-  echo "FAIL: cold fig13 sweep compiled during the run phase"
-  exit 1
-}
-grep -q '"prewarm_compiles": 0' "$BUILD_DIR/fig13-sweep-warm.json" || {
-  echo "FAIL: warm fig13 sweep compiled kernels (disk cache not used)"
-  exit 1
-}
-if ! diff <(extract_points "$BUILD_DIR/fig13-sweep-cold.json") \
-          <(extract_points "$BUILD_DIR/fig13-sweep-warm.json") >/dev/null
-then
-  echo "FAIL: cold/warm fig13 sweep JSON point values differ:"
-  diff <(extract_points "$BUILD_DIR/fig13-sweep-cold.json") \
-       <(extract_points "$BUILD_DIR/fig13-sweep-warm.json") | head -20
-  exit 1
-fi
-FIG13_POINTS="$(extract_points "$BUILD_DIR/fig13-sweep-cold.json" |
-  grep -c '"tflops":' || true)"
-if [[ "$FIG13_POINTS" -eq 0 ]]; then
-  echo "FAIL: fig13 sweep JSON point extraction found no records"
-  exit 1
-fi
-echo "fig13 cold/warm identical ($FIG13_POINTS points), warm pass" \
-     "performed zero compiles"
+sweep_cold_warm fig13_splitk fig13
 
 echo "== docs link check =="
 DOCS_FAIL=0

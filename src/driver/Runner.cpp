@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
 
 using namespace tawa;
 using namespace tawa::sim;
@@ -111,24 +113,6 @@ std::string pipelineKeySuffix(const TawaOptions &O, int64_t SwDepth,
       Fuse ? 1 : 0);
 }
 
-//===--- Compile plans ----------------------------------------------------===//
-// The (kernel config, effective options, cache key) derivation is shared by
-// three callers — the execute paths, Runner::compileKey (the sweep driver's
-// grid dedup), and Runner::prewarm — so a sweep's pre-warm pass provably
-// compiles under the exact key the execute pass looks up.
-
-TawaOptions effectiveGemmOptions(const GemmWorkload &W,
-                                 const FrameworkEnvelope &E) {
-  TawaOptions Options = E.Options;
-  if (W.Batch > 1)
-    Options.Persistent = false; // Tile queues are per batch slice.
-  if (W.SplitK > 1 || (W.MoE && !W.GroupMs.empty()))
-    Options.Persistent = false; // Grid axis 0 is not a flat tile queue:
-                                // split-K pairs it with a reduction axis,
-                                // grouped walks one expert's ragged tiles.
-  return Options;
-}
-
 GemmKernelConfig gemmKernelConfig(const GemmWorkload &W,
                                   const FrameworkEnvelope &E) {
   GemmKernelConfig Kernel;
@@ -142,95 +126,149 @@ GemmKernelConfig gemmKernelConfig(const GemmWorkload &W,
   return Kernel;
 }
 
-/// Family dispatch shared by prewarm and the execute paths, so a pre-warm
-/// pass provably builds the same module the execute pass would.
-std::unique_ptr<Module> buildGemmFamilyModule(IrContext &Ctx,
-                                              const GemmKernelConfig &K) {
-  if (K.Grouped)
-    return buildGroupedGemmModule(Ctx, K);
-  if (K.SplitK)
-    return buildSplitKGemmModule(Ctx, K);
-  return buildGemmModule(Ctx, K);
-}
-
-std::string gemmKey(const GemmKernelConfig &Kernel, const TawaOptions &O,
-                    int64_t SwDepth, bool Fuse) {
-  // The split factor and the per-expert GroupMs are runtime launch
-  // parameters — deliberately absent so a whole split-factor or expert-mix
-  // sweep shares one compiled program.
-  return formatString("gemm|tm%lld|tn%lld|tk%lld|prec%d|b%d|pe%d|sk%d|moe%d"
-                      "|dl%d",
-                      static_cast<long long>(Kernel.TileM),
-                      static_cast<long long>(Kernel.TileN),
-                      static_cast<long long>(Kernel.TileK),
-                      static_cast<int>(Kernel.InPrecision),
-                      Kernel.Batched ? 1 : 0, Kernel.PointerEpilogue ? 1 : 0,
-                      Kernel.SplitK ? 1 : 0, Kernel.Grouped ? 1 : 0,
-                      Kernel.DeadlockEpilogue ? 1 : 0) +
-         pipelineKeySuffix(O, SwDepth, Fuse);
-}
-
-AttentionKernelConfig attentionKernelConfig(const AttentionWorkload &W,
-                                            const FrameworkEnvelope &E) {
-  AttentionKernelConfig Kernel;
-  Kernel.TileQ = E.TileQ;
-  Kernel.TileKv = E.TileKv;
-  Kernel.HeadDim = W.HeadDim;
-  Kernel.Causal = W.Causal;
-  Kernel.InPrecision = W.Prec;
-  return Kernel;
-}
-
-std::string attentionKey(const AttentionKernelConfig &Kernel,
-                         const TawaOptions &O, int64_t SwDepth, bool Fuse) {
-  return formatString("mha|tq%lld|tkv%lld|hd%lld|c%d|prec%d",
-                      static_cast<long long>(Kernel.TileQ),
-                      static_cast<long long>(Kernel.TileKv),
-                      static_cast<long long>(Kernel.HeadDim),
-                      Kernel.Causal ? 1 : 0,
-                      static_cast<int>(Kernel.InPrecision)) +
-         pipelineKeySuffix(O, SwDepth, Fuse);
+/// The verdicts a compiled envelope gets before the compiler runs: a
+/// framework that does not support the point, then warp-specialization
+/// options the compiler rejects (Fig. 11's infeasible cells). Returns
+/// false with \p R filled.
+bool admits(const FrameworkEnvelope &E, const TawaOptions &O, RunResult &R) {
+  if (!E.Supported) {
+    R.Supported = false;
+    R.Kind = ErrorKind::Unsupported;
+    return false;
+  }
+  if (!O.EnableWarpSpecialization)
+    return true;
+  R.Error = O.validate();
+  if (R.Error.empty())
+    return true;
+  R.Feasible = false;
+  R.Kind = ErrorKind::Infeasible;
+  return false;
 }
 
 /// True when the envelope reaches the compiler at all: compiled (not
-/// analytic / unsupported) and, under warp specialization, with options
-/// the compiler accepts.
+/// analytic) and admitted.
 bool reachesCompiler(const FrameworkEnvelope &E, const TawaOptions &O) {
-  if (!E.Supported || E.Analytic)
-    return false;
-  return !O.EnableWarpSpecialization || O.validate().empty();
+  RunResult Verdict;
+  return !E.Analytic && admits(E, O, Verdict);
 }
 
+/// What a family's CTAs leave for the replay: the interpreted traces,
+/// SM0's schedule as indices into them (one trace may stand for many
+/// CTAs), and the family's DRAM model (BwShareSms, DramReuseFactor).
+struct Sm0Replay {
+  std::vector<CtaTrace> Traces;
+  std::vector<size_t> Schedule;
+  ReplayParams Params;
+};
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Compile plans
+//===----------------------------------------------------------------------===//
+
+/// Everything a point needs from the compiler, derived in one function per
+/// family (Runner::plan). compileKey (the sweep driver's grid dedup),
+/// prewarm and the run path all take it from there, so a sweep's pre-warm
+/// pass provably compiles under the exact key the run looks up.
+struct Runner::CompilePlan {
+  TawaOptions Options;  ///< The envelope's options, adjusted per workload.
+  int64_t SwDepth = 0;  ///< Software pipelining (non-WS kernels only).
+  bool Fuse = true;     ///< Peephole fusion (sim::bc::fusionEnabled).
+  /// Program-cache key over every compile-time knob; "" when the point
+  /// never reaches the compiler.
+  std::string Key;
+  std::function<std::unique_ptr<Module>(IrContext &)> Build;
+  /// Whether the register model's hard limit makes the point infeasible.
+  /// GEMM only: Triton attention at head_dim 512 runs above it today.
+  bool HardRegLimit = false;
+};
+
+Runner::CompilePlan Runner::plan(const GemmWorkload &W,
+                                 const FrameworkEnvelope &E) const {
+  CompilePlan P;
+  P.Options = E.Options;
+  // Persistent kernels walk one flat tile queue. Batched GEMM queues per
+  // batch slice, split-K pairs grid axis 0 with a reduction axis, and
+  // grouped GEMM walks one expert's ragged tiles.
+  if (W.Batch > 1 || W.SplitK > 1 || (W.MoE && !W.GroupMs.empty()))
+    P.Options.Persistent = false;
+  P.SwDepth = E.SwPipelineDepth;
+  P.Fuse = sim::bc::fusionEnabled(FuseBytecode);
+  P.HardRegLimit = true;
+  GemmKernelConfig K = gemmKernelConfig(W, E);
+  P.Build = [K](IrContext &Ctx) {
+    if (K.Grouped)
+      return buildGroupedGemmModule(Ctx, K);
+    if (K.SplitK)
+      return buildSplitKGemmModule(Ctx, K);
+    return buildGemmModule(Ctx, K);
+  };
+  // The split factor and the per-expert GroupMs are runtime launch
+  // parameters — deliberately absent so a whole split-factor or expert-mix
+  // sweep shares one compiled program.
+  if (reachesCompiler(E, P.Options))
+    P.Key = formatString("gemm|tm%lld|tn%lld|tk%lld|prec%d|b%d|pe%d|sk%d"
+                         "|moe%d|dl%d",
+                         static_cast<long long>(K.TileM),
+                         static_cast<long long>(K.TileN),
+                         static_cast<long long>(K.TileK),
+                         static_cast<int>(K.InPrecision), K.Batched ? 1 : 0,
+                         K.PointerEpilogue ? 1 : 0, K.SplitK ? 1 : 0,
+                         K.Grouped ? 1 : 0, K.DeadlockEpilogue ? 1 : 0) +
+            pipelineKeySuffix(P.Options, P.SwDepth, P.Fuse);
+  return P;
+}
+
+Runner::CompilePlan Runner::plan(const AttentionWorkload &W,
+                                 const FrameworkEnvelope &E) const {
+  CompilePlan P;
+  P.Options = E.Options;
+  P.SwDepth = E.SwPipelineDepth;
+  P.Fuse = sim::bc::fusionEnabled(FuseBytecode);
+  AttentionKernelConfig K;
+  K.TileQ = E.TileQ;
+  K.TileKv = E.TileKv;
+  K.HeadDim = W.HeadDim;
+  K.Causal = W.Causal;
+  K.InPrecision = W.Prec;
+  P.Build = [K](IrContext &Ctx) { return buildAttentionModule(Ctx, K); };
+  if (reachesCompiler(E, P.Options))
+    P.Key = formatString("mha|tq%lld|tkv%lld|hd%lld|c%d|prec%d",
+                         static_cast<long long>(K.TileQ),
+                         static_cast<long long>(K.TileKv),
+                         static_cast<long long>(K.HeadDim), K.Causal ? 1 : 0,
+                         static_cast<int>(K.InPrecision)) +
+            pipelineKeySuffix(P.Options, P.SwDepth, P.Fuse);
+  return P;
+}
 
 //===----------------------------------------------------------------------===//
 // Program cache
 //===----------------------------------------------------------------------===//
 
-ProgramCache::EntryRef Runner::getOrCompile(
-    const std::string &Key,
-    const std::function<std::unique_ptr<Module>(IrContext &)> &Build,
-    const TawaOptions &Options, int64_t SwPipelineDepth, std::string &Err) {
-  bool Fuse = sim::bc::fusionEnabled(FuseBytecode);
+ProgramCache::EntryRef Runner::getOrCompile(const CompilePlan &P,
+                                            std::string &Err) {
   auto Compile = [&](std::string &CErr) -> ProgramCache::EntryRef {
     // Declaration order in Entry matters: the module references the
     // context and the compiled program references types owned by the
     // context, so Ctx is destroyed last.
     auto E = std::make_shared<ProgramCache::Entry>();
     E->Ctx = std::make_shared<IrContext>();
-    E->M = Build(*E->Ctx);
+    E->M = P.Build(*E->Ctx);
     PassManager PM;
-    buildTawaPipeline(PM, Options);
+    buildTawaPipeline(PM, P.Options);
     if (CErr = PM.run(*E->M); !CErr.empty())
       return nullptr;
-    if (!Options.EnableWarpSpecialization && SwPipelineDepth > 0)
-      runSoftwarePipeline(*E->M, SwPipelineDepth);
-    E->Prog = sim::bc::compileModule(*E->M, Config, Fuse);
+    if (!P.Options.EnableWarpSpecialization && P.SwDepth > 0)
+      runSoftwarePipeline(*E->M, P.SwDepth);
+    E->Prog = sim::bc::compileModule(*E->M, Config, P.Fuse);
     return E;
   };
   ProgramCache::Outcome Outcome;
-  ProgramCache::EntryRef E =
-      ProgramCache::shared().getOrCompile(Key, Config, Compile, Err, &Outcome);
+  ProgramCache::EntryRef E = ProgramCache::shared().getOrCompile(
+      P.Key, Config, Compile, Err, &Outcome);
   if (E) {
     // A disk hit skips compilation — that is the point — so it counts as a
     // hit (the warm-start acceptance bar is cache_misses == 0).
@@ -251,51 +289,27 @@ ProgramCache::EntryRef Runner::getOrCompile(
 
 std::string Runner::compileKey(const GemmWorkload &W,
                                const FrameworkEnvelope &E) const {
-  TawaOptions Options = effectiveGemmOptions(W, E);
-  if (!reachesCompiler(E, Options))
-    return "";
-  return gemmKey(gemmKernelConfig(W, E), Options, E.SwPipelineDepth,
-                 sim::bc::fusionEnabled(FuseBytecode));
+  return plan(W, E).Key;
 }
 
 std::string Runner::compileKey(const AttentionWorkload &W,
                                const FrameworkEnvelope &E) const {
-  if (!reachesCompiler(E, E.Options))
-    return "";
-  return attentionKey(attentionKernelConfig(W, E), E.Options,
-                      E.SwPipelineDepth,
-                      sim::bc::fusionEnabled(FuseBytecode));
+  return plan(W, E).Key;
 }
 
 bool Runner::prewarm(const GemmWorkload &W, const FrameworkEnvelope &E,
                      std::string &Err) {
-  Err.clear();
-  TawaOptions Options = effectiveGemmOptions(W, E);
-  if (!reachesCompiler(E, Options))
-    return true;
-  GemmKernelConfig Kernel = gemmKernelConfig(W, E);
-  return getOrCompile(
-             gemmKey(Kernel, Options, E.SwPipelineDepth,
-                     sim::bc::fusionEnabled(FuseBytecode)),
-             [&](IrContext &Ctx) {
-               return buildGemmFamilyModule(Ctx, Kernel);
-             },
-             Options, E.SwPipelineDepth, Err) != nullptr;
+  return prewarm(plan(W, E), Err);
 }
 
 bool Runner::prewarm(const AttentionWorkload &W, const FrameworkEnvelope &E,
                      std::string &Err) {
+  return prewarm(plan(W, E), Err);
+}
+
+bool Runner::prewarm(const CompilePlan &P, std::string &Err) {
   Err.clear();
-  if (!reachesCompiler(E, E.Options))
-    return true;
-  AttentionKernelConfig Kernel = attentionKernelConfig(W, E);
-  return getOrCompile(
-             attentionKey(Kernel, E.Options, E.SwPipelineDepth,
-                          sim::bc::fusionEnabled(FuseBytecode)),
-             [&](IrContext &Ctx) {
-               return buildAttentionModule(Ctx, Kernel);
-             },
-             E.Options, E.SwPipelineDepth, Err) != nullptr;
+  return P.Key.empty() || getOrCompile(P, Err) != nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -349,6 +363,110 @@ RunResult Runner::runAttentionAnalytic(const AttentionWorkload &W,
 }
 
 //===----------------------------------------------------------------------===//
+// The run skeleton
+//===----------------------------------------------------------------------===//
+
+/// A kernel family's share of Runner::execute.
+struct Runner::FamilyRun {
+  /// Register model: live f32 accumulator elements per CTA and the MMA
+  /// pipeline depth that keeps fragments alive (the coarse pipeline keeps
+  /// two whatever this says).
+  int64_t AccElems = 0;
+  int64_t MmaDepth = 1;
+  /// False when nothing launches (MoE with every expert empty).
+  bool Launches = true;
+  /// Sets the grid and host data (tensors only when functional), runs the
+  /// CTAs, validates a functional run against the double-precision
+  /// reference (R.MaxRelError), and fills SM0's replay input.
+  std::function<std::string(Interpreter &, RunOptions &Launch, RunResult &R,
+                            Sm0Replay &S)>
+      Run;
+};
+
+RunResult Runner::execute(const CompilePlan &P, const FrameworkEnvelope &E,
+                          bool Functional, double Flops, const FamilyRun &F) {
+  RunResult R;
+  std::string CompileErr;
+  ProgramCache::EntryRef Cached = getOrCompile(P, CompileErr);
+  if (!Cached) {
+    R.Error = "compile: " + CompileErr;
+    R.Kind = ErrorKind::CompileError;
+    return R;
+  }
+
+  // Resource feasibility: past the consumer register budget the
+  // accumulator spills, which slows tensor and CUDA-core work alike.
+  const TawaOptions &O = P.Options;
+  R.RegsPerThread = estimateRegsPerThread(
+      Config, F.AccElems, O.CoarsePipeline ? 2 : F.MmaDepth,
+      O.NumConsumerGroups, O.EnableWarpSpecialization);
+  if (P.HardRegLimit && R.RegsPerThread > Config.MaxRegsPerThread) {
+    R.Feasible = false;
+    R.Error = "register budget exceeded (hard limit)";
+    R.Kind = ErrorKind::Infeasible;
+    return R;
+  }
+  double TensorPenalty = E.ComputeScale;
+  double CudaPenalty = E.CudaScale;
+  if (R.RegsPerThread > consumerRegBudget(Config, O.EnableWarpSpecialization,
+                                          O.NumConsumerGroups)) {
+    TensorPenalty *= Config.SpillPenalty;
+    CudaPenalty *= Config.SpillPenalty;
+  }
+
+  if (!F.Launches) {
+    if (Functional)
+      R.MaxRelError = 0;
+    R.Micros = E.ExtraLaunchMicros;
+    return R;
+  }
+
+  RunOptions Launch;
+  Launch.Functional = Functional;
+  Launch.NumWorkers = NumWorkers;
+  Launch.FuseBytecode = FuseBytecode;
+  Launch.MaxSteps = MaxSteps;
+  Launch.MaxWallMs = MaxWallMs;
+  Launch.Diag = Diag;
+  Interpreter Interp(Cached->M.get(), Config, Cached->Prog);
+  Sm0Replay S;
+  if (std::string Err = F.Run(Interp, Launch, R, S); !Err.empty()) {
+    R.Error = Err;
+    R.Kind = classifyError(R.Error);
+    return R;
+  }
+
+  R.SmemBytes = S.Traces.front().SmemBytes;
+  if (R.SmemBytes > Config.SmemBytesPerSm) {
+    R.Feasible = false;
+    R.Error = formatString("shared memory exceeded: %lld > %lld",
+                           static_cast<long long>(R.SmemBytes),
+                           static_cast<long long>(Config.SmemBytesPerSm));
+    R.Kind = ErrorKind::Infeasible;
+    return R;
+  }
+
+  // Timing: replay SM0's schedule under the wave model.
+  S.Params.TensorPenalty = TensorPenalty;
+  S.Params.CudaPenalty = CudaPenalty;
+  S.Params.CtaGapCycles = E.ExtraCtaCycles;
+  std::vector<const CtaTrace *> Schedule;
+  Schedule.reserve(S.Schedule.size());
+  for (size_t I : S.Schedule)
+    Schedule.push_back(&S.Traces[I]);
+  ReplayResult Rep = replaySmSchedule(Schedule, Config, S.Params);
+  if (Rep.Deadlock) {
+    R.Error = Rep.Error;
+    R.Kind = ErrorKind::Deadlock;
+    return R;
+  }
+  R.Micros = Config.cyclesToMicros(Rep.Cycles) + E.ExtraLaunchMicros;
+  R.TFlops = Flops / (R.Micros * 1e-6) / 1e12;
+  R.TensorUtilization = Rep.TensorBusyCycles / std::max(1.0, Rep.Cycles);
+  return R;
+}
+
+//===----------------------------------------------------------------------===//
 // GEMM
 //===----------------------------------------------------------------------===//
 
@@ -359,229 +477,122 @@ RunResult Runner::runGemm(Framework F, const GemmWorkload &W,
 
 RunResult Runner::runGemmCustom(const GemmWorkload &W,
                                 const FrameworkEnvelope &E, bool Functional) {
-  RunResult R;
-  if (!E.Supported) {
-    R.Supported = false;
-    R.Kind = ErrorKind::Unsupported;
-    return R;
-  }
-  if (E.Analytic)
+  if (E.Supported && E.Analytic)
     return runGemmAnalytic(W, E);
-
-  TawaOptions Options = effectiveGemmOptions(W, E);
-  if (Options.EnableWarpSpecialization) {
-    if (std::string Err = Options.validate(); !Err.empty()) {
-      R.Feasible = false;
-      R.Error = Err;
-      R.Kind = ErrorKind::Infeasible;
-      return R;
-    }
-  }
+  CompilePlan P = plan(W, E);
+  if (RunResult R; !admits(E, P.Options, R))
+    return R;
   if (W.SplitK > 1 && (W.Batch > 1 || W.MoE)) {
+    RunResult R;
     R.Supported = false;
     R.Error = "split-K requires Batch == 1 and a non-MoE workload";
     R.Kind = ErrorKind::Unsupported;
     return R;
   }
   if (W.MoE && !W.GroupMs.empty())
-    return runGemmMoe(W, E, Functional);
+    return runGemmMoe(W, E, P, Functional);
 
-  int64_t TotalM = W.totalM();
   GemmKernelConfig Kernel = gemmKernelConfig(W, E);
-
-  std::string CompileErr;
-  ProgramCache::EntryRef Cached = getOrCompile(
-      gemmKey(Kernel, Options, E.SwPipelineDepth,
-              sim::bc::fusionEnabled(FuseBytecode)),
-      [&](IrContext &Ctx) { return buildGemmFamilyModule(Ctx, Kernel); },
-      Options, E.SwPipelineDepth, CompileErr);
-  if (!Cached) {
-    R.Error = "compile: " + CompileErr;
-    R.Kind = ErrorKind::CompileError;
-    return R;
-  }
-
+  int64_t TotalM = W.totalM();
   int64_t NumPidM = ceilDiv(TotalM, Kernel.TileM);
   int64_t NumPidN = ceilDiv(W.N, Kernel.TileN);
   int64_t Tiles = NumPidM * NumPidN;
-  bool Persistent = Options.Persistent && Options.EnableWarpSpecialization;
-  int64_t GridX = Persistent ? std::min<int64_t>(Config.NumSms, Tiles)
-                             : Tiles;
+  bool Persistent = P.Options.Persistent && P.Options.EnableWarpSpecialization;
   // Grid axis 1 is the batch slice for batched GEMM and the K split for
   // split-K (num_programs(1) IS the split factor — no recompile per factor).
   int64_t GridY = Kernel.SplitK ? W.SplitK : W.Batch;
-
-  // Resource feasibility.
-  int64_t Replicas = Options.NumConsumerGroups;
-  int64_t AccElems = Kernel.TileM * Kernel.TileN;
-  R.RegsPerThread = estimateRegsPerThread(
-      Config, AccElems,
-      Options.CoarsePipeline ? 2 : Options.MmaPipelineDepth, Replicas,
-      Options.EnableWarpSpecialization);
-  int64_t Budget = consumerRegBudget(
-      Config, Options.EnableWarpSpecialization, Replicas);
-  double TensorPenalty = E.ComputeScale;
-  double CudaPenalty = E.CudaScale;
-  if (R.RegsPerThread > Config.MaxRegsPerThread) {
-    R.Feasible = false;
-    R.Error = "register budget exceeded (hard limit)";
-    R.Kind = ErrorKind::Infeasible;
-    return R;
-  }
-  if (R.RegsPerThread > Budget) {
-    TensorPenalty *= Config.SpillPenalty;
-    CudaPenalty *= Config.SpillPenalty;
-  }
-
-  // Host data & launch arguments.
-  RunOptions Launch;
-  Launch.GridX = GridX;
-  Launch.GridY = GridY;
-  Launch.Functional = Functional;
-  TensorRef A, B, C;
-  if (Functional) {
-    std::vector<int64_t> AShape = {TotalM, W.K};
-    std::vector<int64_t> BShape = {W.N, W.K};
-    std::vector<int64_t> CShape = {TotalM, W.N};
-    if (Kernel.Batched) {
-      AShape.insert(AShape.begin(), W.Batch);
-      BShape.insert(BShape.begin(), W.Batch);
-      CShape.insert(CShape.begin(), W.Batch);
-    }
-    A = std::make_shared<TensorData>(AShape);
-    B = std::make_shared<TensorData>(BShape);
-    C = std::make_shared<TensorData>(CShape);
-    A->fillRandom(1, 1.0f);
-    B->fillRandom(2, 1.0f);
-    roundHostTensor(*A, W.Prec);
-    roundHostTensor(*B, W.Prec);
-  }
-  Launch.Args = {RuntimeArg::tensor(A),
-                 RuntimeArg::tensor(B),
-                 RuntimeArg::tensor(C),
-                 RuntimeArg::scalar(TotalM),
-                 RuntimeArg::scalar(W.N),
-                 RuntimeArg::scalar(W.K)};
-  Launch.NumWorkers = NumWorkers;
-  Launch.FuseBytecode = FuseBytecode;
-  Launch.MaxSteps = MaxSteps;
-  Launch.MaxWallMs = MaxWallMs;
-  Launch.Diag = Diag;
-
-  Interpreter Interp(Cached->M.get(), Config, Cached->Prog);
-
-  // Functional pass over every CTA (validates numerics), fanned out across
-  // the worker pool — CTAs are independent and the merge is deterministic.
-  // CTA (0,0)'s trace also feeds the timing model below.
-  CtaTrace Sample;
-  if (Functional) {
-    if (std::string Err = Interp.runGrid(Launch, &Sample); !Err.empty()) {
-      R.Error = Err;
-      R.Kind = classifyError(R.Error);
-      return R;
-    }
-    // Validate against the double-precision reference.
-    if (Kernel.SplitK) {
-      // Split-K accumulates raw f32 partial sums into a zero-initialized C
-      // (no f16 store rounding), so compare against the unrounded reference.
-      TensorData Ref = referenceGemm(*A, *B);
-      R.MaxRelError = C->maxRelDiff(Ref);
-    } else if (!Kernel.Batched) {
-      TensorData Ref = referenceGemm(*A, *B);
-      roundHostTensor(Ref, Precision::FP16); // C is stored f16.
-      R.MaxRelError = C->maxRelDiff(Ref);
-    } else {
-      double Worst = 0;
-      for (int64_t Z = 0; Z < W.Batch; ++Z) {
-        TensorData Az = slice2d(*A, Z, TotalM, W.K);
-        TensorData Bz = slice2d(*B, Z, W.N, W.K);
-        TensorData Cz = slice2d(*C, Z, TotalM, W.N);
-        TensorData Ref = referenceGemm(Az, Bz);
-        roundHostTensor(Ref, Precision::FP16);
-        Worst = std::max(Worst, Cz.maxRelDiff(Ref));
-      }
-      R.MaxRelError = Worst;
-    }
-  } else {
-    // Timing-only: GEMM trip counts are uniform across the grid, so one
-    // sampled CTA represents every SM. Routed through the batch sampler
-    // (a batch of one) so both kernel families share one sampling path.
-    std::vector<CtaTrace> Samples;
-    if (std::string Err = Interp.runCtaBatch(Launch, {{0, 0}}, Samples);
-        !Err.empty()) {
-      R.Error = Err;
-      R.Kind = classifyError(R.Error);
-      return R;
-    }
-    Sample = std::move(Samples[0]);
-  }
-
-  R.SmemBytes = Sample.SmemBytes;
-  if (Sample.SmemBytes > Config.SmemBytesPerSm) {
-    R.Feasible = false;
-    R.Error = formatString("shared memory exceeded: %lld > %lld",
-                           static_cast<long long>(Sample.SmemBytes),
-                           static_cast<long long>(Config.SmemBytesPerSm));
-    R.Kind = ErrorKind::Infeasible;
-    return R;
-  }
-
-  // Timing: one SM's schedule, wave model.
   int64_t TotalCtas = Tiles * GridY;
-  ReplayParams Params;
-  Params.BwShareSms =
-      static_cast<double>(std::min<int64_t>(TotalCtas, Config.NumSms));
-  Params.DramReuseFactor = gemmReuseFactor(
-      NumPidM, NumPidN, Kernel.TileM, Kernel.TileN,
-      std::min<int64_t>(Tiles, Config.NumSms));
-  Params.TensorPenalty = TensorPenalty;
-  Params.CudaPenalty = CudaPenalty;
-  Params.CtaGapCycles = E.ExtraCtaCycles;
 
-  std::vector<const CtaTrace *> Schedule;
-  int64_t CtasOnSm0 =
-      Persistent ? 1 : ceilDiv(TotalCtas, Config.NumSms);
-  for (int64_t I = 0; I < CtasOnSm0; ++I)
-    Schedule.push_back(&Sample);
+  FamilyRun F;
+  F.AccElems = Kernel.TileM * Kernel.TileN;
+  F.MmaDepth = P.Options.MmaPipelineDepth;
+  F.Run = [&](Interpreter &Interp, RunOptions &Launch, RunResult &R,
+              Sm0Replay &S) -> std::string {
+    Launch.GridX =
+        Persistent ? std::min<int64_t>(Config.NumSms, Tiles) : Tiles;
+    Launch.GridY = GridY;
+    TensorRef A, B, C;
+    if (Functional) {
+      std::vector<int64_t> AShape = {TotalM, W.K};
+      std::vector<int64_t> BShape = {W.N, W.K};
+      std::vector<int64_t> CShape = {TotalM, W.N};
+      if (Kernel.Batched) {
+        AShape.insert(AShape.begin(), W.Batch);
+        BShape.insert(BShape.begin(), W.Batch);
+        CShape.insert(CShape.begin(), W.Batch);
+      }
+      A = std::make_shared<TensorData>(AShape);
+      B = std::make_shared<TensorData>(BShape);
+      C = std::make_shared<TensorData>(CShape);
+      A->fillRandom(1, 1.0f);
+      B->fillRandom(2, 1.0f);
+      roundHostTensor(*A, W.Prec);
+      roundHostTensor(*B, W.Prec);
+    }
+    Launch.Args = {RuntimeArg::tensor(A),     RuntimeArg::tensor(B),
+                   RuntimeArg::tensor(C),     RuntimeArg::scalar(TotalM),
+                   RuntimeArg::scalar(W.N),   RuntimeArg::scalar(W.K)};
 
-  ReplayResult Rep = replaySmSchedule(Schedule, Config, Params);
-  if (Rep.Deadlock) {
-    R.Error = Rep.Error;
-    R.Kind = ErrorKind::Deadlock;
-    return R;
-  }
-  R.Micros = Config.cyclesToMicros(Rep.Cycles) + E.ExtraLaunchMicros;
-  R.TFlops = W.flops() / (R.Micros * 1e-6) / 1e12;
-  R.TensorUtilization = Rep.TensorBusyCycles / std::max(1.0, Rep.Cycles);
-  return R;
+    if (!Functional) {
+      // Timing-only: GEMM trip counts are uniform across the grid, so one
+      // sampled CTA represents every SM. Routed through the batch sampler
+      // (a batch of one) so every family shares one sampling path.
+      if (std::string Err = Interp.runCtaBatch(Launch, {{0, 0}}, S.Traces);
+          !Err.empty())
+        return Err;
+    } else {
+      // Functional pass over every CTA (validates numerics), fanned out
+      // across the worker pool — CTAs are independent and the merge is
+      // deterministic. CTA (0,0)'s trace also feeds the timing model.
+      S.Traces.resize(1);
+      if (std::string Err = Interp.runGrid(Launch, &S.Traces[0]);
+          !Err.empty())
+        return Err;
+      if (Kernel.SplitK) {
+        // Split-K accumulates raw f32 partial sums into a zero-initialized
+        // C (no f16 store rounding): compare against the unrounded
+        // reference.
+        R.MaxRelError = C->maxRelDiff(referenceGemm(*A, *B));
+      } else if (!Kernel.Batched) {
+        TensorData Ref = referenceGemm(*A, *B);
+        roundHostTensor(Ref, Precision::FP16); // C is stored f16.
+        R.MaxRelError = C->maxRelDiff(Ref);
+      } else {
+        double Worst = 0;
+        for (int64_t Z = 0; Z < W.Batch; ++Z) {
+          TensorData Az = slice2d(*A, Z, TotalM, W.K);
+          TensorData Bz = slice2d(*B, Z, W.N, W.K);
+          TensorData Cz = slice2d(*C, Z, TotalM, W.N);
+          TensorData Ref = referenceGemm(Az, Bz);
+          roundHostTensor(Ref, Precision::FP16);
+          Worst = std::max(Worst, Cz.maxRelDiff(Ref));
+        }
+        R.MaxRelError = Worst;
+      }
+    }
+
+    // SM0 runs one CTA per wave (the persistent kernel: one CTA).
+    S.Schedule.assign(Persistent ? 1 : ceilDiv(TotalCtas, Config.NumSms),
+                      0);
+    S.Params.BwShareSms =
+        static_cast<double>(std::min<int64_t>(TotalCtas, Config.NumSms));
+    S.Params.DramReuseFactor = gemmReuseFactor(
+        NumPidM, NumPidN, Kernel.TileM, Kernel.TileN,
+        std::min<int64_t>(Tiles, Config.NumSms));
+    return "";
+  };
+  return execute(P, E, Functional, W.flops(), F);
 }
 
 RunResult Runner::runGemmMoe(const GemmWorkload &W,
-                             const FrameworkEnvelope &E, bool Functional) {
-  // Caller (runGemmCustom) has already validated support / analytic /
-  // warp-specialization options.
-  RunResult R;
-  TawaOptions Options = effectiveGemmOptions(W, E);
-  GemmKernelConfig Kernel = gemmKernelConfig(W, E);
-
-  std::string CompileErr;
-  ProgramCache::EntryRef Cached = getOrCompile(
-      gemmKey(Kernel, Options, E.SwPipelineDepth,
-              sim::bc::fusionEnabled(FuseBytecode)),
-      [&](IrContext &Ctx) { return buildGemmFamilyModule(Ctx, Kernel); },
-      Options, E.SwPipelineDepth, CompileErr);
-  if (!Cached) {
-    R.Error = "compile: " + CompileErr;
-    R.Kind = ErrorKind::CompileError;
-    return R;
-  }
-
+                             const FrameworkEnvelope &E, const CompilePlan &P,
+                             bool Functional) {
   // Ragged CTA list: grid axis 1 is the expert, axis 0 walks that expert's
   // (m tile, n tile) pairs n-major. The shape of the list is data-dependent
   // — experts with zero rows contribute zero CTAs.
   int64_t NumExperts = static_cast<int64_t>(W.GroupMs.size());
   int64_t TotalM = W.totalM();
-  int64_t NumPidN = ceilDiv(W.N, Kernel.TileN);
+  int64_t NumPidN = ceilDiv(W.N, E.TileN);
   std::vector<CtaCoord> Coords;
   std::vector<int64_t> RowStart(NumExperts, 0);
   int64_t MaxCtasPerExpert = 1;
@@ -589,154 +600,90 @@ RunResult Runner::runGemmMoe(const GemmWorkload &W,
   for (int64_t Ex = 0; Ex < NumExperts; ++Ex) {
     RowStart[Ex] = Row;
     Row += W.GroupMs[Ex];
-    int64_t ExpertCtas = ceilDiv(W.GroupMs[Ex], Kernel.TileM) * NumPidN;
+    int64_t ExpertCtas = ceilDiv(W.GroupMs[Ex], E.TileM) * NumPidN;
     MaxCtasPerExpert = std::max(MaxCtasPerExpert, ExpertCtas);
     for (int64_t T = 0; T < ExpertCtas; ++T)
       Coords.push_back({T, Ex});
   }
   int64_t TotalCtas = static_cast<int64_t>(Coords.size());
 
-  // Resource feasibility: same consumer-accumulator model as plain GEMM.
-  int64_t Replicas = Options.NumConsumerGroups;
-  int64_t AccElems = Kernel.TileM * Kernel.TileN;
-  R.RegsPerThread = estimateRegsPerThread(
-      Config, AccElems,
-      Options.CoarsePipeline ? 2 : Options.MmaPipelineDepth, Replicas,
-      Options.EnableWarpSpecialization);
-  int64_t Budget = consumerRegBudget(
-      Config, Options.EnableWarpSpecialization, Replicas);
-  double TensorPenalty = E.ComputeScale;
-  double CudaPenalty = E.CudaScale;
-  if (R.RegsPerThread > Config.MaxRegsPerThread) {
-    R.Feasible = false;
-    R.Error = "register budget exceeded (hard limit)";
-    R.Kind = ErrorKind::Infeasible;
-    return R;
-  }
-  if (R.RegsPerThread > Budget) {
-    TensorPenalty *= Config.SpillPenalty;
-    CudaPenalty *= Config.SpillPenalty;
-  }
-
-  if (TotalCtas == 0) {
-    // Every expert is empty: nothing launches.
-    if (Functional)
-      R.MaxRelError = 0;
-    R.Micros = E.ExtraLaunchMicros;
-    R.TFlops = 0;
-    return R;
-  }
-
-  RunOptions Launch;
-  Launch.GridX = MaxCtasPerExpert;
-  Launch.GridY = NumExperts;
-  Launch.Functional = Functional;
-  TensorRef A, B, C, Table;
-  if (Functional) {
-    A = std::make_shared<TensorData>(std::vector<int64_t>{TotalM, W.K});
-    B = std::make_shared<TensorData>(
-        std::vector<int64_t>{NumExperts, W.N, W.K});
-    C = std::make_shared<TensorData>(std::vector<int64_t>{TotalM, W.N});
-    Table = std::make_shared<TensorData>(std::vector<int64_t>{NumExperts, 2});
-    A->fillRandom(1, 1.0f);
-    B->fillRandom(2, 1.0f);
-    roundHostTensor(*A, W.Prec);
-    roundHostTensor(*B, W.Prec);
-    for (int64_t Ex = 0; Ex < NumExperts; ++Ex) {
-      Table->at(Ex * 2) = static_cast<float>(RowStart[Ex]);
-      Table->at(Ex * 2 + 1) = static_cast<float>(W.GroupMs[Ex]);
+  FamilyRun F;
+  // Same consumer-accumulator model as plain GEMM.
+  F.AccElems = E.TileM * E.TileN;
+  F.MmaDepth = P.Options.MmaPipelineDepth;
+  F.Launches = TotalCtas > 0;
+  F.Run = [&](Interpreter &Interp, RunOptions &Launch, RunResult &R,
+              Sm0Replay &S) -> std::string {
+    Launch.GridX = MaxCtasPerExpert;
+    Launch.GridY = NumExperts;
+    TensorRef A, B, C, Table;
+    if (Functional) {
+      A = std::make_shared<TensorData>(std::vector<int64_t>{TotalM, W.K});
+      B = std::make_shared<TensorData>(
+          std::vector<int64_t>{NumExperts, W.N, W.K});
+      C = std::make_shared<TensorData>(std::vector<int64_t>{TotalM, W.N});
+      Table =
+          std::make_shared<TensorData>(std::vector<int64_t>{NumExperts, 2});
+      A->fillRandom(1, 1.0f);
+      B->fillRandom(2, 1.0f);
+      roundHostTensor(*A, W.Prec);
+      roundHostTensor(*B, W.Prec);
+      for (int64_t Ex = 0; Ex < NumExperts; ++Ex) {
+        Table->at(Ex * 2) = static_cast<float>(RowStart[Ex]);
+        Table->at(Ex * 2 + 1) = static_cast<float>(W.GroupMs[Ex]);
+      }
     }
-  }
-  Launch.Args = {RuntimeArg::tensor(A),     RuntimeArg::tensor(B),
-                 RuntimeArg::tensor(C),     RuntimeArg::tensor(Table),
-                 RuntimeArg::scalar(W.N),   RuntimeArg::scalar(W.K)};
-  Launch.NumWorkers = NumWorkers;
-  Launch.FuseBytecode = FuseBytecode;
-  Launch.MaxSteps = MaxSteps;
-  Launch.MaxWallMs = MaxWallMs;
-  Launch.Diag = Diag;
+    Launch.Args = {RuntimeArg::tensor(A),   RuntimeArg::tensor(B),
+                   RuntimeArg::tensor(C),   RuntimeArg::tensor(Table),
+                   RuntimeArg::scalar(W.N), RuntimeArg::scalar(W.K)};
 
-  Interpreter Interp(Cached->M.get(), Config, Cached->Prog);
-
-  // SampleStorage ends up holding SM0's CTA list (every NumSms-th
-  // coordinate — the attention sampling pattern) for the replay below.
-  std::vector<CtaTrace> SampleStorage;
-  if (Functional) {
-    // Functional pass interprets the full ragged list, then validates each
-    // expert's slab against the double-precision reference.
-    std::vector<CtaTrace> AllTraces;
-    if (std::string Err = Interp.runCtaBatch(Launch, Coords, AllTraces);
-        !Err.empty()) {
-      R.Error = Err;
-      R.Kind = classifyError(R.Error);
-      return R;
+    // SM0 runs every NumSms-th coordinate of the list (the attention
+    // sampling pattern).
+    if (!Functional) {
+      std::vector<CtaCoord> Sm0Ctas;
+      for (int64_t I = 0; I < TotalCtas; I += Config.NumSms)
+        Sm0Ctas.push_back(Coords[I]);
+      if (std::string Err = Interp.runCtaBatch(Launch, Sm0Ctas, S.Traces);
+          !Err.empty())
+        return Err;
+    } else {
+      // Functional pass interprets the full ragged list, then validates
+      // each expert's slab against the double-precision reference.
+      std::vector<CtaTrace> AllTraces;
+      if (std::string Err = Interp.runCtaBatch(Launch, Coords, AllTraces);
+          !Err.empty())
+        return Err;
+      double Worst = 0;
+      for (int64_t Ex = 0; Ex < NumExperts; ++Ex) {
+        if (W.GroupMs[Ex] == 0)
+          continue;
+        TensorData Ae =
+            A->extractWindow({RowStart[Ex], 0}, {W.GroupMs[Ex], W.K});
+        TensorData Be = slice2d(*B, Ex, W.N, W.K);
+        TensorData Ce =
+            C->extractWindow({RowStart[Ex], 0}, {W.GroupMs[Ex], W.N});
+        TensorData Ref = referenceGemm(Ae, Be);
+        roundHostTensor(Ref, Precision::FP16); // C is stored f16.
+        Worst = std::max(Worst, Ce.maxRelDiff(Ref));
+      }
+      R.MaxRelError = Worst;
+      for (int64_t I = 0; I < TotalCtas; I += Config.NumSms)
+        S.Traces.push_back(std::move(AllTraces[I]));
     }
-    double Worst = 0;
-    for (int64_t Ex = 0; Ex < NumExperts; ++Ex) {
-      if (W.GroupMs[Ex] == 0)
-        continue;
-      TensorData Ae =
-          A->extractWindow({RowStart[Ex], 0}, {W.GroupMs[Ex], W.K});
-      TensorData Be = slice2d(*B, Ex, W.N, W.K);
-      TensorData Ce =
-          C->extractWindow({RowStart[Ex], 0}, {W.GroupMs[Ex], W.N});
-      TensorData Ref = referenceGemm(Ae, Be);
-      roundHostTensor(Ref, Precision::FP16); // C is stored f16.
-      Worst = std::max(Worst, Ce.maxRelDiff(Ref));
-    }
-    R.MaxRelError = Worst;
-    for (int64_t I = 0; I < TotalCtas; I += Config.NumSms)
-      SampleStorage.push_back(std::move(AllTraces[I]));
-  } else {
-    RunOptions TimingLaunch = Launch;
-    TimingLaunch.Functional = false;
-    std::vector<CtaCoord> Sm0Ctas;
-    for (int64_t I = 0; I < TotalCtas; I += Config.NumSms)
-      Sm0Ctas.push_back(Coords[I]);
-    if (std::string Err =
-            Interp.runCtaBatch(TimingLaunch, Sm0Ctas, SampleStorage);
-        !Err.empty()) {
-      R.Error = Err;
-      R.Kind = classifyError(R.Error);
-      return R;
-    }
-  }
 
-  R.SmemBytes = SampleStorage.front().SmemBytes;
-  if (R.SmemBytes > Config.SmemBytesPerSm) {
-    R.Feasible = false;
-    R.Error = formatString("shared memory exceeded: %lld > %lld",
-                           static_cast<long long>(R.SmemBytes),
-                           static_cast<long long>(Config.SmemBytesPerSm));
-    R.Kind = ErrorKind::Infeasible;
-    return R;
-  }
-
-  ReplayParams Params;
-  Params.BwShareSms =
-      static_cast<double>(std::min<int64_t>(TotalCtas, Config.NumSms));
-  // Approximate L2 reuse over the concatenated row space: a wave of ragged
-  // tiles still covers a rectangle-ish region of (row tile, n tile) pairs.
-  Params.DramReuseFactor = gemmReuseFactor(
-      ceilDiv(TotalM, Kernel.TileM), NumPidN, Kernel.TileM, Kernel.TileN,
-      std::min<int64_t>(TotalCtas, Config.NumSms));
-  Params.TensorPenalty = TensorPenalty;
-  Params.CudaPenalty = CudaPenalty;
-  Params.CtaGapCycles = E.ExtraCtaCycles;
-
-  std::vector<const CtaTrace *> Schedule;
-  for (const CtaTrace &T : SampleStorage)
-    Schedule.push_back(&T);
-  ReplayResult Rep = replaySmSchedule(Schedule, Config, Params);
-  if (Rep.Deadlock) {
-    R.Error = Rep.Error;
-    R.Kind = ErrorKind::Deadlock;
-    return R;
-  }
-  R.Micros = Config.cyclesToMicros(Rep.Cycles) + E.ExtraLaunchMicros;
-  R.TFlops = W.flops() / (R.Micros * 1e-6) / 1e12;
-  R.TensorUtilization = Rep.TensorBusyCycles / std::max(1.0, Rep.Cycles);
-  return R;
+    for (size_t I = 0; I < S.Traces.size(); ++I)
+      S.Schedule.push_back(I);
+    S.Params.BwShareSms =
+        static_cast<double>(std::min<int64_t>(TotalCtas, Config.NumSms));
+    // Approximate L2 reuse over the concatenated row space: a wave of
+    // ragged tiles still covers a rectangle-ish region of (row tile,
+    // n tile) pairs.
+    S.Params.DramReuseFactor = gemmReuseFactor(
+        ceilDiv(TotalM, E.TileM), NumPidN, E.TileM, E.TileN,
+        std::min<int64_t>(TotalCtas, Config.NumSms));
+    return "";
+  };
+  return execute(P, E, Functional, W.flops(), F);
 }
 
 //===----------------------------------------------------------------------===//
@@ -751,182 +698,102 @@ RunResult Runner::runAttention(Framework F, const AttentionWorkload &W,
 RunResult Runner::runAttentionCustom(const AttentionWorkload &W,
                                      const FrameworkEnvelope &E,
                                      bool Functional) {
-  RunResult R;
-  if (!E.Supported) {
-    R.Supported = false;
-    R.Kind = ErrorKind::Unsupported;
-    return R;
-  }
-  if (E.Analytic)
+  if (E.Supported && E.Analytic)
     return runAttentionAnalytic(W, E);
-
-  TawaOptions Options = E.Options;
-  if (Options.EnableWarpSpecialization) {
-    if (std::string Err = Options.validate(); !Err.empty()) {
-      R.Feasible = false;
-      R.Error = Err;
-      R.Kind = ErrorKind::Infeasible;
-      return R;
-    }
-  }
-
-  AttentionKernelConfig Kernel = attentionKernelConfig(W, E);
-
-  std::string CompileErr;
-  ProgramCache::EntryRef Cached = getOrCompile(
-      attentionKey(Kernel, Options, E.SwPipelineDepth,
-                   sim::bc::fusionEnabled(FuseBytecode)),
-      [&](IrContext &Ctx) { return buildAttentionModule(Ctx, Kernel); },
-      Options, E.SwPipelineDepth, CompileErr);
-  if (!Cached) {
-    R.Error = "compile: " + CompileErr;
-    R.Kind = ErrorKind::CompileError;
+  CompilePlan P = plan(W, E);
+  if (RunResult R; !admits(E, P.Options, R))
     return R;
-  }
 
-  int64_t QTiles = ceilDiv(W.SeqLen, Kernel.TileQ);
+  int64_t QTiles = ceilDiv(W.SeqLen, E.TileQ);
   int64_t BH = W.Batch * W.Heads;
   int64_t TotalCtas = QTiles * BH;
 
-  int64_t Replicas = Options.NumConsumerGroups;
+  FamilyRun F;
   // Live fragments: the f32 output accumulator plus the score/P tile, which
   // lives mostly in f16 fragments (half weight).
-  int64_t AccElems = Kernel.TileQ * (W.HeadDim + Kernel.TileKv / 2);
-  R.RegsPerThread = estimateRegsPerThread(
-      Config, AccElems, Options.CoarsePipeline ? 2 : 1, Replicas,
-      Options.EnableWarpSpecialization);
-  int64_t Budget = consumerRegBudget(
-      Config, Options.EnableWarpSpecialization, Replicas);
-  double TensorPenalty = E.ComputeScale;
-  double CudaPenalty = E.CudaScale;
-  if (R.RegsPerThread > Budget) {
-    TensorPenalty *= Config.SpillPenalty;
-    CudaPenalty *= Config.SpillPenalty;
-  }
-
-  RunOptions Launch;
-  Launch.GridX = QTiles;
-  Launch.GridY = BH;
-  Launch.Functional = Functional;
-  TensorRef Q, K, V, O;
-  if (Functional) {
-    std::vector<int64_t> Shape = {BH, W.SeqLen, W.HeadDim};
-    Q = std::make_shared<TensorData>(Shape);
-    K = std::make_shared<TensorData>(Shape);
-    V = std::make_shared<TensorData>(Shape);
-    O = std::make_shared<TensorData>(Shape);
-    Q->fillRandom(11, 1.0f);
-    K->fillRandom(12, 1.0f);
-    V->fillRandom(13, 1.0f);
-    roundHostTensor(*Q, W.Prec);
-    roundHostTensor(*K, W.Prec);
-    roundHostTensor(*V, W.Prec);
-  }
-  Launch.Args = {RuntimeArg::tensor(Q), RuntimeArg::tensor(K),
-                 RuntimeArg::tensor(V), RuntimeArg::tensor(O),
-                 RuntimeArg::scalar(W.SeqLen)};
-  Launch.NumWorkers = NumWorkers;
-  Launch.FuseBytecode = FuseBytecode;
-  Launch.MaxSteps = MaxSteps;
-  Launch.MaxWallMs = MaxWallMs;
-  Launch.Diag = Diag;
-
-  Interpreter Interp(Cached->M.get(), Config, Cached->Prog);
-
-  if (Functional) {
-    if (std::string Err = Interp.runGrid(Launch); !Err.empty()) {
-      R.Error = Err;
-      R.Kind = classifyError(R.Error);
-      return R;
+  F.AccElems = E.TileQ * (W.HeadDim + E.TileKv / 2);
+  F.Run = [&](Interpreter &Interp, RunOptions &Launch, RunResult &R,
+              Sm0Replay &S) -> std::string {
+    Launch.GridX = QTiles;
+    Launch.GridY = BH;
+    TensorRef Q, K, V, O;
+    if (Functional) {
+      std::vector<int64_t> Shape = {BH, W.SeqLen, W.HeadDim};
+      Q = std::make_shared<TensorData>(Shape);
+      K = std::make_shared<TensorData>(Shape);
+      V = std::make_shared<TensorData>(Shape);
+      O = std::make_shared<TensorData>(Shape);
+      Q->fillRandom(11, 1.0f);
+      K->fillRandom(12, 1.0f);
+      V->fillRandom(13, 1.0f);
+      roundHostTensor(*Q, W.Prec);
+      roundHostTensor(*K, W.Prec);
+      roundHostTensor(*V, W.Prec);
     }
-    double Worst = 0;
-    for (int64_t Y = 0; Y < BH; ++Y) {
-      TensorData Qy = slice2d(*Q, Y, W.SeqLen, W.HeadDim);
-      TensorData Ky = slice2d(*K, Y, W.SeqLen, W.HeadDim);
-      TensorData Vy = slice2d(*V, Y, W.SeqLen, W.HeadDim);
-      TensorData Oy = slice2d(*O, Y, W.SeqLen, W.HeadDim);
-      TensorData Ref = referenceAttention(Qy, Ky, Vy, W.Causal);
-      roundHostTensor(Ref, Precision::FP16);
-      Worst = std::max(Worst, Oy.maxRelDiff(Ref));
+    Launch.Args = {RuntimeArg::tensor(Q), RuntimeArg::tensor(K),
+                   RuntimeArg::tensor(V), RuntimeArg::tensor(O),
+                   RuntimeArg::scalar(W.SeqLen)};
+
+    if (Functional) {
+      if (std::string Err = Interp.runGrid(Launch); !Err.empty())
+        return Err;
+      double Worst = 0;
+      for (int64_t Y = 0; Y < BH; ++Y) {
+        TensorData Qy = slice2d(*Q, Y, W.SeqLen, W.HeadDim);
+        TensorData Ky = slice2d(*K, Y, W.SeqLen, W.HeadDim);
+        TensorData Vy = slice2d(*V, Y, W.SeqLen, W.HeadDim);
+        TensorData Oy = slice2d(*O, Y, W.SeqLen, W.HeadDim);
+        TensorData Ref = referenceAttention(Qy, Ky, Vy, W.Causal);
+        roundHostTensor(Ref, Precision::FP16);
+        Worst = std::max(Worst, Oy.maxRelDiff(Ref));
+      }
+      R.MaxRelError = Worst;
     }
-    R.MaxRelError = Worst;
-  }
 
-  // Timing: replay SM0's CTA list (Pid += NumSms). A CTA's trace depends
-  // on its coordinates only through the KV trip count, which causal
-  // masking ties to the query-tile index X. So only the first CTA of each
-  // class is interpreted — one class without causal masking, one per
-  // distinct X with it — and the schedule points at those traces. The
-  // first CTA of the first failing class is the first failing CTA of the
-  // whole list, so the reported error is unchanged too
-  // (docs/threading-and-memory.md).
-  RunOptions TimingLaunch = Launch;
-  TimingLaunch.Functional = false;
-  std::vector<CtaCoord> ClassReps;
-  std::vector<size_t> Sm0Classes;
-  std::vector<size_t> RepOfClass(W.Causal ? QTiles : 1, SIZE_MAX);
-  for (int64_t Pid = 0; Pid < TotalCtas; Pid += Config.NumSms) {
-    int64_t X = Pid % QTiles;
-    size_t &Rep = RepOfClass[W.Causal ? X : 0];
-    if (Rep == SIZE_MAX) {
-      Rep = ClassReps.size();
-      ClassReps.push_back({X, Pid / QTiles});
+    // Timing: SM0's CTA list (Pid += NumSms). A CTA's trace depends on its
+    // coordinates only through the KV trip count, which causal masking
+    // ties to the query-tile index X. So only the first CTA of each class
+    // is interpreted — one class without causal masking, one per distinct
+    // X with it — and the schedule points at those traces. The first CTA
+    // of the first failing class is the first failing CTA of the whole
+    // list, so the reported error is unchanged too
+    // (docs/threading-and-memory.md).
+    RunOptions TimingLaunch = Launch;
+    TimingLaunch.Functional = false;
+    std::vector<CtaCoord> ClassReps;
+    std::vector<size_t> RepOfClass(W.Causal ? QTiles : 1, SIZE_MAX);
+    for (int64_t Pid = 0; Pid < TotalCtas; Pid += Config.NumSms) {
+      int64_t X = Pid % QTiles;
+      size_t &Rep = RepOfClass[W.Causal ? X : 0];
+      if (Rep == SIZE_MAX) {
+        Rep = ClassReps.size();
+        ClassReps.push_back({X, Pid / QTiles});
+      }
+      S.Schedule.push_back(Rep);
     }
-    Sm0Classes.push_back(Rep);
-  }
-  std::vector<CtaTrace> SampleStorage;
-  if (std::string Err =
-          Interp.runCtaBatch(TimingLaunch, ClassReps, SampleStorage);
-      !Err.empty()) {
-    R.Error = Err;
-    R.Kind = classifyError(R.Error);
-    return R;
-  }
-  if (SampleStorage.empty()) {
-    R.Error = "no CTAs to simulate";
-    R.Kind = ErrorKind::Internal;
-    return R;
-  }
-  R.SmemBytes = SampleStorage.front().SmemBytes;
-  if (R.SmemBytes > Config.SmemBytesPerSm) {
-    R.Feasible = false;
-    R.Error = "shared memory exceeded";
-    R.Kind = ErrorKind::Infeasible;
-    return R;
-  }
+    if (std::string Err =
+            Interp.runCtaBatch(TimingLaunch, ClassReps, S.Traces);
+        !Err.empty())
+      return Err;
+    if (S.Traces.empty())
+      return "no CTAs to simulate"; // Classified Internal.
 
-  int64_t Wave = std::min<int64_t>(TotalCtas, Config.NumSms);
-  double HeadsCovered =
-      std::min<double>(static_cast<double>(ceilDiv(Wave, QTiles)) + 1,
-                       static_cast<double>(BH));
-  // Blend: K/V tiles are shared by every CTA of the same head in a wave; Q
-  // and O are unique per CTA.
-  double KvBytesPerCta = 2.0 * static_cast<double>(W.SeqLen) * W.HeadDim *
-                         getPrecisionBytes(W.Prec);
-  double QBytesPerCta = static_cast<double>(Kernel.TileQ) * W.HeadDim *
-                        getPrecisionBytes(W.Prec);
-  double KvReuse = HeadsCovered / static_cast<double>(Wave);
-  double Blended = (QBytesPerCta + KvBytesPerCta * KvReuse) /
-                   (QBytesPerCta + KvBytesPerCta);
-
-  ReplayParams Params;
-  Params.BwShareSms = static_cast<double>(Wave);
-  Params.DramReuseFactor = std::min(1.0, Blended);
-  Params.TensorPenalty = TensorPenalty;
-  Params.CudaPenalty = CudaPenalty;
-  Params.CtaGapCycles = E.ExtraCtaCycles;
-
-  std::vector<const CtaTrace *> Schedule;
-  for (size_t Class : Sm0Classes)
-    Schedule.push_back(&SampleStorage[Class]);
-  ReplayResult Rep = replaySmSchedule(Schedule, Config, Params);
-  if (Rep.Deadlock) {
-    R.Error = Rep.Error;
-    R.Kind = ErrorKind::Deadlock;
-    return R;
-  }
-  R.Micros = Config.cyclesToMicros(Rep.Cycles) + E.ExtraLaunchMicros;
-  R.TFlops = W.flops() / (R.Micros * 1e-6) / 1e12;
-  R.TensorUtilization = Rep.TensorBusyCycles / std::max(1.0, Rep.Cycles);
-  return R;
+    int64_t Wave = std::min<int64_t>(TotalCtas, Config.NumSms);
+    double HeadsCovered =
+        std::min<double>(static_cast<double>(ceilDiv(Wave, QTiles)) + 1,
+                         static_cast<double>(BH));
+    // Blend: K/V tiles are shared by every CTA of the same head in a wave;
+    // Q and O are unique per CTA.
+    double KvBytesPerCta = 2.0 * static_cast<double>(W.SeqLen) * W.HeadDim *
+                           getPrecisionBytes(W.Prec);
+    double QBytesPerCta = static_cast<double>(E.TileQ) * W.HeadDim *
+                          getPrecisionBytes(W.Prec);
+    double KvReuse = HeadsCovered / static_cast<double>(Wave);
+    double Blended = (QBytesPerCta + KvBytesPerCta * KvReuse) /
+                     (QBytesPerCta + KvBytesPerCta);
+    S.Params.BwShareSms = static_cast<double>(Wave);
+    S.Params.DramReuseFactor = std::min(1.0, Blended);
+    return "";
+  };
+  return execute(P, E, Functional, W.flops(), F);
 }

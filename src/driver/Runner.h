@@ -14,8 +14,6 @@
 #include "support/ProgramCache.h"
 #include "support/Status.h"
 
-#include <functional>
-#include <memory>
 #include <string>
 
 namespace tawa {
@@ -59,12 +57,13 @@ public:
   /// served in place of the other.
   bool FuseBytecode = true;
 
-  /// Worker threads for the functional all-CTA validation loops AND the
+  /// Worker threads for the functional all-CTA validation runs AND the
   /// timing-mode sample fan-out (the attention sampler, one interpreted
   /// CTA per trace class): 0 = one per hardware thread (default), 1 =
-  /// the historical serial loops. Results — outputs, cycle reports, HB
-  /// counts, first-error selection — are bit-identical at any worker count
-  /// (both runners merge by index; see docs/threading-and-memory.md).
+  /// every CTA inline on the calling thread. Results — outputs, cycle
+  /// reports, HB counts, first-error selection — are bit-identical at any
+  /// worker count (the Interpreter's CTA runner merges by index; see
+  /// docs/threading-and-memory.md).
   int64_t NumWorkers = 0;
 
   /// Execution watchdog (docs/robustness.md): per-CTA step budget in
@@ -102,9 +101,6 @@ public:
     size_t Misses = 0;
   };
   CacheStats cacheStats() const { return {CacheHits, CacheMisses}; }
-  /// Drops every in-memory entry of the PROCESS-wide cache (all Runners);
-  /// a configured persist directory is untouched.
-  void clearProgramCache() { ProgramCache::shared().clear(); }
 
   /// The process-wide program-cache key this point compiles under, or ""
   /// when the point never reaches the compiler: analytic or unsupported
@@ -140,31 +136,39 @@ public:
                                const FrameworkEnvelope &E, bool Functional);
 
 private:
+  /// How a point compiles: effective options, software-pipeline depth,
+  /// cache key and module builder, derived by one plan() per family.
+  struct CompilePlan;
+  /// A kernel family's grid, host data, validation and CTA sampling.
+  struct FamilyRun;
+
+  CompilePlan plan(const GemmWorkload &W, const FrameworkEnvelope &E) const;
+  CompilePlan plan(const AttentionWorkload &W,
+                   const FrameworkEnvelope &E) const;
+  bool prewarm(const CompilePlan &P, std::string &Err);
+
+  /// The skeleton every compiled run shares: compile, register/spill cost
+  /// model, launch defaults from this Runner's fields, the family's CTAs,
+  /// shared-memory check, replay of SM0's schedule, result.
+  RunResult execute(const CompilePlan &P, const FrameworkEnvelope &E,
+                    bool Functional, double Flops, const FamilyRun &F);
+
   RunResult runGemmAnalytic(const GemmWorkload &W,
                             const FrameworkEnvelope &E);
-  /// The grouped/MoE execute path (W.MoE with non-empty GroupMs): builds
-  /// the data-dependent ragged CTA list, the (E, 2) group-offset table and
-  /// the concatenated A/C slabs, dispatches through runCtaBatch, and
-  /// validates each expert's slab independently.
+  /// The grouped/MoE family (W.MoE with non-empty GroupMs): the
+  /// data-dependent ragged CTA list, the (E, 2) group-offset table and the
+  /// concatenated A/C slabs, validated one expert slab at a time.
   RunResult runGemmMoe(const GemmWorkload &W, const FrameworkEnvelope &E,
-                       bool Functional);
+                       const CompilePlan &P, bool Functional);
   RunResult runAttentionAnalytic(const AttentionWorkload &W,
                                  const FrameworkEnvelope &E);
 
-  /// Cache lookup / compile-and-insert against the process-wide
-  /// support/ProgramCache. \p Build constructs the kernel module in a
-  /// fresh context; the pass pipeline, optional software pipelining and
-  /// bytecode flattening are shared between kernel families. The key
-  /// covers every compile-time knob — (kernel, tile shape, precision,
-  /// pipeline options) — so runtime dims (M/N/K, grid) are launch
-  /// arguments and one entry serves a whole sweep. Returns null with
-  /// \p Err set on pipeline failure (failed compiles are not cached).
-  ProgramCache::EntryRef
-  getOrCompile(const std::string &Key,
-               const std::function<std::unique_ptr<Module>(IrContext &)>
-                   &Build,
-               const TawaOptions &Options, int64_t SwPipelineDepth,
-               std::string &Err);
+  /// Cache lookup / compile-and-insert of \p P against the process-wide
+  /// support/ProgramCache. The key covers every compile-time knob, so
+  /// runtime dims (M/N/K, grid) are launch arguments and one entry serves
+  /// a whole sweep. Returns null with \p Err set on pipeline failure
+  /// (failed compiles are not cached).
+  ProgramCache::EntryRef getOrCompile(const CompilePlan &P, std::string &Err);
 
   sim::GpuConfig Config;
   size_t CacheHits = 0, CacheMisses = 0;

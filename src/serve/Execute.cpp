@@ -12,6 +12,7 @@
 #include "support/Support.h"
 
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -87,12 +88,8 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
   return "";
 }
 
-} // namespace
-
-std::string tawa::serve::executeRequest(const ServeRequest &Req,
-                                        const ExecEnv &Env,
-                                        ServeResponse &Resp,
-                                        ErrorKind &KindOut) {
+std::string executeOnce(const ServeRequest &Req, const ExecEnv &Env,
+                        ServeResponse &Resp, ErrorKind &KindOut) {
   // Synthetic latency counts as execution time: inside the attempt, so a
   // sandboxed sleeper holds its request open (and is killable mid-flight —
   // the chaos drills depend on it).
@@ -133,4 +130,24 @@ std::string tawa::serve::executeRequest(const ServeRequest &Req,
   Resp.SmemBytes = Res.SmemBytes;
   Resp.RegsPerThread = Res.RegsPerThread;
   return "";
+}
+
+} // namespace
+
+std::string tawa::serve::executeRequest(const ServeRequest &Req,
+                                        const ExecEnv &Env,
+                                        ServeResponse &Resp,
+                                        ErrorKind &KindOut) {
+  // Crash containment for everything outside a CTA (host tensors,
+  // reference validation, replay): the attempt fails as a worker crash and
+  // the daemon, or the sandbox child, keeps serving.
+  try {
+    return executeOnce(Req, Env, Resp, KindOut);
+  } catch (const std::exception &E) {
+    KindOut = ErrorKind::WorkerCrash;
+    return std::string("worker crash: ") + E.what();
+  } catch (...) {
+    KindOut = ErrorKind::WorkerCrash;
+    return "worker crash: unknown exception";
+  }
 }

@@ -43,7 +43,8 @@ struct ExecEnv {
 /// or the deterministic error string with \p KindOut its classification
 /// (ErrorKind::None means: classify the string). Honors the request's
 /// sleep_ms test hook (synthetic latency happens *inside* the attempt, so
-/// a sandboxed sleeper is killable mid-request).
+/// a sandboxed sleeper is killable mid-request). An exception escaping the
+/// attempt becomes a "worker crash: ..." error (ErrorKind::WorkerCrash).
 std::string executeRequest(const ServeRequest &Req, const ExecEnv &Env,
                            ServeResponse &Resp, ErrorKind &KindOut);
 

@@ -2,10 +2,12 @@
 
 #include "serve/Protocol.h"
 
+#include "sim/Launch.h"
 #include "support/Json.h"
 #include "support/Support.h"
 
 #include <cinttypes>
+#include <initializer_list>
 #include <limits>
 
 using namespace tawa;
@@ -63,6 +65,13 @@ constexpr int64_t MaxDim = 1 << 16;       ///< M/N/K, SeqLen, HeadDim.
 constexpr int64_t MaxCount = 4096;        ///< Batch, Heads.
 constexpr int64_t MaxDeadlineMs = 600000; ///< 10 minutes.
 constexpr int64_t MaxSleepMs = 60000;
+/// Bounds on products of fields, which can be out of reach while every
+/// field is in range. The CTA grid of any request: GEMM batch*m*n output
+/// elements, attention batch*heads*seq_len query rows (the largest figure
+/// points have 2^31 and 2^21). Functional requests also keep each host
+/// tensor within sim::MaxLaunchElems, like an `ir` launch.
+constexpr int64_t MaxGemmGridElems = int64_t(1) << 32;
+constexpr int64_t MaxAttentionGridRows = int64_t(1) << 22;
 
 /// Reads an integer field with a [1, Cap] range check. Returns "" or the
 /// rejection reason.
@@ -91,6 +100,20 @@ std::string budgetField(const JsonValue &V, const char *Key, int64_t Cap,
                         static_cast<long long>(Cap));
   Out = N;
   return "";
+}
+
+/// Rejects a product of request fields, named \p What, over \p Cap. No
+/// product of in-range fields overflows: at most 2^12 * 2^12 * 2^16 * 2^16.
+std::string productField(const char *What,
+                         std::initializer_list<int64_t> Factors,
+                         int64_t Cap) {
+  int64_t N = 1;
+  for (int64_t F : Factors)
+    N *= F;
+  if (N <= Cap)
+    return "";
+  return formatString("'%s' = %lld exceeds %lld", What,
+                      static_cast<long long>(N), static_cast<long long>(Cap));
 }
 
 } // namespace
@@ -198,7 +221,24 @@ std::string tawa::serve::parseRequest(const std::string &Text,
     if (std::string E = intField(V, "batch", MaxCount, Out.Gemm.Batch);
         !E.empty())
       return E;
-    return "";
+    const GemmWorkload &G = Out.Gemm;
+    if (std::string E = productField("batch*m*n", {G.Batch, G.M, G.N},
+                                     MaxGemmGridElems);
+        !E.empty())
+      return E;
+    if (!Out.Functional)
+      return "";
+    // The host tensors A, B and C.
+    if (std::string E = productField("batch*m*k", {G.Batch, G.M, G.K},
+                                     sim::MaxLaunchElems);
+        !E.empty())
+      return E;
+    if (std::string E = productField("batch*n*k", {G.Batch, G.N, G.K},
+                                     sim::MaxLaunchElems);
+        !E.empty())
+      return E;
+    return productField("batch*m*n", {G.Batch, G.M, G.N},
+                        sim::MaxLaunchElems);
   }
 
   Out.Mha.SeqLen = 512;
@@ -221,7 +261,18 @@ std::string tawa::serve::parseRequest(const std::string &Text,
   Out.Mha.Causal = V.getBool("causal", false, &TypeErr);
   if (!TypeErr.empty())
     return "field 'causal' must be a boolean";
-  return "";
+  const AttentionWorkload &A = Out.Mha;
+  if (std::string E =
+          productField("batch*heads*seq_len", {A.Batch, A.Heads, A.SeqLen},
+                       MaxAttentionGridRows);
+      !E.empty())
+    return E;
+  if (!Out.Functional)
+    return "";
+  // The host tensors Q, K, V and O share one shape.
+  return productField("batch*heads*seq_len*head_dim",
+                      {A.Batch, A.Heads, A.SeqLen, A.HeadDim},
+                      sim::MaxLaunchElems);
 }
 
 //===----------------------------------------------------------------------===//

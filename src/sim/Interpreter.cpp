@@ -1,16 +1,17 @@
 //===- Interpreter.cpp - Bytecode execution façade ---------------------------//
 //
 // Thin façade over the bytecode executor (compiled lazily and cached for
-// the lifetime of the Interpreter) that hosts the two pool-backed runners:
+// the lifetime of the Interpreter) with two entry points over one CTA
+// runner:
 //
 //   * runGrid — every CTA of a GridX x GridY launch (functional
 //     validation);
 //   * runCtaBatch — an arbitrary list of sampled CTA coordinates (the
 //     timing-mode sampler of Runner: one representative CTA per SM).
 //
-// Both fan independent CTAs out across the process worker pool with
-// deterministic, index-keyed result merging (see
-// docs/threading-and-memory.md).
+// The runner fans independent CTAs out across the process worker pool
+// with deterministic, index-keyed result merging; at one worker the pool
+// runs them inline on the caller (see docs/threading-and-memory.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +60,9 @@ std::string Interpreter::runCta(const RunOptions &Opts, int64_t PidX,
                                 int64_t PidY, CtaTrace &Out) {
   if (std::string Err = ensureProgram(Opts); !Err.empty())
     return Err;
-  std::string Err = bc::executeProgram(*Prog, Opts, PidX, PidY, Out, &Arena);
+  reserveArenas(1);
+  std::string Err =
+      bc::executeProgram(*Prog, Opts, PidX, PidY, Out, Arenas[0].get());
   if (Err.empty())
     applyAtomicContribs(Opts, Out.Atomics);
   return Err;
@@ -75,6 +78,11 @@ void tawa::sim::applyAtomicContribs(const RunOptions &Opts,
     for (size_t I = 0, E = C.Index.size(); I != E; ++I)
       T.at(C.Index[I]) += C.Value[I];
   }
+}
+
+void Interpreter::reserveArenas(int64_t Workers) {
+  while (static_cast<int64_t>(Arenas.size()) < Workers)
+    Arenas.push_back(std::make_unique<TileArena>());
 }
 
 namespace {
@@ -108,23 +116,18 @@ std::string containCtaCrash(int64_t Index, const BodyFn &Body) {
   }
 }
 
-/// Shared pool fan-out of \p Total independent CTA executions. CoordOf maps
-/// a work index to its CTA coordinate; TraceFor returns the caller-owned
-/// trace slot for an index, or null to discard (both must be safe to call
-/// concurrently — they only index preallocated storage). Outputs are keyed
-/// by work index, never by worker or completion order, and the reported
-/// error is the first failing index in list order, so any pool schedule
-/// produces identical results.
+} // namespace
+
 template <typename CoordOfFn, typename TraceForFn>
-std::string runParallelCtas(const bc::CompiledProgram &Prog,
-                            const RunOptions &Opts, int64_t Total,
-                            int64_t Workers, const CoordOfFn &CoordOf,
-                            const TraceForFn &TraceFor) {
-  // One tile arena per worker (no locking); all workers share the immutable
-  // CompiledProgram.
-  std::vector<std::unique_ptr<TileArena>> Arenas;
-  for (int64_t W = 0; W < Workers; ++W)
-    Arenas.push_back(std::make_unique<TileArena>());
+std::string Interpreter::runCtas(const RunOptions &Opts, int64_t Total,
+                                 int64_t Workers, const CoordOfFn &CoordOf,
+                                 const TraceForFn &TraceFor) {
+  if (Total == 0)
+    return "";
+  if (std::string Err = ensureProgram(Opts); !Err.empty())
+    return Err;
+  Workers = std::min(Workers, Total);
+  reserveArenas(Workers);
   std::vector<std::string> Errors(Total);
   std::atomic<int64_t> FirstErr{Total};
   // Deferred atomic contributions from items whose trace slot the caller
@@ -133,7 +136,7 @@ std::string runParallelCtas(const bc::CompiledProgram &Prog,
   std::vector<std::vector<AtomicContrib>> Retained(Total);
   // Per-item diagnostic slots (engines write through RunOptions::Diag);
   // the first failing item's snapshot is copied out below, so the caller
-  // sees the same diagnostic the serial loop would have produced.
+  // sees the diagnostic of the first failing CTA in list order.
   std::vector<ExecDiagnostic> Diags(Opts.Diag ? Total : 0);
 
   WorkerPool::shared().parallelFor(
@@ -153,7 +156,7 @@ std::string runParallelCtas(const bc::CompiledProgram &Prog,
             WithDiag.Diag = &Diags[I];
             O = &WithDiag;
           }
-          return bc::executeProgram(Prog, *O, C.X, C.Y, T ? *T : Local,
+          return bc::executeProgram(*Prog, *O, C.X, C.Y, T ? *T : Local,
                                     Arenas[W].get());
         });
         if (!Err.empty()) {
@@ -169,9 +172,9 @@ std::string runParallelCtas(const bc::CompiledProgram &Prog,
       });
 
   // Index-order epilogue: report the first failing index, and apply the
-  // deferred atomic contributions of every successful item BEFORE it —
-  // exactly what the serial per-CTA loop produces (runCta applies as it
-  // goes and stops at the first failure).
+  // deferred atomic contributions of every successful item BEFORE it, in
+  // CTA-index order — the same accumulation sequence at every worker
+  // count.
   for (int64_t I = 0; I < Total; ++I) {
     if (!Errors[I].empty()) {
       if (Opts.Diag && !Diags[I].empty())
@@ -185,79 +188,41 @@ std::string runParallelCtas(const bc::CompiledProgram &Prog,
   return "";
 }
 
-} // namespace
-
 std::string Interpreter::runGrid(const RunOptions &Opts, CtaTrace *Sample,
                                  std::vector<CtaTrace> *AllTraces) {
-  int64_t GridX = Opts.GridX, GridY = Opts.GridY;
-  int64_t Total = GridX * GridY;
+  int64_t GridX = Opts.GridX;
+  int64_t Total = GridX * Opts.GridY;
   if (AllTraces) {
     AllTraces->clear();
     AllTraces->resize(Total);
   }
-
-  int64_t Workers = resolveNumWorkers(Opts.NumWorkers);
-  // Small grids run serial (SerialGridCtaThreshold): fan-out setup cannot
-  // amortize over a handful of CTAs, and the result is bit-identical.
-  if (Workers <= 1 || Total < SerialGridCtaThreshold) {
-    for (int64_t Y = 0; Y < GridY; ++Y)
-      for (int64_t X = 0; X < GridX; ++X) {
-        CtaTrace Local;
-        CtaTrace &T =
-            AllTraces ? (*AllTraces)[Y * GridX + X]
-                      : (Sample && X == 0 && Y == 0 ? *Sample : Local);
-        std::string Err = containCtaCrash(
-            Y * GridX + X, [&] { return runCta(Opts, X, Y, T); });
-        if (!Err.empty())
-          return formatCtaErr(X, Y, Err);
-      }
-    if (Sample && AllTraces)
-      *Sample = (*AllTraces)[0];
-    return "";
-  }
-
-  if (std::string Err = ensureProgram(Opts); !Err.empty())
-    return Err;
-
-  std::string Err = runParallelCtas(
-      *Prog, Opts, Total, Workers,
+  // Small grids run on one worker (SerialGridCtaThreshold): fan-out setup
+  // cannot amortize over a handful of CTAs, and the result is
+  // bit-identical.
+  int64_t Workers = Total < SerialGridCtaThreshold
+                        ? 1
+                        : resolveNumWorkers(Opts.NumWorkers);
+  std::string Err = runCtas(
+      Opts, Total, Workers,
       [&](int64_t I) { return CtaCoord{I % GridX, I / GridX}; },
       [&](int64_t I) -> CtaTrace * {
         if (AllTraces)
           return &(*AllTraces)[I];
         return Sample && I == 0 ? Sample : nullptr;
       });
-  if (!Err.empty())
-    return Err;
-  if (Sample && AllTraces)
+  if (Err.empty() && Sample && AllTraces && Total > 0)
     *Sample = (*AllTraces)[0];
-  return "";
+  return Err;
 }
 
 std::string Interpreter::runCtaBatch(const RunOptions &Opts,
                                      const std::vector<CtaCoord> &Coords,
                                      std::vector<CtaTrace> &Out) {
-  int64_t Total = static_cast<int64_t>(Coords.size());
   Out.clear();
   Out.resize(Coords.size());
-
-  int64_t Workers = std::min(resolveNumWorkers(Opts.NumWorkers), Total);
-  if (Workers <= 1 || Total <= 1) {
-    // Exactly the historical serial sample loop.
-    for (int64_t I = 0; I < Total; ++I) {
-      std::string Err = containCtaCrash(
-          I, [&] { return runCta(Opts, Coords[I].X, Coords[I].Y, Out[I]); });
-      if (!Err.empty())
-        return formatCtaErr(Coords[I].X, Coords[I].Y, Err);
-    }
-    return "";
-  }
-
-  if (std::string Err = ensureProgram(Opts); !Err.empty())
-    return Err;
-
-  return runParallelCtas(
-      *Prog, Opts, Total, Workers,
+  return runCtas(
+      Opts, static_cast<int64_t>(Coords.size()),
+      resolveNumWorkers(Opts.NumWorkers),
       [&](int64_t I) { return Coords[I]; },
       [&](int64_t I) { return &Out[I]; });
 }

@@ -74,11 +74,11 @@ struct RunOptions {
   /// large benchmark shapes); scalars, control flow, traces and protocol
   /// monitors still run.
   bool Functional = true;
-  /// Worker threads for whole-grid runs (Interpreter::runGrid): 0 = one per
-  /// hardware thread (the default), 1 = serial (exactly the historical
-  /// per-CTA loop). Results are bit-identical at every worker count — see
+  /// Worker threads for Interpreter::runGrid / runCtaBatch: 0 = one per
+  /// hardware thread (the default), 1 = every CTA inline on the calling
+  /// thread. Results are bit-identical at every worker count — see
   /// docs/threading-and-memory.md. Per-CTA runCta is unaffected. Grids
-  /// smaller than SerialGridCtaThreshold run serial regardless.
+  /// smaller than SerialGridCtaThreshold run on one worker regardless.
   int64_t NumWorkers = 0;
   /// Run the post-compile peephole fusion pass (sim/Peephole.h) when this
   /// Interpreter compiles its bytecode program lazily: superinstructions,
@@ -111,9 +111,9 @@ struct RunOptions {
   ExecDiagnostic *Diag = nullptr;
 };
 
-/// Grids with fewer CTAs than this run Interpreter::runGrid's serial path
-/// even when NumWorkers allows parallelism: per-worker arena setup and pool
-/// wake-up cost more than a handful of CTAs can amortize (the
+/// Grids with fewer CTAs than this run Interpreter::runGrid on one worker
+/// even when NumWorkers allows parallelism: pool wake-up costs more than a
+/// handful of CTAs can amortize (the
 /// gemm-ws-functional worker-scaling rows of BENCH_interp.json measured
 /// 0.95-0.97x at 2-8 workers on a 4-CTA grid). Results are bit-identical
 /// either way — the fallback is purely a scheduling choice. Recorded in
@@ -125,9 +125,9 @@ int64_t resolveNumWorkers(int64_t Requested);
 
 /// Applies recorded tt.atomic_add contributions (CtaTrace::Atomics) to the
 /// run's argument tensors. The engines only RECORD atomics; the Interpreter
-/// runners call this per CTA in CTA-index order — serial and parallel paths
-/// produce bit-identical accumulation sequences. Exposed for harnesses that
-/// drive bc::executeProgram directly.
+/// applies them per CTA in CTA-index order, so every worker count produces
+/// the same accumulation sequence. Exposed for harnesses that drive
+/// bc::executeProgram directly.
 void applyAtomicContribs(const RunOptions &Opts,
                          const std::vector<AtomicContrib> &Contribs);
 
@@ -153,42 +153,39 @@ public:
 
   /// Interprets CTA (PidX, PidY) of the grid. Returns "" on success or a
   /// diagnostic (deadlock, protocol violation, unsupported op). The trace is
-  /// valid only on success. Not safe to call concurrently on one
-  /// Interpreter (the tile arena is shared across calls); use runGrid for
-  /// parallel execution.
+  /// valid only on success. No Interpreter method is safe to call
+  /// concurrently on one Interpreter (the tile arenas are shared across
+  /// calls); use runGrid for parallel execution.
   std::string runCta(const RunOptions &Opts, int64_t PidX, int64_t PidY,
                      CtaTrace &Out);
 
   /// Runs every CTA of the grid (GridX * GridY), in parallel across up to
   /// Opts.NumWorkers workers. Deterministic: outputs, traces and errors are
-  /// bit-identical to the serial Y-outer/X-inner loop at any worker count —
-  /// each CTA is executed in isolation (own executor state, trace buffer
-  /// and tile arena), results are merged by CTA index, and the reported
-  /// error is the first failing CTA in serial order, formatted
-  /// "cta (x,y): <diagnostic>".
+  /// bit-identical at any worker count — each CTA is executed in isolation
+  /// (own executor state, trace buffer and worker arena), results are
+  /// merged by CTA index (Y-outer/X-inner), and the reported error is the
+  /// first failing CTA in that order, formatted "cta (x,y): <diagnostic>".
   ///
   /// \p Sample, when non-null, receives CTA (0,0)'s trace (the Runner's
   /// timing-model input). \p AllTraces, when non-null, is resized to the
   /// grid and receives every CTA's trace at index Y*GridX+X.
   ///
   /// On error the contents of output tensors, \p Sample and \p AllTraces
-  /// are unspecified (the serial loop stops at the first failure; parallel
-  /// runs may have executed later CTAs).
+  /// are unspecified (parallel runs may have executed later CTAs).
   std::string runGrid(const RunOptions &Opts, CtaTrace *Sample = nullptr,
                       std::vector<CtaTrace> *AllTraces = nullptr);
 
   /// Interprets an arbitrary list of CTA coordinates — the timing-mode
   /// sampling pattern (one representative CTA per SM, trip counts varying
-  /// under causal masking) — in parallel across up to Opts.NumWorkers
-  /// workers of the persistent pool, each with its own executor state and
-  /// tile arena. \p Out is resized to Coords.size() and receives the trace
-  /// of Coords[i] at index i.
+  /// under causal masking) — through the same runner as runGrid. \p Out is
+  /// resized to Coords.size() and receives the trace of Coords[i] at
+  /// index i.
   ///
   /// Deterministic: traces (and therefore every downstream cycle report and
-  /// HB count) are bit-identical to the serial loop over Coords at any
-  /// worker count, and on failure the reported error is the first failing
-  /// coordinate in list order, formatted "cta (x,y): <diagnostic>". On
-  /// error the contents of \p Out are unspecified.
+  /// HB count) are bit-identical at any worker count, and on failure the
+  /// reported error is the first failing coordinate in list order,
+  /// formatted "cta (x,y): <diagnostic>". On error the contents of \p Out
+  /// are unspecified.
   std::string runCtaBatch(const RunOptions &Opts,
                           const std::vector<CtaCoord> &Coords,
                           std::vector<CtaTrace> &Out);
@@ -198,13 +195,25 @@ private:
   /// \p Opts); returns a diagnostic when neither exists (module-less
   /// misuse).
   std::string ensureProgram(const RunOptions &Opts);
+  void reserveArenas(int64_t Workers);
+
+  /// The one CTA runner behind runGrid and runCtaBatch: executes \p Total
+  /// independent CTAs on up to \p Workers workers of the process pool
+  /// (inline on the caller at one worker). CoordOf maps a work index to
+  /// its CTA; TraceFor returns the caller-owned trace slot for an index,
+  /// or null to discard. Outputs are keyed by index, never by worker or
+  /// completion order; the reported error is the first failing index.
+  template <typename CoordOfFn, typename TraceForFn>
+  std::string runCtas(const RunOptions &Opts, int64_t Total, int64_t Workers,
+                      const CoordOfFn &CoordOf, const TraceForFn &TraceFor);
 
   Module *M = nullptr; ///< Null for module-less (disk-cache) execution.
   const GpuConfig &Config;
   std::shared_ptr<const bc::CompiledProgram> Prog;
-  /// Tile arena for serial runCta calls, reset per CTA; chunks stay warm
-  /// across a sweep's CTAs.
-  TileArena Arena;
+  /// One tile arena per pool worker id (runCta uses the first), reset per
+  /// CTA and kept across calls, so chunks stay warm over every CTA this
+  /// Interpreter runs.
+  std::vector<std::unique_ptr<TileArena>> Arenas;
 };
 
 } // namespace sim

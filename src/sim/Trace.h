@@ -85,7 +85,7 @@ struct CtaTrace {
   uint64_t HbEvents = 0;
   /// Recorded (not yet applied) tt.atomic_add contributions, preamble first
   /// then agents in id order. Empty for non-functional runs and kernels
-  /// without atomics. Consumed by Interpreter::runCta / runParallelCtas.
+  /// without atomics. Consumed by Interpreter::runCta / runCtas.
   std::vector<AtomicContrib> Atomics;
 };
 

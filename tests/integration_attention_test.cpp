@@ -134,4 +134,36 @@ TEST(IntegrationAttention, CoarsePipelineOverlapsBeatsSyncWs) {
   EXPECT_GT(CoarseRes.TFlops, SyncRes.TFlops * 1.1);
 }
 
+// Runner's infeasibility verdicts, pinned at one worker and four: no figure
+// point reaches them (the largest figure footprint is 229,376 B).
+class AttentionVerdicts : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(AttentionVerdicts, SharedMemoryExceeded) {
+  Runner R;
+  R.NumWorkers = GetParam();
+  AttentionWorkload W = smallMha(1024);
+  W.HeadDim = 192;
+  RunResult Res = R.runAttention(Framework::Tawa, W);
+  EXPECT_EQ(Res.Error, "shared memory exceeded: 245760 > 233472");
+  EXPECT_EQ(Res.Kind, ErrorKind::Infeasible);
+  EXPECT_FALSE(Res.Feasible);
+  EXPECT_EQ(Res.SmemBytes, 245760);
+}
+
+TEST_P(AttentionVerdicts, HardRegisterLimitIsGemmOnly) {
+  // 336 registers per thread is over GEMM's hard limit; attention spills
+  // instead of failing, so this serve-reachable request runs.
+  Runner R;
+  R.NumWorkers = GetParam();
+  AttentionWorkload W = smallMha(1024);
+  W.HeadDim = 512;
+  RunResult Res = R.runAttention(Framework::Triton, W);
+  EXPECT_TRUE(Res.ok()) << Res.Error;
+  EXPECT_EQ(Res.RegsPerThread, 336);
+  EXPECT_GT(Res.RegsPerThread, R.getConfig().MaxRegsPerThread);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, AttentionVerdicts,
+                         ::testing::Values(1, 4));
+
 } // namespace

@@ -132,4 +132,39 @@ TEST(IntegrationGemm, WarpSpecializationBeatsNoPipelineBaseline) {
       << "warp specialization should dominate the synchronous baseline";
 }
 
+// Runner's infeasibility verdicts: no figure point reaches them (the largest
+// figure values are 247 registers and 229,376 B of shared memory), so these
+// pin them, at one worker and four.
+class GemmVerdicts : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(GemmVerdicts, HardRegisterLimit) {
+  Runner R;
+  R.NumWorkers = GetParam();
+  GemmWorkload W = smallGemm(1024, 1024, 1024);
+  FrameworkEnvelope E = getGemmEnvelope(Framework::Tawa, W);
+  E.Options.NumConsumerGroups = 1;
+  E.Options.ArefDepth = 3;
+  E.Options.MmaPipelineDepth = 3;
+  RunResult Res = R.runGemmCustom(W, E, false);
+  EXPECT_EQ(Res.Error, "register budget exceeded (hard limit)");
+  EXPECT_EQ(Res.Kind, ErrorKind::Infeasible);
+  EXPECT_FALSE(Res.Feasible);
+  EXPECT_EQ(Res.RegsPerThread, 447);
+}
+
+TEST_P(GemmVerdicts, SharedMemoryExceeded) {
+  Runner R;
+  R.NumWorkers = GetParam();
+  GemmWorkload W = smallGemm(1024, 1024, 1024);
+  FrameworkEnvelope E = getGemmEnvelope(Framework::Tawa, W);
+  E.Options.ArefDepth = 6;
+  RunResult Res = R.runGemmCustom(W, E, false);
+  EXPECT_EQ(Res.Error, "shared memory exceeded: 294912 > 233472");
+  EXPECT_EQ(Res.Kind, ErrorKind::Infeasible);
+  EXPECT_FALSE(Res.Feasible);
+  EXPECT_EQ(Res.SmemBytes, 294912);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, GemmVerdicts, ::testing::Values(1, 4));
+
 } // namespace

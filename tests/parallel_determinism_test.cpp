@@ -5,8 +5,8 @@
 // identical per-CTA traces (including happens-before event counts), and the
 // identical first-in-serial-order error, because every CTA executes in
 // isolation and results are merged by CTA index. These tests pin the
-// contract at NumWorkers = 1, 2 and 8 and against the historical serial
-// per-CTA loop; scripts/check.sh additionally runs them under
+// contract at NumWorkers = 1, 2 and 8 and against a serial loop of runCta
+// calls; scripts/check.sh additionally runs them under
 // ThreadSanitizer so pool/arena races fail CI. SamplerClasses.* checks the
 // Runner's attention sampler, which interprets one CTA per trace class,
 // against SM0's full CTA list.
@@ -131,7 +131,7 @@ TEST(ParallelDeterminism, GemmGridWorkerCountInvariant) {
       RefC = C;
       RefTraces = std::move(Traces);
       RefSample = std::move(Sample);
-      // NumWorkers=1 must match the historical serial per-CTA loop.
+      // NumWorkers=1 must match a serial loop of runCta calls.
       auto C2 = std::make_shared<TensorData>(std::vector<int64_t>{M, N});
       RunOptions Serial = Launch;
       Serial.Args[2] = RuntimeArg::tensor(C2);
@@ -367,7 +367,7 @@ TEST(SamplerDeterminism, TimingBatchWorkerCountInvariant) {
     if (WI == 0) {
       Ref = std::move(Traces);
       RefCycles = Rep.Cycles;
-      // NumWorkers=1 must match the historical serial sample loop.
+      // NumWorkers=1 must match a serial loop of runCta calls.
       Interpreter Serial(*Mod, Cfg);
       for (size_t I = 0; I < Coords.size(); ++I) {
         CtaTrace T;

@@ -174,6 +174,21 @@ TEST(ServeProtocol, StrictRequestValidation) {
   EXPECT_TRUE(R.Mha.Causal);
   EXPECT_EQ(R.Mha.Prec, Precision::FP8);
   EXPECT_EQ(R.DeadlineMs, 1000);
+
+  // The request-size limits sit above every Fig. 8-13 point asked for as a
+  // timing request.
+  for (const char *Fields :
+       {"\"kind\":\"gemm\",\"m\":8192,\"n\":8192,\"k\":16384",
+        "\"kind\":\"gemm\",\"m\":16384,\"n\":16384,\"k\":16384,"
+        "\"batch\":8",
+        "\"kind\":\"gemm\",\"m\":512,\"n\":512,\"k\":16384",
+        "\"kind\":\"attention\",\"seq_len\":16384,\"batch\":4,"
+        "\"heads\":32,\"head_dim\":128,\"causal\":true"})
+    EXPECT_EQ(parseRequest(std::string("{\"schema\":\"tawa-serve-req-v1\",") +
+                               Fields + "}",
+                           R),
+              "")
+        << Fields;
 }
 
 TEST(ServeProtocol, ResponseRenderIsSingleLine) {
@@ -642,6 +657,41 @@ TEST(ServeExecute, OutOfRangeLaunchIsCompileErrorAndServiceSurvives) {
     EXPECT_EQ(Err.rfind("ir launch: ", 0), 0u) << L;
     EXPECT_NE(Err.find(K.Error), std::string::npos) << L;
     EXPECT_EQ(respField(Svc.call(irReq(Id + "-ok", Text)), "status"), "ok");
+  }
+  Svc.shutdown();
+}
+
+TEST(ServeService, OversizedRequestsAreBadRequestsAndServiceSurvives) {
+  // Every field of these is in range; their products are not. The GEMM
+  // once threw std::bad_alloc on a 17 GB A tensor and aborted the daemon.
+  // The attention request once built a 65-million-entry SM0 schedule and
+  // replayed it outside every watchdog, so its deadline never fired.
+  struct Case {
+    const char *Fields;
+    const char *Error;
+  };
+  const Case Cases[] = {
+      {"\"kind\":\"gemm\",\"functional\":true,\"m\":65536,\"n\":1,"
+       "\"k\":65536",
+       "'batch*m*k' = 4294967296 exceeds 16777216"},
+      {"\"kind\":\"attention\",\"seq_len\":65536,\"batch\":4096,"
+       "\"heads\":4096,\"deadline_ms\":1000",
+       "'batch*heads*seq_len' = 1099511627776 exceeds 4194304"},
+  };
+
+  ServeConfig C;
+  C.Workers = 1;
+  Service Svc(C);
+  int I = 0;
+  for (const Case &K : Cases) {
+    SCOPED_TRACE(K.Error);
+    std::string Id = formatString("big-%d", I++);
+    std::string L = Svc.call("{\"schema\":\"tawa-serve-req-v1\",\"id\":\"" +
+                             Id + "\"," + K.Fields + "}");
+    EXPECT_EQ(respField(L, "status"), "rejected") << L;
+    EXPECT_EQ(respField(L, "reason"), "bad-request") << L;
+    EXPECT_EQ(respField(L, "error"), K.Error) << L;
+    EXPECT_EQ(respField(Svc.call(gemmReq(Id + "-ok")), "status"), "ok");
   }
   Svc.shutdown();
 }

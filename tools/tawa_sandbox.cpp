@@ -122,9 +122,9 @@ struct Heartbeat {
   }
 };
 
-/// Runs one decoded frame and renders the response line. Never lets an
-/// engine exception escape as an unframed abort — the supervisor would
-/// classify the death, but a structured line preserves the taxonomy.
+/// Runs one decoded frame and renders the response line. An engine
+/// exception comes back from executeRequest as a worker crash, so it
+/// reaches the supervisor as a structured line rather than a death.
 std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
   ServeRequest Req;
   ServeResponse Resp;
@@ -145,13 +145,7 @@ std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
   Env.ExecWorkers = envInt64("TAWA_SERVE_EXEC_WORKERS", Env.ExecWorkers);
 
   ErrorKind Kind = ErrorKind::None;
-  std::string Err;
-  try {
-    Err = executeRequest(Req, Env, Resp, Kind);
-  } catch (const std::exception &E) {
-    Err = std::string("worker crash: ") + E.what();
-    Kind = ErrorKind::WorkerCrash;
-  }
+  std::string Err = executeRequest(Req, Env, Resp, Kind);
   if (Err.empty()) {
     Resp.St = ServeResponse::Status::Ok;
   } else {
