@@ -123,6 +123,7 @@ GemmKernelConfig gemmKernelConfig(const GemmWorkload &W,
   Kernel.Grouped = W.MoE && !W.GroupMs.empty();
   Kernel.SplitK = W.SplitK > 1 && !Kernel.Grouped && W.Batch == 1;
   Kernel.Batched = W.Batch > 1 && !Kernel.Grouped;
+  Kernel.MaskColumns = Kernel.Grouped && W.N % E.TileN != 0;
   return Kernel;
 }
 
@@ -207,7 +208,9 @@ Runner::CompilePlan Runner::plan(const GemmWorkload &W,
   };
   // The split factor and the per-expert GroupMs are runtime launch
   // parameters — deliberately absent so a whole split-factor or expert-mix
-  // sweep shares one compiled program.
+  // sweep shares one compiled program. N enters only as MaskColumns; its
+  // "|mc1" is appended only when set, so the keys of tile-multiple shapes,
+  // which persisted caches and sweep reports carry, stay unchanged.
   if (reachesCompiler(E, P.Options))
     P.Key = formatString("gemm|tm%lld|tn%lld|tk%lld|prec%d|b%d|pe%d|sk%d"
                          "|moe%d|dl%d",
@@ -217,6 +220,7 @@ Runner::CompilePlan Runner::plan(const GemmWorkload &W,
                          static_cast<int>(K.InPrecision), K.Batched ? 1 : 0,
                          K.PointerEpilogue ? 1 : 0, K.SplitK ? 1 : 0,
                          K.Grouped ? 1 : 0, K.DeadlockEpilogue ? 1 : 0) +
+            (K.MaskColumns ? "|mc1" : "") +
             pipelineKeySuffix(P.Options, P.SwDepth, P.Fuse);
   return P;
 }

@@ -327,8 +327,9 @@ tawa::buildGroupedGemmModule(IrContext &Ctx, const GemmKernelConfig &Config) {
   Value *AccOut = Loop->getResult(0);
   Value *COut = B.createCast(AccOut, Ctx.getF16Type());
 
-  // Masked pointer epilogue: rows at or past m_size select a -1 linear
-  // index, which tt.store's bounds check drops (partial-tile masking).
+  // Masked pointer epilogue: rows at or past m_size (and, with
+  // MaskColumns, columns at or past N) select a -1 linear index, which
+  // tt.store's bounds check drops (partial-tile masking).
   auto *RowTy = Ctx.getTensorType({Config.TileM}, I32);
   auto *ColTy = Ctx.getTensorType({Config.TileN}, I32);
   auto *IdxTy = Ctx.getTensorType({Config.TileM, Config.TileN}, I32);
@@ -349,6 +350,9 @@ tawa::buildGroupedGemmModule(IrContext &Ctx, const GemmKernelConfig &Config) {
   Value *Valid = B.createCmpSlt(RowLoc2, B.createSplat(MSize, IdxTy));
   Value *Masked =
       B.createSelect(Valid, Linear, B.createConstantTensor(-1.0, IdxTy));
+  if (Config.MaskColumns)
+    Masked = B.createSelect(B.createCmpSlt(ColIdx, StrideCm), Masked,
+                            B.createConstantTensor(-1.0, IdxTy));
   Value *CPtrs = B.createAddPtr(B.createSplat(CDesc, PtrTy), Masked);
   B.createStore(CPtrs, COut);
 

@@ -55,6 +55,12 @@ struct GemmKernelConfig {
   /// mbarrier wait that can never complete — a deterministic deadlock used
   /// to pin the tawa-diag-v1 post-mortem of a wedged cross-CTA reduction.
   bool DeadlockEpilogue = false;
+  /// Grouped only: also mask the store's columns at or past N. Required
+  /// when N is not a multiple of TileN, or the last n-tile's columns wrap
+  /// into the next row of C, which another CTA owns. A divisibility
+  /// specialization: the driver sets it from N, so tile-multiple shapes
+  /// keep the shorter epilogue.
+  bool MaskColumns = false;
 };
 
 /// Builds `@matmul(a_desc, b_desc, c_desc, M, N, K)` into a fresh module.
@@ -80,7 +86,8 @@ std::unique_ptr<Module> buildSplitKGemmModule(IrContext &Ctx,
 /// axis 0 walks the (m tile, n tile) pairs of ONE expert (row-major,
 /// n-major-inner derived from arg N); axis 1 is the expert id — the driver
 /// launches a data-dependent ragged CTA list through runCtaBatch. Rows past
-/// m_size_e are masked off in the store (partial tiles).
+/// m_size_e are masked off in the store (partial tiles); columns past N
+/// only with Config.MaskColumns.
 std::unique_ptr<Module> buildGroupedGemmModule(IrContext &Ctx,
                                                const GemmKernelConfig &Config);
 

@@ -173,9 +173,8 @@ TEST(NumericsGolden, RunnerMaxRelError) {
     SplitK.SplitK = 3;
     expectMaxRelError(R.runGemm(Framework::Tawa, SplitK, true), 0x1.dp-18,
                       "split-k");
-    // N is a multiple of the Tawa TileN (256): the grouped kernel masks
-    // rows only, so a ragged N would let edge columns race across experts
-    // (docs/kernel-families.md).
+    // N is a multiple of the Tawa TileN (256), so this pins the grouped
+    // kernel without the column mask (docs/kernel-families.md).
     GemmWorkload MoE = gemm(0, 256, 128, Precision::FP16);
     MoE.MoE = true;
     MoE.GroupMs = {96, 0, 160};

@@ -427,4 +427,24 @@ TEST(ProgramCacheKeys, FusedAndUnfusedNeverCollide) {
   EXPECT_EQ(Unfused.cacheStats().Hits, 1u);
 }
 
+TEST(ProgramCacheKeys, GroupedKeySeparatesOnlyNDivisibility) {
+  // N is a runtime argument, but a grouped kernel whose N is not a multiple
+  // of TileN needs the column-masked epilogue: one key per divisibility
+  // class, shared by every N inside it.
+  Runner R;
+  auto KeyFor = [&](int64_t N) {
+    GemmWorkload W;
+    W.N = N;
+    W.K = 128;
+    W.MoE = true;
+    W.GroupMs = {96, 0, 200};
+    return R.compileKey(W, getGemmEnvelope(Framework::Tawa, W));
+  };
+  int64_t TileN = getGemmEnvelope(Framework::Tawa, GemmWorkload()).TileN;
+  ASSERT_FALSE(KeyFor(TileN).empty());
+  EXPECT_EQ(KeyFor(TileN), KeyFor(4 * TileN));
+  EXPECT_EQ(KeyFor(TileN / 2), KeyFor(TileN + 8));
+  EXPECT_NE(KeyFor(TileN), KeyFor(TileN / 2));
+}
+
 } // namespace
