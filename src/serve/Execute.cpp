@@ -8,7 +8,6 @@
 #include "sim/Interpreter.h"
 #include "sim/Launch.h"
 #include "sim/Replay.h"
-#include "support/FaultInject.h"
 #include "support/Support.h"
 
 #include <chrono>
@@ -32,7 +31,13 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
     return "ir parse: " + Err;
   }
   sim::LaunchSpec Launch;
-  if (std::string DErr = sim::decodeLaunchSpec(*Mod, Launch); !DErr.empty()) {
+  std::string DErr = sim::decodeLaunchSpec(*Mod, Launch);
+  // Fault injection is armed for the whole process, so a request carrying
+  // a spec would fault every concurrent request and disarm the operator's.
+  if (DErr.empty() && !Launch.FaultSpec.empty())
+    DErr = "fuzz.faults is not accepted in a request; fault injection is "
+           "armed for the whole process with TAWA_FAULTS";
+  if (!DErr.empty()) {
     KindOut = ErrorKind::CompileError;
     return "ir launch: " + DErr;
   }
@@ -40,8 +45,7 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
   sim::GpuConfig Cfg;
   sim::RunOptions Opts;
   Opts.Functional = true;
-  Opts.FuseBytecode = Env.Level < 1;
-  Opts.NumWorkers = Env.Level >= 2 ? 1 : Env.ExecWorkers;
+  Opts.NumWorkers = Env.ExecWorkers;
   Opts.MaxSteps = Req.MaxSteps > 0 ? Req.MaxSteps : Env.DefaultMaxSteps;
   Opts.MaxWallMs = Env.RemainingMs;
   sim::ExecDiagnostic Diag;
@@ -49,23 +53,9 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
 
   std::vector<sim::TensorRef> OutputTensors =
       sim::materializeLaunch(Launch, Opts);
-
-  // A request-carried fault spec arms the PROCESS-wide injection sites
-  // for the duration of this run (replay/debug affordance — matches the
-  // fuzz harness). Left alone when empty so an externally armed spec
-  // (chaos soak, TAWA_FAULTS) is not clobbered.
-  if (!Launch.FaultSpec.empty()) {
-    std::string FErr;
-    if (!faults::configure(Launch.FaultSpec, &FErr)) {
-      KindOut = ErrorKind::CompileError;
-      return "ir faults: " + FErr;
-    }
-  }
   sim::Interpreter Interp(*Mod, Cfg);
   std::vector<sim::CtaTrace> Traces;
   std::string RunErr = Interp.runGrid(Opts, nullptr, &Traces);
-  if (!Launch.FaultSpec.empty())
-    faults::reset();
 
   if (!RunErr.empty()) {
     KindOut = classifyError(RunErr);
@@ -103,8 +93,7 @@ std::string executeOnce(const ServeRequest &Req, const ExecEnv &Env,
     return executeIr(Req, Env, Resp, KindOut);
 
   Runner R;
-  R.FuseBytecode = Env.Level < 1;
-  R.NumWorkers = Env.Level >= 2 ? 1 : Env.ExecWorkers;
+  R.NumWorkers = Env.ExecWorkers;
   R.MaxSteps = Req.MaxSteps > 0 ? Req.MaxSteps : Env.DefaultMaxSteps;
   R.MaxWallMs = Env.RemainingMs;
   sim::ExecDiagnostic Diag;

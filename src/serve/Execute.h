@@ -3,12 +3,14 @@
 // The transport- and policy-free execution core shared by the in-process
 // service (serve/Server) and the out-of-process sandbox runner
 // (tools/tawa_sandbox.cpp): given a parsed ServeRequest and the attempt
-// parameters the policy layer decided (ladder level, remaining deadline
-// budget, defaults), run it once through Runner / Interpreter and fill the
-// response's result fields. No retries, no ladder bookkeeping, no breaker —
-// exactly one attempt, so the parent and the sandbox execute requests
-// identically and the differential serve tests hold across the process
-// boundary.
+// parameters the policy layer decided (remaining deadline budget,
+// defaults), run it once through Runner / Interpreter and fill the
+// response's result fields. No retries, no routing — exactly one attempt,
+// so the parent and the sandbox execute requests identically and the
+// differential serve tests hold across the process boundary. An attempt
+// never changes process-wide state: an `ir` launch that carries
+// `fuzz.faults` is refused, because fault injection is armed for the
+// whole process (TAWA_FAULTS), never by a request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,10 +29,6 @@ namespace serve {
 /// Attempt parameters decided by the policy layer (Service) or the
 /// sandbox frame (tawa-sandbox).
 struct ExecEnv {
-  /// Degradation-ladder level: 0 fused, 1 unfused, >= 2 serial grid.
-  /// (Level 3 "sandbox" never reaches this layer — the supervisor routes
-  /// it out of process, where the child runs at level 0.)
-  int Level = 0;
   /// Remaining deadline budget in ms; arms Runner/RunOptions::MaxWallMs.
   int64_t RemainingMs = 0;
   /// Step budget applied when the request names none.

@@ -10,7 +10,7 @@
 // responses rendered from a direct Interpreter run.
 //
 // This layer is pure data <-> text: no sockets, no execution, no policy.
-// Admission, retries, degradation and the breaker live in serve/Server.
+// Admission, retries and degradation live in serve/Server.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,8 +42,9 @@ struct ServeRequest {
   AttentionWorkload Mha;
   bool Functional = false;
 
-  // kind = ir: a textual module carrying fuzz.grid / fuzz.args (and
-  // optionally fuzz.faults) launch attributes — the fuzz-corpus format.
+  // kind = ir: a textual module carrying fuzz.grid / fuzz.args launch
+  // attributes — the fuzz-corpus format. A module that also carries
+  // fuzz.faults is refused at execution (serve/Execute.h).
   std::string IrText;
 
   /// Per-request deadline in wall milliseconds, 0 = server default. Covers
@@ -91,8 +92,8 @@ struct ServeResponse {
   std::string ErrorKind; ///< errorKindName; "" when not a failure.
   /// Execution attempts consumed (0 for rejections; >1 means retries).
   int64_t Attempts = 0;
-  /// Degradation-ladder level the final attempt ran at:
-  /// "fused" | "unfused" | "serial".
+  /// Degradation-ladder rung the final attempt ran at: "fused" (in
+  /// process) | "sandbox" (out of process).
   std::string Degrade = "fused";
 
   // kind = gemm | attention results.

@@ -96,28 +96,17 @@ Supervisor::~Supervisor() {
 
 void Supervisor::setDeathHook(DeathHook H) { OnDeath = std::move(H); }
 
-SandboxStats Supervisor::stats() const {
-  std::lock_guard<std::mutex> L(StatsMu);
-  return Stats;
-}
-
-void Supervisor::bumpStat(int64_t SandboxStats::*Field) {
-  std::lock_guard<std::mutex> L(StatsMu);
-  ++(Stats.*Field);
-}
-
-int64_t Supervisor::restartBackoffMs(int64_t ConsecFailures, int64_t BaseMs,
-                                     int64_t MaxMs) {
-  if (ConsecFailures <= 0 || BaseMs <= 0)
+int64_t tawa::serve::backoffMs(int64_t K, int64_t BaseMs, int64_t MaxMs) {
+  if (K <= 0 || BaseMs <= 0)
     return 0;
-  int64_t Shift = std::min<int64_t>(ConsecFailures - 1, 20);
+  int64_t Shift = std::min<int64_t>(K - 1, 20);
   return std::min(MaxMs, BaseMs << Shift);
 }
 
 void Supervisor::noteFailure(Slot &S) {
   ++S.ConsecFails;
   S.NextSpawnAt =
-      Clock::now() + std::chrono::milliseconds(restartBackoffMs(
+      Clock::now() + std::chrono::milliseconds(backoffMs(
                          S.ConsecFails, Cfg.BackoffBaseMs, Cfg.BackoffMaxMs));
 }
 
@@ -169,7 +158,6 @@ std::string Supervisor::ensureChild(Slot &S) {
 
   if (faults::enabled() && faults::shouldFailNext(faults::Site::SandboxSpawn)) {
     noteFailure(S);
-    bumpStat(&SandboxStats::SpawnFailures);
     return "sandbox spawn: injected sandbox.spawn fault";
   }
 
@@ -183,7 +171,6 @@ std::string Supervisor::ensureChild(Slot &S) {
   S.Proc = Subprocess::spawn(O, Err);
   if (!S.Proc) {
     noteFailure(S);
-    bumpStat(&SandboxStats::SpawnFailures);
     return "sandbox spawn: " + Err;
   }
 
@@ -197,10 +184,9 @@ std::string Supervisor::ensureChild(Slot &S) {
     S.Proc.reset();
     S.Buf.clear();
     noteFailure(S);
-    bumpStat(&SandboxStats::SpawnFailures);
     return "sandbox spawn: runner not ready";
   }
-  bumpStat(&SandboxStats::Spawns);
+  ++Spawns;
   return "";
 }
 
@@ -241,11 +227,10 @@ std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
                                 int64_t RemainingMs, std::string &RespLine) {
   if (std::string Err = ensureChild(S); !Err.empty())
     return Err;
-  bumpStat(&SandboxStats::Requests);
 
-  // Forward the parent's armed fault spec with the frame (never via spawn
-  // env): faults::reset() in the parent disarms the child on its next
-  // request instead of leaving a stale spec in a surviving process.
+  // Forward the parent's process-wide fault spec with the frame (never via
+  // spawn env): faults::reset() in the parent disarms the child on its
+  // next request instead of leaving a stale spec in a surviving process.
   std::string Spec = faults::currentSpec();
   std::string Frame =
       formatString("req %lld %s ",
@@ -257,21 +242,19 @@ std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
   // pid), reap, classify. AppendExit adds the waitpid classification —
   // timeout strings stay fixed (the exit status would always be our own
   // SIGKILL, and deterministic messages matter more than redundancy).
-  auto fail = [&](std::string Reason, int64_t SandboxStats::*Stat,
-                  bool AppendExit) -> std::string {
+  auto fail = [&](std::string Reason, bool AppendExit) -> std::string {
     S.Proc->kill(SIGKILL);
     Subprocess::ExitStatus St = S.Proc->wait();
     S.Proc.reset();
     S.Buf.clear();
     noteFailure(S);
-    bumpStat(Stat);
     if (AppendExit)
       Reason += St.describe();
     return Reason;
   };
 
   if (!sendAllFd(S.Proc->channel(), Frame))
-    return fail("sandbox crash: ", &SandboxStats::Crashes, true);
+    return fail("sandbox crash: ", true);
 
   Clock::time_point Start = Clock::now();
   Clock::time_point Overall =
@@ -283,11 +266,9 @@ std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
   for (;;) {
     Clock::time_point Now = Clock::now();
     if (Now >= Overall)
-      return fail("sandbox timeout: deadline exceeded",
-                  &SandboxStats::Timeouts, false);
+      return fail("sandbox timeout: deadline exceeded", false);
     if (Now >= HbDeadline)
-      return fail("sandbox timeout: heartbeat lost", &SandboxStats::Timeouts,
-                  false);
+      return fail("sandbox timeout: heartbeat lost", false);
     int64_t WaitMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                          std::min(HbDeadline, Overall) - Now)
                          .count() +
@@ -295,7 +276,7 @@ std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
     std::string Line;
     int R = readLine(S, WaitMs, Line);
     if (R < 0)
-      return fail("sandbox crash: ", &SandboxStats::Crashes, true);
+      return fail("sandbox crash: ", true);
     if (R == 0)
       continue; // Deadlines re-checked at the top.
     if (Line == "hb") {
@@ -310,7 +291,6 @@ std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
     }
     // Anything else on the channel is a corrupted stream; treat it as a
     // crash so the child is replaced.
-    return fail("sandbox crash: corrupted stream", &SandboxStats::Crashes,
-                false);
+    return fail("sandbox crash: corrupted stream", false);
   }
 }

@@ -19,9 +19,11 @@
 // that slot respawns, gated by exponential backoff on consecutive
 // failures, so a crash-looping binary cannot spin fork(). The fault spec
 // forwarded per-frame (faults::currentSpec) keeps the deterministic
-// fault-injection framework working across the process boundary: arming
-// or resetting faults in the parent takes effect on the child's next
-// request, never mid-flight.
+// fault-injection framework working across the process boundary: the
+// child runs each request under the parent's process-wide spec
+// (TAWA_FAULTS, or faults::configure in tests), and arming or resetting
+// it in the parent takes effect on the child's next request, never
+// mid-flight.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +32,7 @@
 
 #include "support/Subprocess.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -73,14 +76,11 @@ struct SandboxConfig {
   static SandboxConfig fromEnv();
 };
 
-/// Monotonic counters, snapshot via Supervisor::stats().
-struct SandboxStats {
-  int64_t Spawns = 0;        ///< Successful child spawns (incl. respawns).
-  int64_t SpawnFailures = 0; ///< Spawn attempts that failed.
-  int64_t Requests = 0;      ///< Frames sent.
-  int64_t Crashes = 0;       ///< Child deaths detected mid-request.
-  int64_t Timeouts = 0;      ///< Heartbeat/deadline kills.
-};
+/// Exponential backoff shared by sandbox respawns and service retries:
+/// min(BaseMs << (K-1), MaxMs) for the K-th consecutive failure (K >= 1;
+/// 0 for K <= 0 or BaseMs <= 0). Pure so tests pin the sequence without
+/// timing.
+int64_t backoffMs(int64_t K, int64_t BaseMs, int64_t MaxMs);
 
 class Supervisor {
 public:
@@ -107,14 +107,9 @@ public:
                       std::string &RespLine);
 
   void setDeathHook(DeathHook H);
-  SandboxStats stats() const;
+  /// Successful child spawns so far, respawns included.
+  int64_t spawns() const { return Spawns.load(); }
   const SandboxConfig &config() const { return Cfg; }
-
-  /// The pinned backoff policy: min(BaseMs << (K-1), MaxMs) for the K-th
-  /// consecutive failure (K >= 1; 0 for K <= 0). Pure so tests pin the
-  /// sequence without timing.
-  static int64_t restartBackoffMs(int64_t ConsecFailures, int64_t BaseMs,
-                                  int64_t MaxMs);
 
 private:
   struct Slot {
@@ -135,7 +130,6 @@ private:
   /// EOF/error.
   int readLine(Slot &S, int64_t TimeoutMs, std::string &Line);
   void noteFailure(Slot &S);
-  void bumpStat(int64_t SandboxStats::*Field);
 
   SandboxConfig Cfg;
   DeathHook OnDeath;
@@ -144,8 +138,7 @@ private:
   std::condition_variable SlotCV;
   std::vector<Slot> Slots;
 
-  mutable std::mutex StatsMu;
-  SandboxStats Stats;
+  std::atomic<int64_t> Spawns{0};
 };
 
 } // namespace serve

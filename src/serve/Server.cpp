@@ -5,13 +5,13 @@
 //   admission (bounded queue, shed on overflow)
 //     -> deadline (queue wait counts; remaining budget arms MaxWallMs)
 //       -> attempt loop (retry transient ErrorKinds with backoff+jitter)
-//         -> degradation ladder (per compile key: fused -> unfused -> serial)
-//           -> circuit breaker (cache disk failures -> memory-only)
-//             -> execution (Runner / Interpreter with guardrails + Diag)
+//         -> degradation ladder (per compile key: in process -> sandbox)
+//           -> execution (Runner / Interpreter with guardrails + Diag)
 //
 // Every decision increments exactly one ServeStats counter and every
 // request — poisoned, shed, crashed, expired — produces exactly one
-// structured response line.
+// structured response line. No step changes process-wide state: fault
+// injection and the program cache's persist dir belong to the process.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 #include "serve/Execute.h"
 #include "support/Env.h"
 #include "support/FaultInject.h"
-#include "support/ProgramCache.h"
 #include "support/Status.h"
 #include "support/Support.h"
 #include "support/WorkerPool.h"
@@ -53,10 +52,6 @@ ServeConfig ServeConfig::fromEnv() {
   C.BackoffMaxMs = envInt64("TAWA_SERVE_BACKOFF_MAX_MS", C.BackoffMaxMs);
   C.DegradeThreshold =
       envInt64("TAWA_SERVE_DEGRADE_FAILURES", C.DegradeThreshold);
-  C.BreakerThreshold =
-      envInt64("TAWA_SERVE_BREAKER_FAILURES", C.BreakerThreshold);
-  C.BreakerCooldownMs =
-      envInt64("TAWA_SERVE_BREAKER_COOLDOWN_MS", C.BreakerCooldownMs);
   C.DefaultDeadlineMs = envInt64("TAWA_SERVE_DEADLINE_MS", C.DefaultDeadlineMs);
   C.DefaultMaxSteps = envInt64("TAWA_SERVE_MAX_STEPS", C.DefaultMaxSteps);
   C.ExecWorkers = envInt64("TAWA_SERVE_EXEC_WORKERS", C.ExecWorkers);
@@ -79,13 +74,6 @@ Service::Service(ServeConfig C)
   Cfg.QueueDepth = std::max<int64_t>(1, Cfg.QueueDepth);
   Cfg.MaxRetries = std::max<int64_t>(0, Cfg.MaxRetries);
   Cfg.DegradeThreshold = std::max<int64_t>(1, Cfg.DegradeThreshold);
-  Cfg.BreakerThreshold = std::max<int64_t>(1, Cfg.BreakerThreshold);
-  // Baseline the breaker on the cache's current disk-failure count so
-  // failures from before this service existed are not evidence.
-  {
-    ProgramCache::Stats S = ProgramCache::shared().getStats();
-    Breaker.LastDiskFailures = S.DiskReadFailures + S.DiskWriteFailures;
-  }
   for (int64_t I = 0; I < Cfg.Workers; ++I)
     Executors.emplace_back([this] { executorLoop(); });
 }
@@ -122,7 +110,7 @@ void Service::shutdown() {
   std::lock_guard<std::mutex> L(SupMu);
   if (Sup) {
     std::lock_guard<std::mutex> SL(StatsMu);
-    Stats.SandboxSpawns = Sup->stats().Spawns;
+    Stats.SandboxSpawns = Sup->spawns();
   }
   Sup.reset();
 }
@@ -149,7 +137,7 @@ ServeStats Service::stats() const {
   {
     std::lock_guard<std::mutex> L(SupMu);
     if (Sup)
-      S.SandboxSpawns = Sup->stats().Spawns;
+      S.SandboxSpawns = Sup->spawns();
   }
   S.CrashDumps = Recorder.dumps();
   return S;
@@ -250,95 +238,27 @@ void Service::executorLoop() {
 }
 
 //===----------------------------------------------------------------------===//
-// Request processing: deadline -> retry -> ladder -> breaker -> execute
+// Request processing: deadline -> retry -> ladder -> execute
 //===----------------------------------------------------------------------===//
 
-int Service::ladderLevel(const std::string &Key) {
-  if (Key.empty())
-    return 0;
+bool Service::sandboxed(const std::string &Key) {
   std::lock_guard<std::mutex> L(LadderMu);
-  return Ladder[Key].Level;
+  auto It = KeyCrashes.find(Key);
+  return It != KeyCrashes.end() && It->second >= Cfg.DegradeThreshold;
 }
 
 void Service::recordCrash(const std::string &Key) {
   if (Key.empty())
     return;
-  bool Stepped = false;
   {
     std::lock_guard<std::mutex> L(LadderMu);
-    LadderState &S = Ladder[Key];
-    if (S.Level >= 3)
-      return; // Already at the floor (out-of-process sandbox).
-    if (++S.FailsAtLevel >= Cfg.DegradeThreshold) {
-      ++S.Level;
-      S.FailsAtLevel = 0;
-      Stepped = true;
-    }
-  }
-  if (Stepped) {
-    std::lock_guard<std::mutex> L(StatsMu);
-    ++Stats.DegradeSteps;
-  }
-}
-
-void Service::breakerBeforeAttempt() {
-  std::lock_guard<std::mutex> L(BreakerMu);
-  if (Breaker.State != BreakerState::St::Open)
-    return;
-  auto Elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     Clock::now() - Breaker.OpenedAt)
-                     .count();
-  if (Elapsed < Cfg.BreakerCooldownMs)
-    return;
-  // Half-open probe: restore the disk layer; the next attempt's failure
-  // delta decides whether it stays.
-  ProgramCache::shared().setPersistDir(Breaker.SavedDir);
-  Breaker.State = BreakerState::St::HalfOpen;
-  std::lock_guard<std::mutex> SL(StatsMu);
-  ++Stats.BreakerProbes;
-}
-
-void Service::breakerAfterAttempt() {
-  std::lock_guard<std::mutex> L(BreakerMu);
-  ProgramCache::Stats S = ProgramCache::shared().getStats();
-  uint64_t Total = S.DiskReadFailures + S.DiskWriteFailures;
-  uint64_t Delta = Total - Breaker.LastDiskFailures;
-  Breaker.LastDiskFailures = Total;
-  switch (Breaker.State) {
-  case BreakerState::St::Closed: {
-    Breaker.Accum += static_cast<int64_t>(Delta);
-    if (Breaker.Accum < Cfg.BreakerThreshold)
+    int64_t &Crashes = KeyCrashes[Key];
+    // Already sandboxed (the last rung), or still under the threshold.
+    if (Crashes >= Cfg.DegradeThreshold || ++Crashes < Cfg.DegradeThreshold)
       return;
-    Breaker.Accum = 0;
-    Breaker.SavedDir = ProgramCache::shared().getPersistDir();
-    if (Breaker.SavedDir.empty())
-      return; // No disk layer configured; nothing to shed.
-    ProgramCache::shared().setPersistDir("");
-    Breaker.State = BreakerState::St::Open;
-    Breaker.OpenedAt = Clock::now();
-    std::lock_guard<std::mutex> SL(StatsMu);
-    ++Stats.BreakerTrips;
-    return;
   }
-  case BreakerState::St::HalfOpen: {
-    if (Delta > 0) {
-      // Probe failed: shed the disk layer again and restart the cooldown.
-      ProgramCache::shared().setPersistDir("");
-      Breaker.State = BreakerState::St::Open;
-      Breaker.OpenedAt = Clock::now();
-      std::lock_guard<std::mutex> SL(StatsMu);
-      ++Stats.BreakerTrips;
-    } else {
-      Breaker.State = BreakerState::St::Closed;
-      Breaker.Accum = 0;
-      std::lock_guard<std::mutex> SL(StatsMu);
-      ++Stats.BreakerCloses;
-    }
-    return;
-  }
-  case BreakerState::St::Open:
-    return; // Disk layer off: no new evidence accumulates.
-  }
+  std::lock_guard<std::mutex> L(StatsMu);
+  ++Stats.DegradeSteps;
 }
 
 std::string Service::requestKey(const ServeRequest &Req) const {
@@ -363,23 +283,15 @@ std::string Service::requestKey(const ServeRequest &Req) const {
 
 namespace {
 
-const char *degradeName(int Level) {
-  return Level == 0   ? "fused"
-         : Level == 1 ? "unfused"
-         : Level == 2 ? "serial"
-                      : "sandbox";
-}
-
 bool isTransient(ErrorKind K) {
   // Kinds worth retrying: another attempt can genuinely turn out
-  // differently (a crashed worker, a torn disk read, a corrupt cached
-  // program that recompiles, a sandbox that gets respawned). Deterministic
-  // kinds — deadlock, budget trips, verifier and compile failures — fail
-  // fast; retrying them replays the same outcome with interest. Sandbox
-  // timeouts also fail fast: the request already consumed its deadline
-  // budget plus the heartbeat grace.
-  return K == ErrorKind::WorkerCrash || K == ErrorKind::CacheIo ||
-         K == ErrorKind::CorruptProgram || K == ErrorKind::SandboxCrash;
+  // differently (the counter-keyed fault sites draw again, a sandbox gets
+  // respawned as a new process). Deterministic kinds — deadlock, budget
+  // trips, verifier and compile failures — fail fast; retrying them
+  // replays the same outcome with interest. Sandbox timeouts also fail
+  // fast: the request already consumed its deadline budget plus the
+  // heartbeat grace.
+  return K == ErrorKind::WorkerCrash || K == ErrorKind::SandboxCrash;
 }
 
 bool countsTowardLadder(ErrorKind K) {
@@ -455,15 +367,11 @@ std::string Service::process(const Job &J) {
       return Resp.render();
     }
 
-    breakerBeforeAttempt();
-    int Level = ladderLevel(Key);
     Resp = ServeResponse();
     Resp.Id = Req.Id;
     Resp.Attempts = Attempt;
-    Resp.Degrade = degradeName(Level);
     ErrorKind Kind = ErrorKind::None;
-    std::string Err = executeOnce(J.Text, Req, Level, Rem, Resp, Kind);
-    breakerAfterAttempt();
+    std::string Err = executeOnce(J.Text, Req, Key, Rem, Resp, Kind);
 
     if (Err.empty()) {
       Resp.St = ServeResponse::Status::Ok;
@@ -481,8 +389,7 @@ std::string Service::process(const Job &J) {
         std::lock_guard<std::mutex> L(StatsMu);
         ++Stats.Retries;
       }
-      int64_t Shift = std::min<int64_t>(Attempt - 1, 20);
-      int64_t Back = std::min(Cfg.BackoffMaxMs, Cfg.BackoffBaseMs << Shift);
+      int64_t Back = backoffMs(Attempt, Cfg.BackoffBaseMs, Cfg.BackoffMaxMs);
       // Deterministic jitter: keyed by (id, attempt), not a clock, so a
       // replayed trace backs off identically.
       int64_t Jitter =
@@ -512,16 +419,15 @@ std::string Service::process(const Job &J) {
 //===----------------------------------------------------------------------===//
 
 std::string Service::executeOnce(const std::string &RawText,
-                                 const ServeRequest &Req, int Level,
-                                 int64_t RemainingMs, ServeResponse &Resp,
-                                 ErrorKind &KindOut) {
+                                 const ServeRequest &Req,
+                                 const std::string &Key, int64_t RemainingMs,
+                                 ServeResponse &Resp, ErrorKind &KindOut) {
   // Out-of-process routing: either the request opted in (sandbox=true) or
-  // the ladder escalated its compile key to the last rung.
-  if (Req.Sandbox || Level >= 3)
+  // the ladder moved its compile key to the sandbox rung.
+  if (Req.Sandbox || sandboxed(Key))
     return executeSandbox(RawText, RemainingMs, Resp, KindOut);
 
   ExecEnv Env;
-  Env.Level = Level;
   Env.RemainingMs = RemainingMs;
   Env.DefaultMaxSteps = Cfg.DefaultMaxSteps;
   Env.ExecWorkers = Cfg.ExecWorkers;

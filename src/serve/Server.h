@@ -7,10 +7,10 @@
 //  * Service — transport-free core: bounded admission queue with load
 //    shedding, executor threads, per-request deadlines mapped onto the
 //    execution guardrails, retry with exponential backoff + deterministic
-//    jitter for transient failure kinds, a per-compile-key degradation
-//    ladder (fused -> unfused -> serial), a circuit breaker over the
-//    program cache's disk layer, and drain-based graceful shutdown.
-//    Everything the robustness tests assert lives here.
+//    jitter for transient failure kinds, a two-rung degradation ladder
+//    (in process -> out-of-process sandbox, per compile key), and
+//    drain-based graceful shutdown. No request changes process-wide
+//    state. Everything the robustness tests assert lives here.
 //
 //  * SocketServer — AF_UNIX transport: newline-delimited request/response
 //    framing (serve/Protocol), one handler thread per connection, and a
@@ -55,19 +55,16 @@ struct ServeConfig {
   /// Retries after the first attempt, transient kinds only.
   /// TAWA_SERVE_RETRIES.
   int64_t MaxRetries = 2;
-  /// Backoff before retry K is min(BackoffBaseMs << (K-1), BackoffMaxMs)
-  /// plus deterministic jitter in [0, BackoffBaseMs) keyed by (request id,
-  /// attempt). TAWA_SERVE_BACKOFF_MS / TAWA_SERVE_BACKOFF_MAX_MS.
+  /// Backoff before retry K is backoffMs(K, BackoffBaseMs, BackoffMaxMs)
+  /// (serve/Sandbox.h) plus deterministic jitter in [0, BackoffBaseMs)
+  /// keyed by (request id, attempt). TAWA_SERVE_BACKOFF_MS /
+  /// TAWA_SERVE_BACKOFF_MAX_MS.
   int64_t BackoffBaseMs = 1;
   int64_t BackoffMaxMs = 64;
-  /// Crash-kind failures at one ladder level before stepping down.
+  /// Crash-kind failures of one compile key in process before the key
+  /// runs in the sandbox for the rest of the process lifetime.
   /// TAWA_SERVE_DEGRADE_FAILURES.
   int64_t DegradeThreshold = 2;
-  /// Cache disk failures before the breaker trips to memory-only.
-  /// TAWA_SERVE_BREAKER_FAILURES.
-  int64_t BreakerThreshold = 3;
-  /// Open -> half-open probe delay. TAWA_SERVE_BREAKER_COOLDOWN_MS.
-  int64_t BreakerCooldownMs = 1000;
   /// Deadline applied when a request names none. TAWA_SERVE_DEADLINE_MS.
   int64_t DefaultDeadlineMs = 30000;
   /// Step budget applied when a request names none; matches the fuzz
@@ -102,10 +99,7 @@ struct ServeStats {
   int64_t Failed = 0;
   int64_t Retries = 0;
   int64_t DeadlineQueueExpired = 0;
-  int64_t DegradeSteps = 0;
-  int64_t BreakerTrips = 0;
-  int64_t BreakerProbes = 0;
-  int64_t BreakerCloses = 0;
+  int64_t DegradeSteps = 0;    ///< Compile keys moved to the sandbox.
   int64_t SandboxRequests = 0; ///< Requests routed out of process.
   int64_t SandboxCrashes = 0;  ///< Attempts lost to a sandbox death.
   int64_t SandboxTimeouts = 0; ///< Attempts lost to heartbeat/deadline.
@@ -160,39 +154,15 @@ private:
     std::chrono::steady_clock::time_point Enqueued;
   };
 
-  /// Per-compile-key degradation state. Level 0 = fused, 1 = unfused,
-  /// 2 = serial grid. Crash-kind failures (WorkerCrash / Internal) at a
-  /// level accumulate; reaching DegradeThreshold steps the key down one
-  /// level and resets the count. Levels never step back up — a key that
-  /// needed degrading keeps its safe mode for the process lifetime.
-  struct LadderState {
-    int Level = 0;
-    int64_t FailsAtLevel = 0;
-  };
-
-  /// Circuit breaker over the ProgramCache persist dir, driven by the
-  /// cache's DiskReadFailures/DiskWriteFailures deltas. Closed -> Open
-  /// disables the disk layer (setPersistDir("")); after BreakerCooldownMs
-  /// a probe re-enables it (half-open) and the next delta decides Open or
-  /// Closed.
-  struct BreakerState {
-    enum class St { Closed, Open, HalfOpen };
-    St State = St::Closed;
-    std::string SavedDir;
-    uint64_t LastDiskFailures = 0;
-    int64_t Accum = 0;
-    std::chrono::steady_clock::time_point OpenedAt;
-  };
-
   void executorLoop();
   std::string process(const Job &J);
   /// One execution attempt. Returns "" (Resp result fields filled) or the
   /// error string, with \p KindOut its taxonomy classification. Routes out
-  /// of process when the request opted in or the ladder escalated the key
-  /// to the sandbox level.
+  /// of process when the request opted in or its compile key \p Key is
+  /// sandboxed.
   std::string executeOnce(const std::string &RawText, const ServeRequest &Req,
-                          int Level, int64_t RemainingMs, ServeResponse &Resp,
-                          ErrorKind &KindOut);
+                          const std::string &Key, int64_t RemainingMs,
+                          ServeResponse &Resp, ErrorKind &KindOut);
   /// The out-of-process path: frames the raw request to the supervisor's
   /// warm pool, decodes the child's response line.
   std::string executeSandbox(const std::string &RawText,
@@ -200,10 +170,9 @@ private:
                              ErrorKind &KindOut);
   /// Lazily creates the supervisor (first sandbox-routed request).
   Supervisor &supervisor();
-  int ladderLevel(const std::string &Key);
+  /// True once \p Key has DegradeThreshold crash-kind failures.
+  bool sandboxed(const std::string &Key);
   void recordCrash(const std::string &Key);
-  void breakerBeforeAttempt();
-  void breakerAfterAttempt();
   std::string requestKey(const ServeRequest &Req) const;
 
   ServeConfig Cfg;
@@ -223,11 +192,10 @@ private:
   std::condition_variable GateCV;
   bool GateOpen = true;
 
+  /// The degradation ladder: crash-kind failures (WorkerCrash / Internal)
+  /// per compile key. A key never steps back in process.
   std::mutex LadderMu;
-  std::map<std::string, LadderState> Ladder;
-
-  std::mutex BreakerMu;
-  BreakerState Breaker;
+  std::map<std::string, int64_t> KeyCrashes;
 
   FlightRecorder Recorder;
   mutable std::mutex SupMu;

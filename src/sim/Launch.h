@@ -55,7 +55,8 @@ struct LaunchSpec {
     std::vector<int64_t> Data;
   };
   std::vector<Arg> Args;
-  /// faults::configure() spec, "" = none.
+  /// faults::configure() spec, "" = none. Only the fuzz harness arms it;
+  /// tawa-serve refuses a request that carries one.
   std::string FaultSpec;
 };
 

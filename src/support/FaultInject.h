@@ -79,10 +79,11 @@ void reset();
 
 /// The spec string the last successful configure() accepted ("" when
 /// disarmed). The sandbox supervisor forwards it to child processes with
-/// every request frame, so a spec armed in the parent (chaos soak, a
-/// request-carried fuzz.faults attribute) faults identically out of
-/// process — and a reset() in the parent disarms children on their next
-/// request rather than leaving stale faults armed.
+/// every request frame, so the process-wide spec (TAWA_FAULTS, or a test's
+/// configure()) faults identically out of process — and a reset() in the
+/// parent disarms children on their next request rather than leaving stale
+/// faults armed. A serve request never arms a spec: the daemon refuses
+/// `fuzz.faults`.
 std::string currentSpec();
 
 } // namespace faults

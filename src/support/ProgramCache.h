@@ -70,9 +70,9 @@ public:
     size_t Bytes = 0;     ///< Current resident program bytes (estimate).
     /// Cache files that existed but could not be used (IO error,
     /// truncation, corruption, version/config mismatch). Each one silently
-    /// degraded to a recompile (ErrorKind::CacheIo / CorruptProgram never
-    /// surface as run failures by design); the counter is how tests and
-    /// harnesses observe that the failure path actually ran.
+    /// degraded to a recompile (a disk failure never surfaces as a run
+    /// failure, by design); the counter is how tests and harnesses observe
+    /// that the failure path actually ran.
     size_t DiskReadFailures = 0;
     /// Entries that failed to land on disk (write/close/rename failure);
     /// a later process recompiles instead of disk-hitting.

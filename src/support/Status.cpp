@@ -20,10 +20,6 @@ const char *tawa::errorKindName(ErrorKind K) {
     return "protocol-violation";
   case ErrorKind::WorkerCrash:
     return "worker-crash";
-  case ErrorKind::CacheIo:
-    return "cache-io";
-  case ErrorKind::CorruptProgram:
-    return "corrupt-program";
   case ErrorKind::CompileError:
     return "compile-error";
   case ErrorKind::Unsupported:
@@ -95,10 +91,6 @@ ErrorKind tawa::classifyError(const std::string &Error) {
     return ErrorKind::ProtocolViolation;
   if (startsWith(Error, At, "worker crash:"))
     return ErrorKind::WorkerCrash;
-  if (startsWith(Error, At, "cache io:"))
-    return ErrorKind::CacheIo;
-  if (startsWith(Error, At, "corrupt program:"))
-    return ErrorKind::CorruptProgram;
   if (startsWith(Error, At, "compile: "))
     return ErrorKind::CompileError;
   if (startsWith(Error, At, "sandbox crash:") ||

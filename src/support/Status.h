@@ -30,8 +30,6 @@ enum class ErrorKind {
   WallClock,         ///< Execution watchdog: per-CTA wall-clock guard fired.
   ProtocolViolation, ///< Slot-monitor / happens-before protocol violation.
   WorkerCrash,       ///< Exception contained in a CTA execution task.
-  CacheIo,           ///< Disk program-cache read/write IO failure.
-  CorruptProgram,    ///< Serialized program failed deserialization.
   CompileError,      ///< Lowering / pass-pipeline failure.
   Unsupported,       ///< Framework or engine rejected the configuration.
   Infeasible,        ///< Resource model rejection (regs/smem budget).

@@ -221,8 +221,6 @@ TEST(Taxonomy, KindNamesStable) {
   EXPECT_STREQ(errorKindName(ErrorKind::ProtocolViolation),
                "protocol-violation");
   EXPECT_STREQ(errorKindName(ErrorKind::WorkerCrash), "worker-crash");
-  EXPECT_STREQ(errorKindName(ErrorKind::CacheIo), "cache-io");
-  EXPECT_STREQ(errorKindName(ErrorKind::CorruptProgram), "corrupt-program");
   EXPECT_STREQ(errorKindName(ErrorKind::CompileError), "compile-error");
   EXPECT_STREQ(errorKindName(ErrorKind::Unsupported), "unsupported");
   EXPECT_STREQ(errorKindName(ErrorKind::Infeasible), "infeasible");
@@ -248,9 +246,6 @@ TEST(Taxonomy, ClassifiesEngineMessagePrefixes) {
             ErrorKind::ProtocolViolation);
   EXPECT_EQ(classifyError("cta (2,0): worker crash: std::bad_alloc"),
             ErrorKind::WorkerCrash);
-  EXPECT_EQ(classifyError("cache io: short read"), ErrorKind::CacheIo);
-  EXPECT_EQ(classifyError("corrupt program: checksum mismatch"),
-            ErrorKind::CorruptProgram);
   EXPECT_EQ(classifyError("compile: unknown op"), ErrorKind::CompileError);
   EXPECT_EQ(classifyError("argument count mismatch"), ErrorKind::Internal);
   // A malformed coordinate prefix is not skipped — the message classifies

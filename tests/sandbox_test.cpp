@@ -220,14 +220,15 @@ TEST(Subprocess, ChannelRoundTrip) {
 
 TEST(SandboxSupervisor, RestartBackoffSequencePinned) {
   // min(10 << (K-1), 2000): 10, 20, 40, 80, 160, 320, 640, 1280, 2000, ...
-  EXPECT_EQ(Supervisor::restartBackoffMs(0, 10, 2000), 0);
-  EXPECT_EQ(Supervisor::restartBackoffMs(-3, 10, 2000), 0);
+  // The same function spaces the service's retries.
+  EXPECT_EQ(backoffMs(0, 10, 2000), 0);
+  EXPECT_EQ(backoffMs(-3, 10, 2000), 0);
   const int64_t Want[] = {10, 20, 40, 80, 160, 320, 640, 1280, 2000, 2000};
   for (int64_t K = 1; K <= 10; ++K)
-    EXPECT_EQ(Supervisor::restartBackoffMs(K, 10, 2000), Want[K - 1]) << K;
+    EXPECT_EQ(backoffMs(K, 10, 2000), Want[K - 1]) << K;
   // Shift saturates instead of overflowing on absurd failure counts.
-  EXPECT_EQ(Supervisor::restartBackoffMs(1000, 10, 2000), 2000);
-  EXPECT_EQ(Supervisor::restartBackoffMs(5, 0, 2000), 0);
+  EXPECT_EQ(backoffMs(1000, 10, 2000), 2000);
+  EXPECT_EQ(backoffMs(5, 0, 2000), 0);
 }
 
 TEST(SandboxSupervisor, ErrorKindNamesRoundTrip) {
@@ -283,7 +284,7 @@ TEST(SandboxProtocol, ParseResponseRoundTripsByteIdentical) {
     R.Error = "worker crash: injected worker-task fault";
     R.ErrorKind = "worker-crash";
     R.Attempts = 3;
-    R.Degrade = "serial";
+    R.Degrade = "fused";
     Cases.push_back(R);
   }
   {

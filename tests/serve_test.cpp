@@ -7,7 +7,9 @@
 //    closed execution gate,
 //  * graceful shutdown: in-flight requests drain, new ones shed,
 //  * retry/fail-fast split over the ErrorKind taxonomy,
-//  * the per-key degradation ladder and the cache-disk circuit breaker,
+//  * the per-key degradation ladder (in process -> sandbox),
+//  * fault scope: a request never arms process-wide fault injection, so
+//    concurrent clean requests and the operator's spec are untouched,
 //  * chaos soak: every fault-injection site armed at once, every request
 //    still answered with a structured response,
 //  * corpus replay: responses through the socket match responses rendered
@@ -357,77 +359,24 @@ TEST(ServeService, DegradationLadderStepsPerCompileKey) {
   ASSERT_TRUE(faults::configure("worker-task:1.0:5"));
   std::string L1 = Svc.call(gemmReq("l1"));
   std::string L2 = Svc.call(gemmReq("l2"));
-  std::string L3 = Svc.call(gemmReq("l3"));
-  std::string L4 = Svc.call(gemmReq("l4"));
   faults::reset();
 
   EXPECT_EQ(respField(L1, "degrade"), "fused") << L1;
-  EXPECT_EQ(respField(L2, "degrade"), "unfused") << L2;
-  EXPECT_EQ(respField(L3, "degrade"), "serial") << L3;
-  // Ladder floor: out of process. The fault spec is forwarded with the
+  EXPECT_EQ(respField(L1, "error_kind"), "worker-crash") << L1;
+  // The second rung: out of process. The fault spec is forwarded with the
   // frame, so the crash happens INSIDE the sandbox — contained, and still
   // classified worker-crash through the structured child response.
-  EXPECT_EQ(respField(L4, "degrade"), "sandbox") << L4;
-  EXPECT_EQ(respField(L4, "status"), "failed") << L4;
-  EXPECT_EQ(respField(L4, "error_kind"), "worker-crash") << L4;
-  EXPECT_EQ(Svc.stats().DegradeSteps, 3);
+  EXPECT_EQ(respField(L2, "degrade"), "sandbox") << L2;
+  EXPECT_EQ(respField(L2, "status"), "failed") << L2;
+  EXPECT_EQ(respField(L2, "error_kind"), "worker-crash") << L2;
+  EXPECT_EQ(Svc.stats().DegradeSteps, 1);
 
   // The degraded mode is the safe mode: with faults gone the key still
   // runs (sandboxed) and succeeds.
-  std::string L5 = Svc.call(gemmReq("l5"));
-  EXPECT_EQ(respField(L5, "status"), "ok") << L5;
-  EXPECT_EQ(respField(L5, "degrade"), "sandbox") << L5;
+  std::string L3 = Svc.call(gemmReq("l3"));
+  EXPECT_EQ(respField(L3, "status"), "ok") << L3;
+  EXPECT_EQ(respField(L3, "degrade"), "sandbox") << L3;
   Svc.shutdown();
-}
-
-//===----------------------------------------------------------------------===//
-// Circuit breaker
-//===----------------------------------------------------------------------===//
-
-TEST(ServeService, BreakerTripsToMemoryOnlyAndRecovers) {
-  char Tmpl[] = "/tmp/tawa-serve-breaker-XXXXXX";
-  char *Dir = mkdtemp(Tmpl);
-  ASSERT_NE(Dir, nullptr);
-  ProgramCache::shared().setPersistDir(Dir);
-  ProgramCache::shared().clear();
-
-  ServeConfig C;
-  C.Workers = 1;
-  C.MaxRetries = 0;
-  C.BreakerThreshold = 1;
-  C.BreakerCooldownMs = 50;
-  Service Svc(C);
-
-  // Warm the disk layer (the read fault site only fires on an existing
-  // cache file), then drop the in-memory entry so the next request must
-  // go to disk.
-  std::string L0 = Svc.call(gemmReq("b0"));
-  EXPECT_EQ(respField(L0, "status"), "ok") << L0;
-  ProgramCache::shared().clear();
-
-  // Every disk read now fails: the load attempt produces the failure
-  // delta that trips the breaker. The request itself still succeeds —
-  // the cache degrades to compiling.
-  ASSERT_TRUE(faults::configure("cache-read:1.0:3"));
-  std::string L1 = Svc.call(gemmReq("b1"));
-  faults::reset();
-  EXPECT_EQ(respField(L1, "status"), "ok") << L1;
-  EXPECT_EQ(ProgramCache::shared().getPersistDir(), "");
-  EXPECT_EQ(Svc.stats().BreakerTrips, 1);
-
-  // After the cooldown the next attempt probes (half-open): the disk is
-  // healthy again, so the breaker closes and the disk layer is restored.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  ProgramCache::shared().clear();
-  std::string L2 = Svc.call(gemmReq("b2"));
-  EXPECT_EQ(respField(L2, "status"), "ok") << L2;
-  ServeStats S = Svc.stats();
-  EXPECT_EQ(S.BreakerProbes, 1);
-  EXPECT_EQ(S.BreakerCloses, 1);
-  EXPECT_EQ(ProgramCache::shared().getPersistDir(), Dir);
-
-  Svc.shutdown();
-  ProgramCache::shared().setPersistDir("");
 }
 
 //===----------------------------------------------------------------------===//
@@ -445,7 +394,6 @@ TEST(ServeService, ChaosSoakEveryRequestGetsStructuredResponse) {
   C.Workers = 4;
   C.MaxRetries = 1;
   C.BackoffBaseMs = 0;
-  C.BreakerCooldownMs = 10;
   Service Svc(C);
 
   // Every injection site armed at once (the cache sites need the persist
@@ -511,6 +459,56 @@ TEST(ServeService, ChaosSoakEveryRequestGetsStructuredResponse) {
   // Post-chaos the service is still healthy.
   EXPECT_EQ(respField(Svc.call(pingReq("after")), "status"), "ok");
   Svc.shutdown();
+}
+
+//===----------------------------------------------------------------------===//
+// Fault scope: requests never arm process-wide faults
+//===----------------------------------------------------------------------===//
+
+TEST(ServeService, RequestsNeverArmProcessWideFaults) {
+  // Fault injection is armed per process, so the daemon refuses a
+  // request's fuzz.faults: interleaving faulty and clean requests must
+  // change no clean response and leave the operator's spec armed.
+  const std::string Faulty = readFile(corpusPath("gemm_ws_worker_faults.tawa"));
+  const std::string Clean = readFile(corpusPath("gemm_ws.tawa"));
+  const std::string OperatorSpec = "cache-write:0:1";
+  ASSERT_TRUE(faults::configure(OperatorSpec));
+
+  for (int64_t ExecWorkers : {1, 2, 4}) {
+    SCOPED_TRACE(formatString("ExecWorkers=%lld",
+                              static_cast<long long>(ExecWorkers)));
+    ServeConfig C;
+    C.Workers = 4;
+    C.QueueDepth = 48;
+    C.ExecWorkers = ExecWorkers;
+    Service Svc(C);
+    std::string Solo = Svc.call(irReq("clean", Clean));
+    EXPECT_EQ(respField(Solo, "status"), "ok") << Solo;
+
+    Collector Got;
+    for (int I = 0; I < 24; ++I) {
+      Svc.submit(irReq("faulty", Faulty), Got.sink());
+      Svc.submit(irReq("clean", Clean), Got.sink());
+    }
+    Got.waitFor(48);
+    Svc.shutdown();
+
+    std::lock_guard<std::mutex> G(Got.Mu);
+    ASSERT_EQ(Got.Lines.size(), 48u);
+    for (const std::string &L : Got.Lines) {
+      if (respField(L, "id") == "clean") {
+        EXPECT_EQ(L, Solo);
+        continue;
+      }
+      EXPECT_EQ(respField(L, "status"), "failed") << L;
+      EXPECT_EQ(respField(L, "error_kind"), "compile-error") << L;
+      std::string Err = respField(L, "error");
+      EXPECT_EQ(Err.rfind("ir launch: ", 0), 0u) << L;
+      EXPECT_NE(Err.find("TAWA_FAULTS"), std::string::npos) << L;
+    }
+    EXPECT_EQ(faults::currentSpec(), OperatorSpec);
+  }
+  faults::reset();
 }
 
 //===----------------------------------------------------------------------===//
@@ -791,13 +789,9 @@ ServeResponse directIrResponse(const std::string &Id,
   sim::ExecDiagnostic Diag;
   Opts.Diag = &Diag;
   std::vector<sim::TensorRef> Outputs = sim::materializeLaunch(P.Launch, Opts);
-  if (!P.Launch.FaultSpec.empty())
-    EXPECT_TRUE(faults::configure(P.Launch.FaultSpec));
   sim::Interpreter Interp(*P.Mod, Cfg);
   std::vector<sim::CtaTrace> Traces;
   std::string RunErr = Interp.runGrid(Opts, nullptr, &Traces);
-  if (!P.Launch.FaultSpec.empty())
-    faults::reset();
 
   if (!RunErr.empty()) {
     Resp.St = ServeResponse::Status::Failed;
@@ -828,7 +822,6 @@ TEST(ServeSocket, CorpusReplayMatchesDirectExecutionByteForByte) {
       "gemm_ws.tawa",
       "gemm_ws_persistent_fp8_batched.tawa",
       "gemm_swp_ptr_epilogue.tawa",
-      "gemm_ws_worker_faults.tawa",
       "attention_causal_coarse.tawa",
       "protocol_ring.tawa",
       "protocol_ring_deadlock.tawa",
@@ -836,7 +829,7 @@ TEST(ServeSocket, CorpusReplayMatchesDirectExecutionByteForByte) {
 
   ServeConfig C;
   C.Workers = 1;
-  C.MaxRetries = 0; // Attempts stay 1 even for the fault-injected case.
+  C.MaxRetries = 0; // directIrResponse renders one attempt.
   C.ExecWorkers = 2;
   Service Svc(C);
   SocketServer Srv(Svc, testSocketPath("corpus"));

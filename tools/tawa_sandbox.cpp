@@ -9,15 +9,16 @@
 //   child -> parent   hb\n                    while a request executes
 //   child -> parent   <tawa-serve-resp-v1 json>\n   exactly one per req
 //
-// <spec> forwards the parent's armed fault-injection spec ("-" = none),
-// so deterministic fault drills cross the process boundary: sandbox.kill
-// raises SIGKILL mid-request, sandbox.hang freezes without heartbeats
-// (the supervisor's heartbeat deadline trips), and worker.* sites crash
-// the simulation engine in here instead of in the daemon.
+// <spec> forwards the parent's process-wide fault-injection spec ("-" =
+// none; a request never arms one), so deterministic fault drills cross
+// the process boundary: sandbox.kill raises SIGKILL mid-request,
+// sandbox.hang freezes without heartbeats (the supervisor's heartbeat
+// deadline trips), and worker.* sites crash the simulation engine in here
+// instead of in the daemon.
 //
 // Execution itself is serve::executeRequest — the same attempt core the
-// in-process service uses — at ladder level 0: the sandbox exists for
-// isolation, not for degraded modes.
+// in-process service uses: the sandbox exists for isolation, not for
+// degraded modes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -139,7 +140,6 @@ std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
   }
 
   ExecEnv Env;
-  Env.Level = 0;
   Env.RemainingMs = RemainingMs;
   Env.DefaultMaxSteps = envInt64("TAWA_SERVE_MAX_STEPS", Env.DefaultMaxSteps);
   Env.ExecWorkers = envInt64("TAWA_SERVE_EXEC_WORKERS", Env.ExecWorkers);

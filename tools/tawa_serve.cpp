@@ -102,9 +102,8 @@ int main(int argc, char **argv) {
   std::printf("tawa-serve: accepted=%lld succeeded=%lld failed=%lld "
               "bad_requests=%lld rejected_overload=%lld "
               "rejected_shutdown=%lld retries=%lld degrade_steps=%lld "
-              "breaker_trips=%lld sandbox_requests=%lld "
-              "sandbox_crashes=%lld sandbox_timeouts=%lld "
-              "sandbox_spawns=%lld crash_dumps=%lld\n",
+              "sandbox_requests=%lld sandbox_crashes=%lld "
+              "sandbox_timeouts=%lld sandbox_spawns=%lld crash_dumps=%lld\n",
               static_cast<long long>(S.Accepted),
               static_cast<long long>(S.Succeeded),
               static_cast<long long>(S.Failed),
@@ -113,7 +112,6 @@ int main(int argc, char **argv) {
               static_cast<long long>(S.RejectedShutdown),
               static_cast<long long>(S.Retries),
               static_cast<long long>(S.DegradeSteps),
-              static_cast<long long>(S.BreakerTrips),
               static_cast<long long>(S.SandboxRequests),
               static_cast<long long>(S.SandboxCrashes),
               static_cast<long long>(S.SandboxTimeouts),
