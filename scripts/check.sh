@@ -4,9 +4,10 @@
 #   scripts/check.sh [build-dir]
 #
 # Runs: configure (with -DTAWA_WERROR=ON so library warnings fail the
-# build), build, ctest, and the execution-engine microbenchmark in smoke
-# mode (which enforces the speedup bars and writes
-# $BUILD_DIR/BENCH_interp.json).
+# build), build, ctest, the exhaustive fp16 check (every fp16 rounding span
+# variant the host runs against the scalar form on all 2^32 inputs), and
+# the execution-engine microbenchmark in smoke mode (which enforces the
+# speedup bars and writes $BUILD_DIR/BENCH_interp.json).
 #
 # Then exercises the disk program cache: the test suite runs again with
 # TAWA_CACHE_DIR pointing at a fresh temp dir (cold — populates it), and
@@ -85,6 +86,11 @@ cmake --build "$BUILD_DIR" -j
 
 echo "== ctest =="
 (cd "$BUILD_DIR" && ctest --output-on-failure --no-tests=error -j "$(nproc)")
+
+echo "== fp16 span variants on all 2^32 inputs (fp16_exhaustive) =="
+# Every fp16 span variant the host runs (src/sim/TileKernels.h) against the
+# scalar form, bit for bit. Not a ctest entry: the sanitizer legs skip it.
+(cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./fp16_exhaustive)
 
 echo "== micro_interp (smoke) =="
 (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./micro_interp --smoke)

@@ -7,6 +7,7 @@
 #include "support/Support.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <initializer_list>
 #include <limits>
 
@@ -349,12 +350,17 @@ void intFieldOut(std::string &Out, const char *Key, int64_t V, bool &First) {
   Out += formatString("\"%s\":%lld", Key, static_cast<long long>(V));
 }
 
+/// A non-finite value has no JSON number; it renders as null, as
+/// JsonWriter::value writes it.
 void dblField(std::string &Out, const char *Key, double V, int Decimals,
               bool &First) {
   if (!First)
     Out += ',';
   First = false;
-  Out += formatString("\"%s\":%.*f", Key, Decimals, V);
+  if (std::isfinite(V))
+    Out += formatString("\"%s\":%.*f", Key, Decimals, V);
+  else
+    Out += formatString("\"%s\":null", Key);
 }
 
 } // namespace
@@ -462,8 +468,12 @@ std::string tawa::serve::parseResponse(const std::string &Text,
     Out.Micros = M->asDouble();
     if (const JsonValue *F = V.find("tflops"); F && F->isNumber())
       Out.TFlops = F->asDouble();
+    // null is a MaxRelError of +infinity: a NaN or infinite output element
+    // (TensorData::maxRelDiff).
     if (const JsonValue *E = V.find("max_rel_error"); E && E->isNumber())
       Out.MaxRelError = E->asDouble();
+    else if (E && E->isNull())
+      Out.MaxRelError = std::numeric_limits<double>::infinity();
     Out.SmemBytes = V.getInt("smem_bytes", 0, nullptr);
     Out.RegsPerThread = V.getInt("regs_per_thread", 0, nullptr);
   }

@@ -1,69 +1,87 @@
 //===- ExecCommon.cpp - Tile matmul shared by both execution engines ------===//
 
 #include "sim/ExecCommon.h"
+#include "sim/TileKernels.h"
 
 #include <cstring>
 
 using namespace tawa;
 using namespace tawa::sim;
+using namespace tawa::sim::tile;
 
 namespace {
 
-/// Four f32 lanes (GCC vector extension: SSE2 on baseline x86-64). A plain
-/// 4x8 float array tile spills its accumulators under GCC; named vector
-/// registers do not. Multiply and add stay separate operations: the library
-/// is built with -ffp-contract=off, so they are never fused.
-typedef float V4f __attribute__((vector_size(16)));
-
-V4f load4(const float *P) {
-  V4f V;
-  std::memcpy(&V, P, sizeof(V));
-  return V;
-}
-
-void store4(float *P, V4f V) { std::memcpy(P, &V, sizeof(V)); }
-
-V4f splat4(float X) { return V4f{X, X, X, X}; }
-
-/// Adds rows A[0..4) x B to the 4x8 output block at \p Out, P ascending.
+/// Adds rows A[0..4) x B to the 4 x 2W output block at \p Out, P ascending,
+/// where W is V's lane count. The eight accumulators stay in named vector
+/// registers for the whole P loop (a plain float array tile spills under
+/// GCC). Multiply and add stay separate operations: the library is built
+/// with -ffp-contract=off, so they are never fused.
 /// \p A has row stride K; \p Brows and \p Out have row stride N.
-void tile4x8(const float *A, const float *Brows, float *Out, int64_t N,
-             int64_t K) {
+template <typename V>
+__attribute__((always_inline)) inline void
+tile4xW(const float *A, const float *Brows, float *Out, int64_t N,
+        int64_t K) {
+  constexpr int64_t W = sizeof(V) / sizeof(float);
   const float *A0 = A, *A1 = A + K, *A2 = A + 2 * K, *A3 = A + 3 * K;
   float *O0 = Out, *O1 = Out + N, *O2 = Out + 2 * N, *O3 = Out + 3 * N;
-  V4f C00 = load4(O0), C01 = load4(O0 + 4);
-  V4f C10 = load4(O1), C11 = load4(O1 + 4);
-  V4f C20 = load4(O2), C21 = load4(O2 + 4);
-  V4f C30 = load4(O3), C31 = load4(O3 + 4);
+  V C00, C01, C10, C11, C20, C21, C30, C31;
+  load(C00, O0);
+  load(C01, O0 + W);
+  load(C10, O1);
+  load(C11, O1 + W);
+  load(C20, O2);
+  load(C21, O2 + W);
+  load(C30, O3);
+  load(C31, O3 + W);
   for (int64_t P = 0; P < K; ++P) {
     const float *Br = Brows + P * N;
-    V4f B0 = load4(Br), B1 = load4(Br + 4);
-    V4f X = splat4(A0[P]);
+    V B0, B1, X;
+    load(B0, Br);
+    load(B1, Br + W);
+    splat(X, A0[P]);
     C00 += X * B0;
     C01 += X * B1;
-    X = splat4(A1[P]);
+    splat(X, A1[P]);
     C10 += X * B0;
     C11 += X * B1;
-    X = splat4(A2[P]);
+    splat(X, A2[P]);
     C20 += X * B0;
     C21 += X * B1;
-    X = splat4(A3[P]);
+    splat(X, A3[P]);
     C30 += X * B0;
     C31 += X * B1;
   }
-  store4(O0, C00);
-  store4(O0 + 4, C01);
-  store4(O1, C10);
-  store4(O1 + 4, C11);
-  store4(O2, C20);
-  store4(O2 + 4, C21);
-  store4(O3, C30);
-  store4(O3 + 4, C31);
+  store(O0, C00);
+  store(O0 + W, C01);
+  store(O1, C10);
+  store(O1 + W, C11);
+  store(O2, C20);
+  store(O2 + W, C21);
+  store(O3, C30);
+  store(O3 + W, C31);
+}
+
+/// Baseline: a 4x8 block in eight 4-lane registers.
+void tile4x8(const float *A, const float *Brows, float *Out, int64_t N,
+             int64_t K) {
+  tile4xW<V4f>(A, Brows, Out, N, K);
+}
+
+/// Avx2: a 4x16 block in eight 8-lane registers.
+TAWA_TARGET_AVX2 void tile4x16(const float *A, const float *Brows,
+                               float *Out, int64_t N, int64_t K) {
+  tile4xW<V8f>(A, Brows, Out, N, K);
 }
 
 } // namespace
 
 TensorRef exec::matmulAcc(const TensorRef &A, const TensorRef &B,
+                          const TensorRef &Acc, bool TransB,
+                          TileArena *Arena) {
+  return matmulAcc(hostTileIsa(), A, B, Acc, TransB, Arena);
+}
+
+TensorRef exec::matmulAcc(TileIsa Isa, const TensorRef &A, const TensorRef &B,
                           const TensorRef &Acc, bool TransB,
                           TileArena *Arena) {
   int64_t MDim = A->getDim(0), KDim = A->getDim(1);
@@ -90,10 +108,18 @@ TensorRef exec::matmulAcc(const TensorRef &A, const TensorRef &B,
     Brows = Bt;
   }
 
+  // Full 4-row blocks: Avx2 covers 16 columns at a time first, then 4x8
+  // blocks cover the rest up to N8.
   int64_t M4 = MDim - MDim % 4, N8 = NDim - NDim % 8;
-  for (int64_t I = 0; I < M4; I += 4)
-    for (int64_t J = 0; J < N8; J += 8)
-      tile4x8(Ap + I * KDim, Brows + J, Op + I * NDim + J, NDim, KDim);
+  int64_t N16 = Isa == TileIsa::Avx2 ? NDim - NDim % 16 : 0;
+  for (int64_t I = 0; I < M4; I += 4) {
+    const float *Ar = Ap + I * KDim;
+    float *Or = Op + I * NDim;
+    for (int64_t J = 0; J < N16; J += 16)
+      tile4x16(Ar, Brows + J, Or + J, NDim, KDim);
+    for (int64_t J = N16; J < N8; J += 8)
+      tile4x8(Ar, Brows + J, Or + J, NDim, KDim);
+  }
   // The elements outside full blocks: the last MDim % 4 rows and the last
   // NDim % 8 columns, one dot product each, P ascending.
   for (int64_t I = 0; I < MDim; ++I)

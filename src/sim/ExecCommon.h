@@ -245,14 +245,15 @@ inline void roundTensorTo(TensorData &T, Type *ElemTy) {
 
 /// C = A (MxK) x B, acc += ; B is (KxN) or, when TransB, (NxK).
 ///
-/// Register-tiled (ExecCommon.cpp): each 4-row x 8-column block of the
-/// output stays in vector registers for the whole P loop, reading B as
-/// (K x N) rows (TransB is transposed into scratch first). Every output
-/// element (I, J) still starts from Acc and adds its f32 products in
-/// ascending-P order — the exact addition sequence of the naive triple
-/// loop — so the result is bit-identical to it. Both engines call this one
-/// function, so the engine diff test cannot see a change here; the oracle
-/// tests in tests/tensor_frontend_test.cpp and the goldens in
+/// Register-tiled (ExecCommon.cpp): each 4-row block of the output — 16
+/// columns wide on AVX2 hosts, 8 otherwise (sim/TileKernels.h) — stays in
+/// vector registers for the whole P loop, reading B as (K x N) rows
+/// (TransB is transposed into scratch first). Every output element (I, J)
+/// still starts from Acc and adds its f32 products in ascending-P order —
+/// the exact addition sequence of the naive triple loop — so the result is
+/// bit-identical to it. Both engines call this one function, so the engine
+/// diff test cannot see a change here; the oracle tests in
+/// tests/tensor_frontend_test.cpp and the goldens in
 /// tests/numerics_golden_test.cpp do.
 ///
 /// \p Arena (optional) supplies the result payload and the B-transpose

@@ -1,9 +1,15 @@
 //===- Numerics.cpp - FP16 / FP8 software arithmetic ---------------------------//
 
 #include "sim/Numerics.h"
+#include "sim/TileKernels.h"
 
+#include <array>
 #include <cmath>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 using namespace tawa;
 using namespace tawa::sim;
@@ -135,12 +141,52 @@ float tawa::sim::roundToFp8E4M3(float X) {
   return fp8E4M3BitsToFp32(fp32ToFp8E4M3Bits(X));
 }
 
-void tawa::sim::roundToFp16(float *Data, int64_t N) {
+namespace {
+
+/// The F16C form of the fp16 span: eight lanes per vcvtps2ph (round to
+/// nearest even) and vcvtph2ps, the scalar form for the tail. F16C equals
+/// the software conversion on every input but NaNs, where it keeps payload
+/// bits; those lanes get the software result, the input's sign | 0x7FC00000.
+TAWA_TARGET_AVX2 void roundToFp16F16c(float *Data, int64_t N) {
+  int64_t I = 0;
+#if defined(__x86_64__)
+  const __m256 SignBit = _mm256_castsi256_ps(_mm256_set1_epi32(INT32_MIN));
+  const __m256 QuietNan = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FC00000));
+  for (; I + 8 <= N; I += 8) {
+    __m256 X = _mm256_loadu_ps(Data + I);
+    __m256 R =
+        _mm256_cvtph_ps(_mm256_cvtps_ph(X, _MM_FROUND_TO_NEAREST_INT));
+    __m256 Nan = _mm256_or_ps(_mm256_and_ps(X, SignBit), QuietNan);
+    R = _mm256_blendv_ps(R, Nan, _mm256_cmp_ps(X, X, _CMP_UNORD_Q));
+    _mm256_storeu_ps(Data + I, R);
+  }
+#endif
+  for (; I < N; ++I)
+    Data[I] = roundToFp16(Data[I]);
+}
+
+} // namespace
+
+void tawa::sim::roundToFp16(TileIsa Isa, float *Data, int64_t N) {
+  if (Isa == TileIsa::Avx2)
+    return roundToFp16F16c(Data, N);
   for (int64_t I = 0; I < N; ++I)
     Data[I] = roundToFp16(Data[I]);
 }
 
+void tawa::sim::roundToFp16(float *Data, int64_t N) {
+  roundToFp16(hostTileIsa(), Data, N);
+}
+
 void tawa::sim::roundToFp8E4M3(float *Data, int64_t N) {
+  // Decoding through a table of all 256 codes, built once from
+  // fp8E4M3BitsToFp32, spares the span a std::ldexp per element.
+  static const std::array<float, 256> Decode = [] {
+    std::array<float, 256> T{};
+    for (int C = 0; C < 256; ++C)
+      T[C] = fp8E4M3BitsToFp32(static_cast<uint8_t>(C));
+    return T;
+  }();
   for (int64_t I = 0; I < N; ++I)
-    Data[I] = roundToFp8E4M3(Data[I]);
+    Data[I] = Decode[fp32ToFp8E4M3Bits(Data[I])];
 }

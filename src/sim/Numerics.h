@@ -23,8 +23,10 @@ float roundToFp16(float X);
 /// ±448, no infinities) and back, round-to-nearest-even with saturation.
 float roundToFp8E4M3(float X);
 
-/// Round \p N floats in place, element for element the same as the scalar
-/// forms above, in one call per tensor instead of one per element.
+/// Round \p N floats in place, bit for bit the same as the scalar forms
+/// above, in one call per tensor instead of one per element. The fp16 span
+/// runs through F16C on hosts that have it (sim/TileKernels.h); the fp8
+/// span decodes through a table of the 256 codes.
 void roundToFp16(float *Data, int64_t N);
 void roundToFp8E4M3(float *Data, int64_t N);
 

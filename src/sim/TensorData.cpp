@@ -1,13 +1,16 @@
 //===- TensorData.cpp - Host-side tensor storage -------------------------------//
 
 #include "sim/TensorData.h"
+#include "sim/TileKernels.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 using namespace tawa;
 using namespace tawa::sim;
+using namespace tawa::sim::tile;
 
 void TensorData::fillRandom(uint64_t Seed, float Scale) {
   // SplitMix64: deterministic, seed-friendly, good enough for test data.
@@ -124,39 +127,42 @@ void TensorData::insertWindow(const std::vector<int64_t> &Offsets,
   }
 }
 
-double TensorData::maxAbsDiff(const TensorData &Other) const {
-  assert(getNumElements() == Other.getNumElements() && "shape mismatch");
-  double Max = 0;
-  for (int64_t I = 0, E = getNumElements(); I != E; ++I)
-    Max = std::max(Max, std::fabs(static_cast<double>(Ptr[I]) -
-                                  static_cast<double>(Other.at(I))));
-  return Max;
-}
+namespace {
 
-double TensorData::maxRelDiff(const TensorData &Other) const {
-  assert(getNumElements() == Other.getNumElements() && "shape mismatch");
+/// The largest |Out[I] - Ref[I]| / Scale(Ref[I]). A pair that differs by a
+/// non-finite amount — a NaN on either side, or unequal infinities — makes
+/// the result +infinity, so a check against a bound cannot pass it (a
+/// std::max fold alone drops a NaN). Equal pairs, equal infinities
+/// included, contribute 0.
+template <typename ScaleFn>
+double maxDiff(const float *Out, const float *Ref, int64_t N, ScaleFn Scale) {
   double Max = 0;
-  for (int64_t I = 0, E = getNumElements(); I != E; ++I) {
-    double Ref = std::fabs(static_cast<double>(Other.at(I)));
-    double Diff = std::fabs(static_cast<double>(Ptr[I]) -
-                            static_cast<double>(Other.at(I)));
-    Max = std::max(Max, Diff / std::max(1.0, Ref));
+  for (int64_t I = 0; I < N; ++I) {
+    double O = Out[I], R = Ref[I];
+    if (O == R)
+      continue;
+    double Diff = std::fabs(O - R);
+    if (!std::isfinite(Diff))
+      return std::numeric_limits<double>::infinity();
+    Max = std::max(Max, Diff / Scale(R));
   }
   return Max;
 }
 
-namespace {
+} // namespace
 
-/// Two f64 lanes (GCC vector extension: SSE2 on baseline x86-64).
-typedef double V2d __attribute__((vector_size(16)));
-
-V2d load2(const double *P) {
-  V2d V;
-  std::memcpy(&V, P, sizeof(V));
-  return V;
+double TensorData::maxAbsDiff(const TensorData &Other) const {
+  assert(getNumElements() == Other.getNumElements() && "shape mismatch");
+  return maxDiff(Ptr, Other.data(), Size, [](double) { return 1.0; });
 }
 
-V2d splat2(double X) { return V2d{X, X}; }
+double TensorData::maxRelDiff(const TensorData &Other) const {
+  assert(getNumElements() == Other.getNumElements() && "shape mismatch");
+  return maxDiff(Ptr, Other.data(), Size,
+                 [](double R) { return std::max(1.0, std::fabs(R)); });
+}
+
+namespace {
 
 /// Packs rows [R0, R0 + 4) of the (Rows x K) matrix \p X as doubles,
 /// P-major: Dst[P * 4 + R]. Rows past \p Rows pack as zeros.
@@ -174,31 +180,56 @@ void packRows4(const float *X, int64_t Rows, int64_t R0, int64_t K,
   }
 }
 
-/// Sum[I][J] = sum over ascending P of Ap[P*4+I] * Bp[P*4+J], from +0.0.
-/// The sixteen sums stay in eight two-lane registers for the whole P loop.
-void dot4x4(const double *Ap, const double *Bp, int64_t K,
-            double Sum[4][4]) {
-  V2d C00 = {0, 0}, C01 = C00, C10 = C00, C11 = C00;
-  V2d C20 = C00, C21 = C00, C30 = C00, C31 = C00;
+/// Sum[I * 2W + J] = sum over ascending P of Ap[P*4+I] * B(J)[P], from +0.0,
+/// for the 4 x 2W block whose first W columns read \p B0 and last W read
+/// \p B1 (both P-major at stride 4, W = V's lane count). The eight sums
+/// stay in vector registers for the whole P loop.
+template <typename V>
+__attribute__((always_inline)) inline void
+dotBlock(const double *Ap, const double *B0, const double *B1, int64_t K,
+         double *Sum) {
+  constexpr int64_t W = sizeof(V) / sizeof(double);
+  V C00 = {}, C01 = C00, C10 = C00, C11 = C00;
+  V C20 = C00, C21 = C00, C30 = C00, C31 = C00;
   for (int64_t P = 0; P < K; ++P) {
-    const double *Ar = Ap + P * 4, *Br = Bp + P * 4;
-    V2d B0 = load2(Br), B1 = load2(Br + 2);
-    V2d X = splat2(Ar[0]);
-    C00 += X * B0;
-    C01 += X * B1;
-    X = splat2(Ar[1]);
-    C10 += X * B0;
-    C11 += X * B1;
-    X = splat2(Ar[2]);
-    C20 += X * B0;
-    C21 += X * B1;
-    X = splat2(Ar[3]);
-    C30 += X * B0;
-    C31 += X * B1;
+    const double *Ar = Ap + P * 4;
+    V Bv0, Bv1, X;
+    load(Bv0, B0 + P * 4);
+    load(Bv1, B1 + P * 4);
+    splat(X, Ar[0]);
+    C00 += X * Bv0;
+    C01 += X * Bv1;
+    splat(X, Ar[1]);
+    C10 += X * Bv0;
+    C11 += X * Bv1;
+    splat(X, Ar[2]);
+    C20 += X * Bv0;
+    C21 += X * Bv1;
+    splat(X, Ar[3]);
+    C30 += X * Bv0;
+    C31 += X * Bv1;
   }
-  const V2d Rows[4][2] = {{C00, C01}, {C10, C11}, {C20, C21}, {C30, C31}};
-  for (int I = 0; I < 4; ++I)
-    std::memcpy(Sum[I], Rows[I], sizeof(Rows[I]));
+  store(Sum, C00);
+  store(Sum + W, C01);
+  store(Sum + 2 * W, C10);
+  store(Sum + 3 * W, C11);
+  store(Sum + 4 * W, C20);
+  store(Sum + 5 * W, C21);
+  store(Sum + 6 * W, C30);
+  store(Sum + 7 * W, C31);
+}
+
+/// Baseline: the 4x4 block of one packed 4-row panel \p Bp, in eight
+/// 2-lane registers.
+void dot4x4(const double *Ap, const double *Bp, int64_t K, double *Sum) {
+  dotBlock<V2d>(Ap, Bp, Bp + 2, K, Sum);
+}
+
+/// Avx2: the 4x8 block of two adjacent panels at \p Bp, in eight 4-lane
+/// registers.
+TAWA_TARGET_AVX2 void dot4x8(const double *Ap, const double *Bp, int64_t K,
+                             double *Sum) {
+  dotBlock<V4d>(Ap, Bp, Bp + 4 * K, K, Sum);
 }
 
 /// The double-precision A·Bᵀ kernel of the references: calls
@@ -208,24 +239,32 @@ void dot4x4(const double *Ap, const double *Bp, int64_t K,
 /// is exact in double, so that order alone decides the result.
 ///
 /// Blocking: each pass packs 16 rows of B as four 4-row panels, then walks
-/// A 4 rows at a time; every 4x4 output block is one dot4x4. Scratch is
+/// A 4 rows at a time. Baseline computes one panel per dot4x4; Avx2 two
+/// adjacent panels per dot4x8, and a lone last panel takes dot4x4. Either
+/// way the emits come panel by panel, in the same (I, J) order. Scratch is
 /// 20 * K doubles — never a packed copy of all of B.
 template <typename EmitFn>
-void forEachDotAbt(const float *A, const float *B, int64_t M, int64_t N,
-                   int64_t K, EmitFn Emit) {
+void forEachDotAbt(TileIsa Isa, const float *A, const float *B, int64_t M,
+                   int64_t N, int64_t K, EmitFn Emit) {
   std::vector<double> Bp(static_cast<size_t>(16 * K));
   std::vector<double> Ap(static_cast<size_t>(4 * K));
-  double Sum[4][4];
+  double Sum[32];
   for (int64_t J0 = 0; J0 < N; J0 += 16) {
-    for (int64_t Q = 0; Q < 4; ++Q)
+    int64_t Panels = std::min<int64_t>(4, (N - J0 + 3) / 4);
+    for (int64_t Q = 0; Q < Panels; ++Q)
       packRows4(B, N, J0 + 4 * Q, K, Bp.data() + Q * 4 * K);
     for (int64_t I0 = 0; I0 < M; I0 += 4) {
       packRows4(A, M, I0, K, Ap.data());
-      for (int64_t Q = 0; Q < 4 && J0 + 4 * Q < N; ++Q) {
-        dot4x4(Ap.data(), Bp.data() + Q * 4 * K, K, Sum);
-        for (int64_t I = 0; I < 4 && I0 + I < M; ++I)
-          for (int64_t J = 0; J < 4 && J0 + 4 * Q + J < N; ++J)
-            Emit(I0 + I, J0 + 4 * Q + J, Sum[I][J]);
+      for (int64_t Q = 0; Q < Panels;) {
+        int64_t Width = Isa == TileIsa::Avx2 && Q + 1 < Panels ? 2 : 1;
+        if (Width == 2)
+          dot4x8(Ap.data(), Bp.data() + Q * 4 * K, K, Sum);
+        else
+          dot4x4(Ap.data(), Bp.data() + Q * 4 * K, K, Sum);
+        for (int64_t H = 0; H < Width; ++H, ++Q)
+          for (int64_t I = 0; I < 4 && I0 + I < M; ++I)
+            for (int64_t J = 0; J < 4 && J0 + 4 * Q + J < N; ++J)
+              Emit(I0 + I, J0 + 4 * Q + J, Sum[I * 4 * Width + 4 * H + J]);
       }
     }
   }
@@ -234,18 +273,29 @@ void forEachDotAbt(const float *A, const float *B, int64_t M, int64_t N,
 } // namespace
 
 TensorData tawa::sim::referenceGemm(const TensorData &A, const TensorData &B) {
+  return referenceGemm(hostTileIsa(), A, B);
+}
+
+TensorData tawa::sim::referenceAttention(const TensorData &Q,
+                                         const TensorData &K,
+                                         const TensorData &V, bool Causal) {
+  return referenceAttention(hostTileIsa(), Q, K, V, Causal);
+}
+
+TensorData tawa::sim::referenceGemm(TileIsa Isa, const TensorData &A,
+                                    const TensorData &B) {
   int64_t M = A.getDim(0), K = A.getDim(1), N = B.getDim(0);
   assert(B.getDim(1) == K && "GEMM contraction mismatch");
   TensorData C({M, N});
   float *Cp = C.data();
-  forEachDotAbt(A.data(), B.data(), M, N, K,
+  forEachDotAbt(Isa, A.data(), B.data(), M, N, K,
                 [&](int64_t I, int64_t J, double Dot) {
                   Cp[I * N + J] = static_cast<float>(Dot);
                 });
   return C;
 }
 
-TensorData tawa::sim::referenceAttention(const TensorData &Q,
+TensorData tawa::sim::referenceAttention(TileIsa Isa, const TensorData &Q,
                                          const TensorData &K,
                                          const TensorData &V, bool Causal) {
   int64_t L = Q.getDim(0), D = Q.getDim(1);
@@ -267,7 +317,7 @@ TensorData tawa::sim::referenceAttention(const TensorData &Q,
     for (int64_t R = 0; R < Rows; ++R)
       std::fill(Scores.begin() + R * LK + Keys, Scores.begin() + (R + 1) * LK,
                 -1e300);
-    forEachDotAbt(Q.data() + I0 * D, K.data(), Rows, Keys, D,
+    forEachDotAbt(Isa, Q.data() + I0 * D, K.data(), Rows, Keys, D,
                   [&](int64_t R, int64_t J, double Dot) {
                     Scores[R * LK + J] =
                         Causal && J > I0 + R ? -1e300 : Dot * Scale;

@@ -207,8 +207,11 @@ public:
                     const TensorData &Window);
 
   /// Largest absolute element difference against \p Other (same shape).
+  /// +infinity when a pair differs by a non-finite amount: a NaN on either
+  /// side, or unequal infinities. Equal pairs count 0.
   double maxAbsDiff(const TensorData &Other) const;
-  /// Largest relative difference (|a-b| / max(1, |b|)).
+  /// Largest relative difference (|a-b| / max(1, |b|)), non-finite pairs
+  /// as in maxAbsDiff.
   double maxRelDiff(const TensorData &Other) const;
 
 private:

@@ -3,10 +3,13 @@
 #include "driver/Runner.h"
 #include "sim/Numerics.h"
 #include "sim/TensorData.h"
+#include "sim/TileKernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 using namespace tawa;
 using namespace tawa::sim;
@@ -105,6 +108,113 @@ TEST_P(RoundingProperty, IdempotentAndMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundingProperty,
                          ::testing::Values(1, 2, 3, 17, 99));
+
+//===----------------------------------------------------------------------===//
+// Span forms against the scalar forms, bit for bit
+//
+// roundToFp16's span has one variant per CPU feature level
+// (sim/TileKernels.h), and a host runs only one by itself, so each check
+// runs every variant the host supports. The fp16_exhaustive tool
+// (tests/fp16_exhaustive.cpp) sweeps all 2^32 inputs.
+//===----------------------------------------------------------------------===//
+
+uint32_t bitsOf(float X) {
+  uint32_t B;
+  std::memcpy(&B, &X, sizeof(B));
+  return B;
+}
+
+float fromBits(uint32_t B) {
+  float X;
+  std::memcpy(&X, &B, sizeof(X));
+  return X;
+}
+
+/// Runs \p Isa's fp16 span over \p In and expects every element to carry
+/// the scalar form's bits; reports the first mismatch only.
+void expectFp16SpanMatchesScalar(TileIsa Isa, const std::vector<float> &In) {
+  std::vector<float> Got = In;
+  roundToFp16(Isa, Got.data(), static_cast<int64_t>(Got.size()));
+  for (size_t I = 0; I < In.size(); ++I)
+    if (bitsOf(Got[I]) != bitsOf(roundToFp16(In[I]))) {
+      ADD_FAILURE() << tileIsaName(Isa) << ": input 0x" << std::hex
+                    << bitsOf(In[I]) << " gave 0x" << bitsOf(Got[I])
+                    << ", scalar 0x" << bitsOf(roundToFp16(In[I]));
+      return;
+    }
+}
+
+TEST(Fp16Span, EveryVariantMatchesScalarAtEveryRoundingCase) {
+  // Every high 16-bit pattern (sign, exponent, top 7 mantissa bits) with
+  // low halves at each rounding case of the normal fp16 range, whose last
+  // kept bit is bit 13: exact (0x0000, 0x2000), below half (0x0FFF), tie to
+  // even (0x1000), tie to odd (0x3000), above half (0x1001, 0xFFFF).
+  const uint32_t Lows[] = {0x0000, 0x2000, 0x0FFF, 0x1000,
+                           0x3000, 0x1001, 0xFFFF};
+  std::vector<float> In;
+  for (uint32_t High = 0; High <= 0xFFFF; ++High)
+    for (uint32_t Low : Lows)
+      In.push_back(fromBits(High << 16 | Low));
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    expectFp16SpanMatchesScalar(Isa, In);
+  }
+}
+
+TEST(Fp16Span, EveryVariantMatchesScalarOnNans) {
+  // Quiet and signalling NaNs of both signs, with and without payloads:
+  // F16C keeps payload bits, the software form does not.
+  std::vector<float> In;
+  for (uint32_t Sign : {0u, 0x80000000u})
+    for (uint32_t Mant : {0x000001u, 0x000100u, 0x1FFFFFu, 0x200000u,
+                          0x3FFFFFu, 0x400000u, 0x400001u, 0x5A5A5Au,
+                          0x7FE000u, 0x7FFFFFu})
+      In.push_back(fromBits(Sign | 0x7F800000u | Mant));
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    expectFp16SpanMatchesScalar(Isa, In);
+  }
+}
+
+TEST(Fp16Span, EveryVariantCoversEveryTailLength) {
+  // Lengths 0-17: no full vector, one, two, and every tail. Each span
+  // mixes finite values, infinities and a NaN, and the element past its
+  // end must stay untouched.
+  const float Sentinel = fromBits(0x7FA00ABCu);
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    for (int64_t N = 0; N <= 17; ++N) {
+      TensorData T({N + 1});
+      T.fillRandom(static_cast<uint64_t>(N) + 1, 70000.0f);
+      if (N > 3) {
+        T.at(1) = std::numeric_limits<float>::infinity();
+        T.at(N - 2) = fromBits(0xFFC12345u);
+      }
+      T.at(N) = Sentinel;
+      std::vector<float> In(T.data(), T.data() + N);
+      expectFp16SpanMatchesScalar(Isa, In);
+      roundToFp16(Isa, T.data(), N);
+      EXPECT_EQ(bitsOf(T.at(N)), bitsOf(Sentinel))
+          << tileIsaName(Isa) << ": N = " << N;
+    }
+  }
+}
+
+TEST(Fp8Span, DecodesEveryCodeAsTheFormula) {
+  // The span decodes through a table built from fp8E4M3BitsToFp32. Every
+  // code's value encodes back to the code, so the span must hand it back
+  // bit for bit — NaN codes (0x7F, 0xFF) and -0 (0x80) included.
+  for (int C = 0; C < 256; ++C) {
+    float X = fp8E4M3BitsToFp32(static_cast<uint8_t>(C));
+    ASSERT_EQ(fp32ToFp8E4M3Bits(X), C);
+    float Span = X;
+    roundToFp8E4M3(&Span, 1);
+    EXPECT_EQ(bitsOf(Span), bitsOf(X)) << "code " << C;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Kernel-family numerics properties

@@ -38,6 +38,7 @@
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -305,6 +306,28 @@ TEST(SandboxProtocol, ParseResponseRoundTripsByteIdentical) {
   ServeResponse Bad;
   EXPECT_NE(parseResponse("not json", Bad), "");
   EXPECT_NE(parseResponse("{\"schema\":\"wrong\"}", Bad), "");
+}
+
+TEST(SandboxProtocol, InfiniteMaxRelErrorRendersAsNullAndRoundTrips) {
+  // TensorData::maxRelDiff reads +infinity for a NaN or infinite output
+  // element. JSON has no infinity: the field renders as null, and the
+  // parse must read null back as +infinity so the supervisor's re-render
+  // of a sandboxed response keeps its bytes.
+  ServeResponse R;
+  R.Id = "nan-out";
+  R.HasRun = true;
+  R.Micros = 3.5;
+  R.TFlops = 0.5;
+  R.MaxRelError = std::numeric_limits<double>::infinity();
+  std::string Wire = R.render();
+  EXPECT_NE(Wire.find("\"max_rel_error\":null"), std::string::npos) << Wire;
+  JsonValue Doc;
+  std::string Err;
+  EXPECT_TRUE(parseJson(Wire, Doc, Err)) << Err << ": " << Wire;
+  ServeResponse Back;
+  ASSERT_EQ(parseResponse(Wire, Back), "") << Wire;
+  EXPECT_EQ(Back.MaxRelError, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Back.render(), Wire);
 }
 
 //===----------------------------------------------------------------------===//

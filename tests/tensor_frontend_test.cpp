@@ -4,11 +4,13 @@
 #include "ir/Verifier.h"
 #include "sim/ExecCommon.h"
 #include "sim/TensorData.h"
+#include "sim/TileKernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 using namespace tawa;
 using namespace tawa::sim;
@@ -53,6 +55,38 @@ TEST(TensorData, DiffMetrics) {
   EXPECT_NEAR(A.maxRelDiff(B), 0.5 / 1.5, 1e-6);
 }
 
+// A validation check reads these as "the largest error"; a NaN or a wrong
+// infinity anywhere must read as infinite error, never as none.
+TEST(TensorData, DiffMetricsSeeNonFiniteDifferences) {
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const double Worst = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char *Name;
+    float Out, Ref;
+    double Want;
+  };
+  const Case Cases[] = {{"NaN in the output", Nan, 2.0f, Worst},
+                        {"NaN in the reference", 2.0f, Nan, Worst},
+                        {"NaN in both", Nan, Nan, Worst},
+                        {"unequal infinities", Inf, -Inf, Worst},
+                        {"infinite output", Inf, 2.0f, Worst},
+                        {"infinite reference", 2.0f, -Inf, Worst},
+                        // Contributes 0: the finite pair's 0.25 is left.
+                        {"equal infinities", -Inf, -Inf, 0.25}};
+  for (const Case &C : Cases) {
+    // The pair sits between finite pairs, the first 0.25 apart.
+    TensorData Out({3}), Ref({3});
+    Out.fill(1.0f);
+    Ref.fill(1.0f);
+    Out.at(0) = 1.25f;
+    Out.at(1) = C.Out;
+    Ref.at(1) = C.Ref;
+    EXPECT_EQ(Out.maxAbsDiff(Ref), C.Want) << C.Name;
+    EXPECT_EQ(Out.maxRelDiff(Ref), C.Want) << C.Name;
+  }
+}
+
 TEST(Reference, GemmMatchesHandComputation) {
   TensorData A({2, 3}), B({2, 3}); // C = A * B^T is 2x2.
   for (int I = 0; I < 6; ++I) {
@@ -94,7 +128,10 @@ TEST(Reference, CausalFirstRowAttendsOnlyToFirstKey) {
 //
 // referenceGemm, referenceAttention and exec::matmulAcc promise every
 // output element the naive loops' exact addition sequence, so their results
-// must match these oracles byte for byte — not within a tolerance.
+// must match these oracles byte for byte — not within a tolerance. Each
+// kernel has one variant per CPU feature level (sim/TileKernels.h) and a
+// host runs only one of them by itself, so every check runs each variant
+// the host supports and skips the rest.
 //===----------------------------------------------------------------------===//
 
 TensorData naiveGemm(const TensorData &A, const TensorData &B) {
@@ -186,15 +223,25 @@ TEST(Reference, GemmMatchesNaiveLoopBitForBit) {
     for (int64_t N : {1, 3, 5, 17, 129})
       for (int64_t K : {1, 3, 5, 17, 129})
         Shapes.push_back({M, N, K});
+  // B's 16-row passes hold four 4-row panels, and Avx2 takes them in
+  // adjacent pairs: N = 20 and 28 end on a lone full panel, N = 23 and 30
+  // on a pair whose second panel is partial.
+  for (int64_t N : {20, 23, 28, 30})
+    for (int64_t M : {4, 7})
+      Shapes.push_back({M, N, 33});
   // Long contractions: the summation order over K is what must be kept.
   Shapes.push_back({5, 17, 2048});
   Shapes.push_back({33, 20, 1000});
   Shapes.push_back({129, 129, 2048});
-  for (const Shape &S : Shapes) {
-    TensorData A = spreadMatrix(S.M, S.K, 1);
-    TensorData B = spreadMatrix(S.N, S.K, 2);
-    EXPECT_TRUE(sameBytes(referenceGemm(A, B), naiveGemm(A, B)))
-        << S.M << "x" << S.N << "x" << S.K;
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    for (const Shape &S : Shapes) {
+      TensorData A = spreadMatrix(S.M, S.K, 1);
+      TensorData B = spreadMatrix(S.N, S.K, 2);
+      EXPECT_TRUE(sameBytes(referenceGemm(Isa, A, B), naiveGemm(A, B)))
+          << S.M << "x" << S.N << "x" << S.K << " " << tileIsaName(Isa);
+    }
   }
 }
 
@@ -202,45 +249,77 @@ TEST(Reference, AttentionMatchesNaiveLoopBitForBit) {
   struct Shape {
     int64_t L, LK, D;
   };
-  // L != LK both ways, row counts around and past the kernel's blocks.
-  const Shape Shapes[] = {{1, 1, 1},     {3, 5, 4},    {17, 5, 8},
-                          {5, 17, 3},    {40, 33, 16}, {64, 129, 32},
-                          {130, 70, 64}, {70, 130, 128}};
-  for (const Shape &S : Shapes)
-    for (bool Causal : {false, true}) {
-      TensorData Q({S.L, S.D}), K({S.LK, S.D});
-      Q.fillRandom(11, 3.0f);
-      K.fillRandom(12, 3.0f);
-      TensorData V = spreadMatrix(S.LK, S.D, 13);
-      EXPECT_TRUE(sameBytes(referenceAttention(Q, K, V, Causal),
-                            naiveAttention(Q, K, V, Causal)))
-          << S.L << "x" << S.LK << "x" << S.D << " causal=" << Causal;
-    }
+  // L != LK both ways, row counts around and past the kernel's blocks; LK
+  // = 20 ends Q·Kᵀ on a lone 4-row panel, LK = 23 on a partial pair.
+  const Shape Shapes[] = {{1, 1, 1},     {3, 5, 4},      {17, 5, 8},
+                          {5, 17, 3},    {40, 33, 16},   {64, 129, 32},
+                          {130, 70, 64}, {70, 130, 128}, {9, 20, 16},
+                          {21, 23, 8}};
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    for (const Shape &S : Shapes)
+      for (bool Causal : {false, true}) {
+        TensorData Q({S.L, S.D}), K({S.LK, S.D});
+        Q.fillRandom(11, 3.0f);
+        K.fillRandom(12, 3.0f);
+        TensorData V = spreadMatrix(S.LK, S.D, 13);
+        EXPECT_TRUE(sameBytes(referenceAttention(Isa, Q, K, V, Causal),
+                              naiveAttention(Q, K, V, Causal)))
+            << S.L << "x" << S.LK << "x" << S.D << " causal=" << Causal
+            << " " << tileIsaName(Isa);
+      }
+  }
 }
 
 TEST(Reference, MatmulAccMatchesNaiveLoopBitForBit) {
   TileArena Arena;
-  for (bool TransB : {false, true})
-    for (int64_t M : {1, 3, 4, 7, 13})      // M % 4 tails.
-      for (int64_t N : {1, 5, 8, 13, 24, 27}) // N % 8 tails.
-        for (int64_t K : {1, 2, 17, 64}) {
-          auto A = std::make_shared<TensorData>(spreadMatrix(M, K, 1));
-          auto B = std::make_shared<TensorData>(
-              TransB ? spreadMatrix(N, K, 2) : spreadMatrix(K, N, 2));
-          auto Acc = std::make_shared<TensorData>(spreadMatrix(M, N, 3));
-          TensorData Want = naiveMatmulAcc(*A, *B, *Acc, TransB);
-          std::string Case = std::to_string(M) + "x" + std::to_string(N) +
-                             "x" + std::to_string(K) +
-                             (TransB ? " transB" : "");
-          // Heap path (the legacy engine's), then the arena path (the
-          // bytecode executor's).
-          EXPECT_TRUE(sameBytes(*exec::matmulAcc(A, B, Acc, TransB), Want))
-              << Case << " heap";
-          EXPECT_TRUE(
-              sameBytes(*exec::matmulAcc(A, B, Acc, TransB, &Arena), Want))
-              << Case << " arena";
-          Arena.reset();
-        }
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    for (bool TransB : {false, true})
+      for (int64_t M : {1, 3, 4, 7, 13}) // M % 4 tails.
+        // N % 8 and N % 16 tails (Avx2 takes 16 columns per block).
+        for (int64_t N : {1, 5, 8, 13, 16, 24, 27, 31, 40})
+          for (int64_t K : {1, 2, 17, 64}) {
+            auto A = std::make_shared<TensorData>(spreadMatrix(M, K, 1));
+            auto B = std::make_shared<TensorData>(
+                TransB ? spreadMatrix(N, K, 2) : spreadMatrix(K, N, 2));
+            auto Acc = std::make_shared<TensorData>(spreadMatrix(M, N, 3));
+            TensorData Want = naiveMatmulAcc(*A, *B, *Acc, TransB);
+            std::string Case = std::to_string(M) + "x" + std::to_string(N) +
+                               "x" + std::to_string(K) +
+                               (TransB ? " transB " : " ") + tileIsaName(Isa);
+            // Heap path (the oracle's), then the arena path (the bytecode
+            // executor's).
+            EXPECT_TRUE(
+                sameBytes(*exec::matmulAcc(Isa, A, B, Acc, TransB), Want))
+                << Case << " heap";
+            EXPECT_TRUE(sameBytes(
+                *exec::matmulAcc(Isa, A, B, Acc, TransB, &Arena), Want))
+                << Case << " arena";
+            Arena.reset();
+          }
+  }
+}
+
+TEST(Reference, MatmulAccKeepsSignedZeros) {
+  // A and Acc all -0: each product's sign of zero decides the result's, so
+  // a splat that turned -0 into +0 (as `0 + x` does) would show here.
+  for (TileIsa Isa : AllTileIsas) {
+    if (!hostRuns(Isa))
+      GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
+    for (int64_t N : {5, 8, 16, 27}) {
+      auto A = std::make_shared<TensorData>(TensorData({4, 3}));
+      A->fill(-0.0f);
+      auto B = std::make_shared<TensorData>(spreadMatrix(3, N, 2));
+      auto Acc = std::make_shared<TensorData>(TensorData({4, N}));
+      Acc->fill(-0.0f);
+      EXPECT_TRUE(sameBytes(*exec::matmulAcc(Isa, A, B, Acc, false),
+                            naiveMatmulAcc(*A, *B, *Acc, false)))
+          << "N = " << N << " " << tileIsaName(Isa);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
