@@ -647,7 +647,7 @@ int main(int argc, char **argv) {
 
   // The PR-1 acceptance bar: >= 5x on the GEMM inner-loop workload. The
   // functional row has no engine-ratio bar — both engines share their math
-  // kernels (matmulAcc, loadWindow), so the legacy/bytecode ratio there is
+  // kernels (matmulAcc, loadWindowInto), so the legacy/bytecode ratio there is
   // near 1 by construction; the arena + worker-pool win is tracked as the
   // absolute bytecode_ops_per_sec / worker_scaling numbers in
   // BENCH_interp.json instead.

@@ -73,6 +73,72 @@ TAWA_TARGET_AVX2 void tile4x16(const float *A, const float *Brows,
   tile4xW<V8f>(A, Brows, Out, N, K);
 }
 
+/// Bt[P * N + J] = B[J * K + P] for J in [J0, J1) and P in [P0, P1):
+/// part of the (K x N) transpose of the (N x K) matrix B.
+void transposeRange(const float *B, float *Bt, int64_t N, int64_t K,
+                    int64_t J0, int64_t J1, int64_t P0, int64_t P1) {
+  for (int64_t J = J0; J < J1; ++J)
+    for (int64_t P = P0; P < P1; ++P)
+      Bt[P * N + J] = B[J * K + P];
+}
+
+typedef int V8i __attribute__((vector_size(32)));
+
+/// Avx2: transposes the 8x8 block at \p B (row stride K) into \p Bt (row
+/// stride N) in registers: unpacklo/hi pairs rows, shuffle_ps gathers
+/// four-element groups, permute2f128 swaps the 128-bit halves.
+TAWA_TARGET_AVX2 void transpose8x8(const float *B, int64_t K, float *Bt,
+                                   int64_t N) {
+  V8f R0, R1, R2, R3, R4, R5, R6, R7;
+  load(R0, B);
+  load(R1, B + K);
+  load(R2, B + 2 * K);
+  load(R3, B + 3 * K);
+  load(R4, B + 4 * K);
+  load(R5, B + 5 * K);
+  load(R6, B + 6 * K);
+  load(R7, B + 7 * K);
+  const V8i Lo = {0, 8, 1, 9, 4, 12, 5, 13};
+  const V8i Hi = {2, 10, 3, 11, 6, 14, 7, 15};
+  V8f T0 = __builtin_shuffle(R0, R1, Lo), T1 = __builtin_shuffle(R0, R1, Hi);
+  V8f T2 = __builtin_shuffle(R2, R3, Lo), T3 = __builtin_shuffle(R2, R3, Hi);
+  V8f T4 = __builtin_shuffle(R4, R5, Lo), T5 = __builtin_shuffle(R4, R5, Hi);
+  V8f T6 = __builtin_shuffle(R6, R7, Lo), T7 = __builtin_shuffle(R6, R7, Hi);
+  const V8i Even = {0, 1, 8, 9, 4, 5, 12, 13};
+  const V8i Odd = {2, 3, 10, 11, 6, 7, 14, 15};
+  V8f S0 = __builtin_shuffle(T0, T2, Even), S1 = __builtin_shuffle(T0, T2, Odd);
+  V8f S2 = __builtin_shuffle(T1, T3, Even), S3 = __builtin_shuffle(T1, T3, Odd);
+  V8f S4 = __builtin_shuffle(T4, T6, Even), S5 = __builtin_shuffle(T4, T6, Odd);
+  V8f S6 = __builtin_shuffle(T5, T7, Even), S7 = __builtin_shuffle(T5, T7, Odd);
+  const V8i LoHalves = {0, 1, 2, 3, 8, 9, 10, 11};
+  const V8i HiHalves = {4, 5, 6, 7, 12, 13, 14, 15};
+  store(Bt, __builtin_shuffle(S0, S4, LoHalves));
+  store(Bt + N, __builtin_shuffle(S1, S5, LoHalves));
+  store(Bt + 2 * N, __builtin_shuffle(S2, S6, LoHalves));
+  store(Bt + 3 * N, __builtin_shuffle(S3, S7, LoHalves));
+  store(Bt + 4 * N, __builtin_shuffle(S0, S4, HiHalves));
+  store(Bt + 5 * N, __builtin_shuffle(S1, S5, HiHalves));
+  store(Bt + 6 * N, __builtin_shuffle(S2, S6, HiHalves));
+  store(Bt + 7 * N, __builtin_shuffle(S3, S7, HiHalves));
+}
+
+/// The (K x N) transpose of the (N x K) matrix B into \p Bt. Baseline is
+/// one scalar loop; Avx2 moves the full 8x8 blocks in registers and the
+/// edges with the same loop. Data movement only.
+void transpose(TileIsa Isa, const float *B, float *Bt, int64_t N,
+               int64_t K) {
+  int64_t N8 = 0, K8 = 0;
+  if (Isa == TileIsa::Avx2) {
+    N8 = N - N % 8;
+    K8 = K - K % 8;
+    for (int64_t J = 0; J < N8; J += 8)
+      for (int64_t P = 0; P < K8; P += 8)
+        transpose8x8(B + J * K + P, K, Bt + P * N + J, N);
+    transposeRange(B, Bt, N, K, 0, N8, K8, K);
+  }
+  transposeRange(B, Bt, N, K, N8, N, 0, K);
+}
+
 } // namespace
 
 TensorRef exec::matmulAcc(const TensorRef &A, const TensorRef &B,
@@ -102,9 +168,7 @@ TensorRef exec::matmulAcc(TileIsa Isa, const TensorRef &A, const TensorRef &B,
       Scratch.resize(static_cast<size_t>(KDim) * NDim);
       Bt = Scratch.data();
     }
-    for (int64_t J = 0; J < NDim; ++J)
-      for (int64_t P = 0; P < KDim; ++P)
-        Bt[P * NDim + J] = Bp[J * KDim + P];
+    transpose(Isa, Bp, Bt, NDim, KDim);
     Brows = Bt;
   }
 

@@ -176,45 +176,51 @@ inline TensorRef cloneArenaTile(const TensorData &T, TileArena &Arena) {
                                           T, Arena);
 }
 
-/// Copies the (possibly higher-rank) host window for a tile into \p Tile,
-/// left-padding the window shape with 1s to the host rank. \p Tile must
-/// already have the tile shape; padding does not change the row-major
-/// element order, so no reshape copy is needed.
-inline void loadWindowInto(const TensorData &Host,
-                           const std::vector<int64_t> &Offsets,
-                           const std::vector<int64_t> &TileShape,
-                           TensorData &Tile) {
-  if (TileShape.size() == Host.getShape().size()) {
-    Host.extractWindowInto(Offsets, TileShape, Tile.data());
-    return;
-  }
-  std::vector<int64_t> Padded = TileShape;
-  while (Padded.size() < Host.getShape().size())
-    Padded.insert(Padded.begin(), 1);
-  Host.extractWindowInto(Offsets, Padded, Tile.data());
-}
-
-/// Extracts a tile from a host tensor whose rank may exceed the tile rank
-/// (batched layouts): the window shape is left-padded with 1s to the host
-/// rank, and the result is reshaped to the tile shape.
-inline TensorData loadWindow(const TensorData &Host,
+/// The host window a TMA op moves for a tile: one offset per host
+/// dimension, and the tile shape left-padded with 1s to the host rank
+/// (batched layouts). Padding does not change the row-major element order,
+/// so the tile's payload is the window's. A tensor argument of another rank
+/// than the op's offsets, or below the tile's, is a bad launch: returns the
+/// error both engines report (ErrorKind::Unsupported), else "".
+inline std::string tmaWindow(const char *What, const TensorData &Host,
                              const std::vector<int64_t> &Offsets,
-                             const std::vector<int64_t> &TileShape) {
-  TensorData Out(TileShape);
-  loadWindowInto(Host, Offsets, TileShape, Out);
-  return Out;
+                             const ShapeVec &TileShape, ShapeVec &Window) {
+  size_t Rank = Host.getShape().size();
+  if (Offsets.size() != Rank || TileShape.size() > Rank)
+    return formatString("unsupported launch: TMA %s of a rank-%zu tile at "
+                        "%zu offsets into a rank-%zu tensor argument",
+                        What, TileShape.size(), Offsets.size(), Rank);
+  Window.clear();
+  for (size_t D = TileShape.size(); D < Rank; ++D)
+    Window.push_back(1);
+  for (int64_t Dim : TileShape)
+    Window.push_back(Dim);
+  return "";
 }
 
-/// Writes a tile back into a (possibly higher-rank) host tensor.
-inline void storeWindow(TensorData &Host, const std::vector<int64_t> &Offsets,
-                        const TensorData &Tile) {
-  std::vector<int64_t> Padded = Tile.getShape().vec();
-  while (Padded.size() < Host.getShape().size())
-    Padded.insert(Padded.begin(), 1);
-  TensorData W(Padded);
-  for (int64_t I = 0, E = Tile.getNumElements(); I != E; ++I)
-    W.at(I) = Tile.at(I);
-  Host.insertWindow(Offsets, W);
+/// Copies the host window of a tile of \p TileShape at \p Offsets into
+/// \p Tile (tmaWindow). Returns tmaWindow's error, copying nothing then.
+inline std::string loadWindowInto(const TensorData &Host,
+                                  const std::vector<int64_t> &Offsets,
+                                  const ShapeVec &TileShape, float *Tile) {
+  ShapeVec Window;
+  std::string Err = tmaWindow("load", Host, Offsets, TileShape, Window);
+  if (Err.empty())
+    Host.extractWindowInto(Offsets, Window, Tile);
+  return Err;
+}
+
+/// Writes the tile \p Tile of \p TileShape back into its host window
+/// (tmaWindow), one row copy per in-range row. Returns tmaWindow's error,
+/// writing nothing then.
+inline std::string storeWindow(TensorData &Host,
+                               const std::vector<int64_t> &Offsets,
+                               const ShapeVec &TileShape, const float *Tile) {
+  ShapeVec Window;
+  std::string Err = tmaWindow("store", Host, Offsets, TileShape, Window);
+  if (Err.empty())
+    Host.insertWindow(Offsets, Window, Tile);
+  return Err;
 }
 
 inline TensorRef applyBinary(const TensorRef &A, const TensorRef &B,

@@ -480,8 +480,9 @@ private:
   /// TmaLoadAsync body. \p OpBase is where the offset operands start (1
   /// for the plain op whose operand 0 is the descriptor, 2 for
   /// TmaLoadAsyncOff whose operands 0/1 are the fused AddPtr inputs);
-  /// \p Desc is the resolved descriptor value.
-  void tmaLoadAsyncBody(const Inst &I, AgentCtx &A, const RValue &Desc,
+  /// \p Desc is the resolved descriptor value. Returns false, with
+  /// A.Error set, when the window does not fit the tensor argument.
+  bool tmaLoadAsyncBody(const Inst &I, AgentCtx &A, const RValue &Desc,
                         int64_t OpBase, std::vector<RValue> &S) {
     chargeCuda(A, Config.TmaIssueCycles);
     int64_t NumOffsets = I.Imm0;
@@ -522,13 +523,16 @@ private:
       // Install a fresh tile rather than overwriting in place: consumers
       // that already read this slot keep their snapshot.
       auto T = makeArenaTile(P.IntVecs[I.Aux], *Arena);
-      loadWindowInto(*Opts.Args[Desc.H].Data, Offsets, P.IntVecs[I.Aux],
-                     *T);
+      A.Error = loadWindowInto(*Opts.Args[Desc.H].Data, Offsets,
+                               T->getShape(), T->data());
+      if (!A.Error.empty())
+        return false;
       Buf.Store[Key] = std::move(T);
     }
     // The copy's arrival (with its transaction bytes) is immediate in the
     // functional model; the replay applies the real transfer latency.
     applyArrival(Bar, Idx, Bytes);
+    return true;
   }
 
   const CompiledProgram &P;
@@ -1276,7 +1280,13 @@ void BcExec::step(AgentRun &Run) {
         for (int64_t K = 1; K < I.NumOps; ++K)
           Offsets.push_back(asInt(V(K)));
         auto T = makeTile(I.ResultTy);
-        loadWindowInto(*Arg.Data, Offsets, I.ResultTy->getShape(), *T);
+        A.Error = loadWindowInto(*Arg.Data, Offsets, T->getShape(),
+                                 T->data());
+        if (!A.Error.empty()) {
+          Run.St = AgentRun::State::Failed;
+          Run.Pc = Pc;
+          return;
+        }
         S[I.Result] = RValue::makeTensor(std::move(T));
       }
       TAWA_NEXT();
@@ -1298,7 +1308,13 @@ void BcExec::step(AgentRun &Run) {
           Offsets.push_back(asInt(V(K)));
         TensorData Rounded(*Val.T, *Arena);
         roundTensorTo(Rounded, I.ElemTy);
-        storeWindow(*Opts.Args[Desc.H].Data, Offsets, Rounded);
+        A.Error = storeWindow(*Opts.Args[Desc.H].Data, Offsets,
+                              Rounded.getShape(), Rounded.data());
+        if (!A.Error.empty()) {
+          Run.St = AgentRun::State::Failed;
+          Run.Pc = Pc;
+          return;
+        }
       }
       TAWA_NEXT();
     }
@@ -1553,7 +1569,11 @@ void BcExec::step(AgentRun &Run) {
       TAWA_NEXT();
     }
     TAWA_CASE(TmaLoadAsync) : {
-      tmaLoadAsyncBody(*IP, A, V(0), /*OpBase=*/1, S);
+      if (!tmaLoadAsyncBody(*IP, A, V(0), /*OpBase=*/1, S)) {
+        Run.St = AgentRun::State::Failed;
+        Run.Pc = Pc;
+        return;
+      }
       TAWA_NEXT();
     }
     TAWA_CASE(TmaLoadAsyncOff) : {
@@ -1572,7 +1592,11 @@ void BcExec::step(AgentRun &Run) {
             applyBinary(Ptr.T, Off.T,
                         +[](float X, float Y) { return X + Y; }, Arena),
             Ptr.H);
-      tmaLoadAsyncBody(I, A, Desc, /*OpBase=*/2, S);
+      if (!tmaLoadAsyncBody(I, A, Desc, /*OpBase=*/2, S)) {
+        Run.St = AgentRun::State::Failed;
+        Run.Pc = Pc;
+        return;
+      }
       TAWA_NEXT();
     }
     TAWA_CASE(TmaLoadAsyncTx) : {
@@ -1593,7 +1617,11 @@ void BcExec::step(AgentRun &Run) {
       Act.Bytes = TxBytes;
       Act.Cycles = Config.BarrierOpCycles;
       emitAction(A, Act);
-      tmaLoadAsyncBody(I, A, V(2), /*OpBase=*/3, S);
+      if (!tmaLoadAsyncBody(I, A, V(2), /*OpBase=*/3, S)) {
+        Run.St = AgentRun::State::Failed;
+        Run.Pc = Pc;
+        return;
+      }
       TAWA_NEXT();
     }
     TAWA_CASE(SmemRead) : {

@@ -37,33 +37,37 @@ TensorData::extractWindow(const std::vector<int64_t> &Offsets,
   return Out;
 }
 
-void TensorData::extractWindowInto(const std::vector<int64_t> &Offsets,
-                                   const std::vector<int64_t> &WindowShape,
-                                   float *Out) const {
-  assert(Offsets.size() == Shape.size() && "window rank mismatch");
-  size_t Rank = Shape.size();
+namespace {
 
-  // Fast path: the window is fully in range, so every row of the innermost
-  // dimension is one contiguous memcpy from the host tensor.
+/// Walks the window of \p WindowShape at \p Offsets in a tensor of
+/// \p Shape (same rank). A window inside the tensor in every dimension
+/// goes row by row: Row(Host, Window, Len) for each innermost row, Host and
+/// Window being the row's first linear index on either side. Any other
+/// window goes element by element: Elem(Window, Host), with Host = -1 where
+/// the element falls outside the tensor.
+template <typename RowFn, typename ElemFn>
+void walkWindow(const ShapeVec &Shape, const std::vector<int64_t> &Offsets,
+                const ShapeVec &WindowShape, RowFn Row, ElemFn Elem) {
+  assert(Offsets.size() == Shape.size() &&
+         WindowShape.size() == Shape.size() && "window rank mismatch");
+  size_t Rank = Shape.size();
   bool InRange = Rank > 0;
   for (size_t D = 0; D < Rank; ++D)
     if (Offsets[D] < 0 || Offsets[D] + WindowShape[D] > Shape[D]) {
       InRange = false;
       break;
     }
+  std::vector<int64_t> Idx(Rank, 0);
   if (InRange) {
     int64_t RowLen = WindowShape[Rank - 1];
     int64_t NumRows = 1;
     for (size_t D = 0; D + 1 < Rank; ++D)
       NumRows *= WindowShape[D];
-    std::vector<int64_t> Idx(Rank, 0);
-    for (int64_t Row = 0; Row < NumRows; ++Row) {
-      int64_t Src = 0;
+    for (int64_t R = 0; R < NumRows; ++R) {
+      int64_t Host = 0;
       for (size_t D = 0; D + 1 < Rank; ++D)
-        Src = Src * Shape[D] + Offsets[D] + Idx[D];
-      Src = Src * Shape[Rank - 1] + Offsets[Rank - 1];
-      std::memcpy(Out + Row * RowLen, Ptr + Src,
-                  static_cast<size_t>(RowLen) * sizeof(float));
+        Host = Host * Shape[D] + Offsets[D] + Idx[D];
+      Row(Host * Shape[Rank - 1] + Offsets[Rank - 1], R * RowLen, RowLen);
       for (int64_t D = static_cast<int64_t>(Rank) - 2; D >= 0; --D) {
         if (++Idx[D] < WindowShape[D])
           break;
@@ -72,27 +76,21 @@ void TensorData::extractWindowInto(const std::vector<int64_t> &Offsets,
     }
     return;
   }
-
-  // Generic path: per-element with TMA's clamp-to-zero out-of-bounds fill.
   int64_t N = 1;
   for (int64_t D : WindowShape)
     N *= D;
-  std::vector<int64_t> Idx(WindowShape.size(), 0);
   for (int64_t Linear = 0; Linear < N; ++Linear) {
-    bool Ok = true;
-    int64_t SrcLinear = 0;
+    int64_t Host = 0;
     for (size_t D = 0; D < Rank; ++D) {
       int64_t Coord = Offsets[D] + Idx[D];
       if (Coord < 0 || Coord >= Shape[D]) {
-        Ok = false;
+        Host = -1;
         break;
       }
-      SrcLinear = SrcLinear * Shape[D] + Coord;
+      Host = Host * Shape[D] + Coord;
     }
-    Out[Linear] = Ok ? Ptr[SrcLinear] : 0.0f;
-    // Advance the multi-index.
-    for (int64_t D = static_cast<int64_t>(WindowShape.size()) - 1; D >= 0;
-         --D) {
+    Elem(Linear, Host);
+    for (int64_t D = static_cast<int64_t>(Rank) - 1; D >= 0; --D) {
       if (++Idx[D] < WindowShape[D])
         break;
       Idx[D] = 0;
@@ -100,31 +98,36 @@ void TensorData::extractWindowInto(const std::vector<int64_t> &Offsets,
   }
 }
 
+} // namespace
+
+void TensorData::extractWindowInto(const std::vector<int64_t> &Offsets,
+                                   const ShapeVec &WindowShape,
+                                   float *Out) const {
+  // Out-of-range reads fill zero, as TMA's out-of-bounds fill does.
+  walkWindow(
+      Shape, Offsets, WindowShape,
+      [&](int64_t Host, int64_t Window, int64_t Len) {
+        std::memcpy(Out + Window, Ptr + Host,
+                    static_cast<size_t>(Len) * sizeof(float));
+      },
+      [&](int64_t Window, int64_t Host) {
+        Out[Window] = Host >= 0 ? Ptr[Host] : 0.0f;
+      });
+}
+
 void TensorData::insertWindow(const std::vector<int64_t> &Offsets,
-                              const TensorData &Window) {
-  assert(Offsets.size() == Shape.size() && "window rank mismatch");
-  int64_t N = Window.getNumElements();
-  std::vector<int64_t> Idx(Window.getShape().size(), 0);
-  for (int64_t Linear = 0; Linear < N; ++Linear) {
-    bool InRange = true;
-    int64_t DstLinear = 0;
-    for (size_t D = 0; D < Shape.size(); ++D) {
-      int64_t Coord = Offsets[D] + Idx[D];
-      if (Coord < 0 || Coord >= Shape[D]) {
-        InRange = false;
-        break;
-      }
-      DstLinear = DstLinear * Shape[D] + Coord;
-    }
-    if (InRange)
-      Ptr[DstLinear] = Window.at(Linear);
-    for (int64_t D = static_cast<int64_t>(Window.getShape().size()) - 1;
-         D >= 0; --D) {
-      if (++Idx[D] < Window.getShape()[D])
-        break;
-      Idx[D] = 0;
-    }
-  }
+                              const ShapeVec &WindowShape,
+                              const float *Window) {
+  walkWindow(
+      Shape, Offsets, WindowShape,
+      [&](int64_t Host, int64_t Win, int64_t Len) {
+        std::memcpy(Ptr + Host, Window + Win,
+                    static_cast<size_t>(Len) * sizeof(float));
+      },
+      [&](int64_t Win, int64_t Host) {
+        if (Host >= 0)
+          Ptr[Host] = Window[Win];
+      });
 }
 
 namespace {
@@ -238,19 +241,21 @@ TAWA_TARGET_AVX2 void dot4x8(const double *Ap, const double *Bp, int64_t K,
 /// the naive dot product's exact addition sequence. A product of two floats
 /// is exact in double, so that order alone decides the result.
 ///
-/// Blocking: each pass packs 16 rows of B as four 4-row panels, then walks
-/// A 4 rows at a time. Baseline computes one panel per dot4x4; Avx2 two
-/// adjacent panels per dot4x8, and a lone last panel takes dot4x4. Either
-/// way the emits come panel by panel, in the same (I, J) order. Scratch is
-/// 20 * K doubles — never a packed copy of all of B.
+/// Blocking: each pass packs 64 rows of B as sixteen 4-row panels, then
+/// walks A 4 rows at a time, so A is converted to double once per pass.
+/// Baseline computes one panel per dot4x4; Avx2 two adjacent panels per
+/// dot4x8, and a lone last panel takes dot4x4. Either way the emits come
+/// panel by panel, in the same (I, J) order. Scratch is 68 * K doubles —
+/// never a packed copy of all of B.
 template <typename EmitFn>
 void forEachDotAbt(TileIsa Isa, const float *A, const float *B, int64_t M,
                    int64_t N, int64_t K, EmitFn Emit) {
-  std::vector<double> Bp(static_cast<size_t>(16 * K));
+  constexpr int64_t PassPanels = 16;
+  std::vector<double> Bp(static_cast<size_t>(4 * PassPanels * K));
   std::vector<double> Ap(static_cast<size_t>(4 * K));
   double Sum[32];
-  for (int64_t J0 = 0; J0 < N; J0 += 16) {
-    int64_t Panels = std::min<int64_t>(4, (N - J0 + 3) / 4);
+  for (int64_t J0 = 0; J0 < N; J0 += 4 * PassPanels) {
+    int64_t Panels = std::min<int64_t>(PassPanels, (N - J0 + 3) / 4);
     for (int64_t Q = 0; Q < Panels; ++Q)
       packRows4(B, N, J0 + 4 * Q, K, Bp.data() + Q * 4 * K);
     for (int64_t I0 = 0; I0 < M; I0 += 4) {
@@ -268,6 +273,47 @@ void forEachDotAbt(TileIsa Isa, const float *A, const float *B, int64_t M,
       }
     }
   }
+}
+
+/// Acc[P] = sum over ascending J < LK of W[J] * double(Vp[J * D + P]) from
+/// +0.0, a multiply then an add per term, for the 4L columns P of one
+/// block (L = V's lane count). The four accumulators stay in vector
+/// registers for the whole J loop.
+template <typename V>
+__attribute__((always_inline)) inline void
+pvBlock(const double *W, const float *Vp, int64_t LK, int64_t D,
+        double *Acc) {
+  constexpr int64_t L = sizeof(V) / sizeof(double);
+  V C0 = {}, C1 = C0, C2 = C0, C3 = C0;
+  for (int64_t J = 0; J < LK; ++J) {
+    const float *Vr = Vp + J * D;
+    V X, F;
+    splat(X, W[J]);
+    widen(F, Vr);
+    C0 += X * F;
+    widen(F, Vr + L);
+    C1 += X * F;
+    widen(F, Vr + 2 * L);
+    C2 += X * F;
+    widen(F, Vr + 3 * L);
+    C3 += X * F;
+  }
+  store(Acc, C0);
+  store(Acc + L, C1);
+  store(Acc + 2 * L, C2);
+  store(Acc + 3 * L, C3);
+}
+
+/// Baseline: 8 columns of P·V in four 2-lane registers.
+void pv8(const double *W, const float *Vp, int64_t LK, int64_t D,
+         double *Acc) {
+  pvBlock<V2d>(W, Vp, LK, D, Acc);
+}
+
+/// Avx2: 16 columns of P·V in four 4-lane registers.
+TAWA_TARGET_AVX2 void pv16(const double *W, const float *Vp, int64_t LK,
+                           int64_t D, double *Acc) {
+  pvBlock<V4d>(W, Vp, LK, D, Acc);
 }
 
 } // namespace
@@ -332,13 +378,21 @@ TensorData tawa::sim::referenceAttention(TileIsa Isa, const TensorData &Q,
         Row[J] = std::exp(Row[J] - Max);
         Sum += Row[J];
       }
-      // P·V in saxpy form: the P lanes are independent, and each Acc[P]
-      // still adds Row[J] * V[J,P] in ascending J.
-      std::fill(Acc.begin(), Acc.end(), 0.0);
-      for (int64_t J = 0; J < LK; ++J) {
+      // P·V: each Acc[P] adds Row[J] * V[J,P] in ascending J from +0.0.
+      // Full column blocks keep their sums in registers; the last D % Block
+      // columns go in saxpy form.
+      int64_t Block = Isa == TileIsa::Avx2 ? 16 : 8;
+      int64_t DB = D - D % Block;
+      for (int64_t P0 = 0; P0 < DB; P0 += Block)
+        if (Isa == TileIsa::Avx2)
+          pv16(Row, Vp + P0, LK, D, Acc.data() + P0);
+        else
+          pv8(Row, Vp + P0, LK, D, Acc.data() + P0);
+      std::fill(Acc.begin() + DB, Acc.end(), 0.0);
+      for (int64_t J = 0; DB < D && J < LK; ++J) {
         double W = Row[J];
         const float *Vr = Vp + J * D;
-        for (int64_t P = 0; P < D; ++P)
+        for (int64_t P = DB; P < D; ++P)
           Acc[P] += W * static_cast<double>(Vr[P]);
       }
       float *Or = O.data() + (I0 + R) * D;

@@ -73,9 +73,6 @@ public:
   }
   void clear() { N = 0; }
 
-  /// Materializes as a std::vector (window-padding helpers).
-  std::vector<int64_t> vec() const { return {begin(), end()}; }
-
   friend bool operator==(const ShapeVec &L, const ShapeVec &R) {
     if (L.N != R.N)
       return false;
@@ -199,12 +196,13 @@ public:
   /// leading 1s stripped). Fully in-range windows take a contiguous-row
   /// memcpy fast path; values are identical to extractWindow either way.
   void extractWindowInto(const std::vector<int64_t> &Offsets,
-                         const std::vector<int64_t> &WindowShape,
-                         float *Out) const;
+                         const ShapeVec &WindowShape, float *Out) const;
 
-  /// Writes \p Window back at \p Offsets (out-of-range writes dropped).
+  /// Writes the row-major \p Window (sized \p WindowShape) back at
+  /// \p Offsets; out-of-range writes are dropped. Fully in-range windows
+  /// take the same contiguous-row memcpy fast path as extractWindowInto.
   void insertWindow(const std::vector<int64_t> &Offsets,
-                    const TensorData &Window);
+                    const ShapeVec &WindowShape, const float *Window);
 
   /// Largest absolute element difference against \p Other (same shape).
   /// +infinity when a pair differs by a non-finite amount: a NaN on either

@@ -119,6 +119,13 @@ TAWA_TARGET_AVX2 inline void splat(V4d &X, double S) {
   X = V4d{S, S, S, S};
 }
 
+/// Loads floats widened to double, one lane each (a single cvtps2pd; GCC
+/// splits __builtin_convertvector into halves).
+inline void widen(V2d &X, const float *P) { X = V2d{P[0], P[1]}; }
+TAWA_TARGET_AVX2 inline void widen(V4d &X, const float *P) {
+  X = V4d{P[0], P[1], P[2], P[3]};
+}
+
 } // namespace tile
 
 } // namespace sim

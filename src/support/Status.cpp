@@ -93,6 +93,8 @@ ErrorKind tawa::classifyError(const std::string &Error) {
     return ErrorKind::WorkerCrash;
   if (startsWith(Error, At, "compile: "))
     return ErrorKind::CompileError;
+  if (startsWith(Error, At, "unsupported launch:"))
+    return ErrorKind::Unsupported;
   if (startsWith(Error, At, "sandbox crash:") ||
       startsWith(Error, At, "sandbox spawn:"))
     return ErrorKind::SandboxCrash;

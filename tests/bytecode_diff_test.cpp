@@ -19,6 +19,7 @@
 #include "sim/Interpreter.h"
 #include "support/Support.h"
 #include "tests/oracle/TreeWalk.h"
+#include "tests/support/TraceDiff.h"
 
 #include <gtest/gtest.h>
 
@@ -64,34 +65,6 @@ void expectTensorsBitIdentical(const TensorData &A, const TensorData &B) {
             0)
       << "engine outputs differ bitwise (maxAbsDiff=" << A.maxAbsDiff(B)
       << ")";
-}
-
-void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B) {
-  ASSERT_EQ(L.Agents.size(), B.Agents.size());
-  for (size_t G = 0; G < L.Agents.size(); ++G) {
-    const AgentTrace &La = L.Agents[G], &Ba = B.Agents[G];
-    EXPECT_EQ(La.Name, Ba.Name);
-    EXPECT_EQ(La.Replicas, Ba.Replicas);
-    ASSERT_EQ(La.Actions.size(), Ba.Actions.size())
-        << "agent " << La.Name << ": action counts differ";
-    for (size_t I = 0; I < La.Actions.size(); ++I) {
-      const Action &X = La.Actions[I], &Y = Ba.Actions[I];
-      ASSERT_EQ(static_cast<int>(X.Kind), static_cast<int>(Y.Kind))
-          << "agent " << La.Name << " action " << I;
-      EXPECT_EQ(X.Cycles, Y.Cycles) << "agent " << La.Name << " action " << I;
-      EXPECT_EQ(X.Bytes, Y.Bytes);
-      EXPECT_EQ(X.Bar, Y.Bar);
-      EXPECT_EQ(X.Idx, Y.Idx);
-      EXPECT_EQ(X.Parity, Y.Parity);
-      EXPECT_EQ(X.Pendings, Y.Pendings);
-      EXPECT_EQ(X.Lookahead, Y.Lookahead);
-    }
-  }
-  EXPECT_EQ(L.NumBarrierArrays, B.NumBarrierArrays);
-  EXPECT_EQ(L.BarrierArrivals, B.BarrierArrivals);
-  EXPECT_EQ(L.BarrierSizes, B.BarrierSizes);
-  EXPECT_EQ(L.SmemBytes, B.SmemBytes);
-  EXPECT_EQ(L.HbEvents, B.HbEvents) << "happens-before event counts differ";
 }
 
 //===----------------------------------------------------------------------===//
@@ -159,7 +132,7 @@ void diffGemm(const GemmDiffCase &C) {
     expectTensorsBitIdentical(*Outputs[0], *Outputs[Engine]);
     ASSERT_EQ(Traces[0].size(), Traces[Engine].size());
     for (size_t I = 0; I < Traces[0].size(); ++I)
-      expectTracesIdentical(Traces[0][I], Traces[Engine][I]);
+      EXPECT_EQ(traceDiff(Traces[0][I], Traces[Engine][I]), "");
   }
 
   // Timing-only mode (the benchmark hot path) must also agree exactly.
@@ -174,8 +147,8 @@ void diffGemm(const GemmDiffCase &C) {
   for (int Engine = 0; Engine < NumEngines; ++Engine)
     ASSERT_EQ(runEngineCta(*Mod, Timing, Engine, 0, 0, TimingTraces[Engine]),
               "");
-  expectTracesIdentical(TimingTraces[0], TimingTraces[1]);
-  expectTracesIdentical(TimingTraces[0], TimingTraces[2]);
+  EXPECT_EQ(traceDiff(TimingTraces[0], TimingTraces[1]), "");
+  EXPECT_EQ(traceDiff(TimingTraces[0], TimingTraces[2]), "");
 }
 
 TEST(BytecodeDiff, GemmWarpSpecialized) {
@@ -293,7 +266,7 @@ void diffAttention(const MhaDiffCase &C) {
     expectTensorsBitIdentical(*Outputs[0], *Outputs[Engine]);
     ASSERT_EQ(Traces[0].size(), Traces[Engine].size());
     for (size_t I = 0; I < Traces[0].size(); ++I)
-      expectTracesIdentical(Traces[0][I], Traces[Engine][I]);
+      EXPECT_EQ(traceDiff(Traces[0][I], Traces[Engine][I]), "");
   }
 }
 
@@ -421,7 +394,7 @@ TEST(BytecodeDiff, ArefProtocolRing) {
   for (int Engine = 1; Engine < NumEngines; ++Engine) {
     EXPECT_EQ(Errors[Engine], "");
     expectTensorsBitIdentical(*Outputs[0], *Outputs[Engine]);
-    expectTracesIdentical(Traces[0], Traces[Engine]);
+    EXPECT_EQ(traceDiff(Traces[0], Traces[Engine]), "");
   }
 }
 
@@ -452,7 +425,7 @@ TEST(BytecodeDiff, NestedWarpGroupAtAgentTopLevelIgnored) {
   EXPECT_EQ(Errors[0], "");
   for (int Engine = 1; Engine < NumEngines; ++Engine) {
     EXPECT_EQ(Errors[Engine], "");
-    expectTracesIdentical(Traces[0], Traces[Engine]);
+    EXPECT_EQ(traceDiff(Traces[0], Traces[Engine]), "");
   }
 }
 

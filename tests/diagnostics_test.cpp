@@ -247,6 +247,10 @@ TEST(Taxonomy, ClassifiesEngineMessagePrefixes) {
   EXPECT_EQ(classifyError("cta (2,0): worker crash: std::bad_alloc"),
             ErrorKind::WorkerCrash);
   EXPECT_EQ(classifyError("compile: unknown op"), ErrorKind::CompileError);
+  EXPECT_EQ(classifyError("cta (0,0): unsupported launch: TMA store of a "
+                          "rank-2 tile at 3 offsets into a rank-2 tensor "
+                          "argument"),
+            ErrorKind::Unsupported);
   EXPECT_EQ(classifyError("argument count mismatch"), ErrorKind::Internal);
   // A malformed coordinate prefix is not skipped — the message classifies
   // as-is (and lands on Internal).

@@ -9,6 +9,7 @@
 #include "support/Status.h"
 #include "support/Support.h"
 #include "tests/oracle/TreeWalk.h"
+#include "tests/support/TraceDiff.h"
 
 #include <cstring>
 
@@ -113,64 +114,6 @@ std::string runCombo(const PreparedCase &P, int I, bool Corrupt,
   return "";
 }
 
-std::string compareTraces(const CtaTrace &A, const CtaTrace &B) {
-  if (A.Agents.size() != B.Agents.size())
-    return formatString("agent count %zu vs %zu", A.Agents.size(),
-                        B.Agents.size());
-  for (size_t I = 0; I < A.Agents.size(); ++I) {
-    const AgentTrace &X = A.Agents[I];
-    const AgentTrace &Y = B.Agents[I];
-    if (X.Name != Y.Name)
-      return formatString("agent %zu name '%s' vs '%s'", I, X.Name.c_str(),
-                          Y.Name.c_str());
-    if (X.Replicas != Y.Replicas)
-      return formatString("agent %s replicas", X.Name.c_str());
-    if (X.Actions.size() != Y.Actions.size())
-      return formatString("agent %s action count %zu vs %zu",
-                          X.Name.c_str(), X.Actions.size(),
-                          Y.Actions.size());
-    for (size_t J = 0; J < X.Actions.size(); ++J) {
-      const Action &P = X.Actions[J];
-      const Action &Q = Y.Actions[J];
-      if (P.Kind != Q.Kind || P.Cycles != Q.Cycles || P.Bytes != Q.Bytes ||
-          P.Bar != Q.Bar || P.Idx != Q.Idx || P.Parity != Q.Parity ||
-          P.Pendings != Q.Pendings || P.Lookahead != Q.Lookahead)
-        return formatString("agent %s action %zu differs", X.Name.c_str(),
-                            J);
-    }
-  }
-  if (A.NumBarrierArrays != B.NumBarrierArrays)
-    return "barrier array count";
-  if (A.BarrierArrivals != B.BarrierArrivals)
-    return "barrier arrivals";
-  if (A.BarrierSizes != B.BarrierSizes)
-    return "barrier sizes";
-  if (A.SmemBytes != B.SmemBytes)
-    return "smem bytes";
-  if (A.RegsPerThread != B.RegsPerThread)
-    return "regs per thread";
-  if (A.HbEvents != B.HbEvents)
-    return formatString("happens-before events %llu vs %llu",
-                        static_cast<unsigned long long>(A.HbEvents),
-                        static_cast<unsigned long long>(B.HbEvents));
-  // Deferred atomic contributions (split-K epilogue): recording order and
-  // payloads are part of the determinism contract — the facade applies them
-  // in trace order, so any drift here is a real divergence.
-  if (A.Atomics.size() != B.Atomics.size())
-    return formatString("atomic contrib count %zu vs %zu", A.Atomics.size(),
-                        B.Atomics.size());
-  for (size_t I = 0; I < A.Atomics.size(); ++I) {
-    const AtomicContrib &P = A.Atomics[I];
-    const AtomicContrib &Q = B.Atomics[I];
-    if (P.Arg != Q.Arg || P.Index != Q.Index ||
-        P.Value.size() != Q.Value.size() ||
-        std::memcmp(P.Value.data(), Q.Value.data(),
-                    P.Value.size() * sizeof(float)) != 0)
-      return formatString("atomic contrib %zu differs", I);
-  }
-  return "";
-}
-
 std::string compareCombos(const ComboResult &Ref, const ComboResult &R,
                           const std::string &Name) {
   if (Ref.Error != R.Error)
@@ -197,7 +140,7 @@ std::string compareCombos(const ComboResult &Ref, const ComboResult &R,
   if (Ref.Traces.size() != R.Traces.size())
     return formatString("[%s] trace count", Name.c_str());
   for (size_t I = 0; I < Ref.Traces.size(); ++I)
-    if (std::string D = compareTraces(Ref.Traces[I], R.Traces[I]);
+    if (std::string D = traceDiff(Ref.Traces[I], R.Traces[I]);
         !D.empty())
       return formatString("[%s] cta %zu trace: %s", Name.c_str(), I,
                           D.c_str());
@@ -247,7 +190,7 @@ std::string diffTimingLeg(const PreparedCase &P) {
       return formatString("[timing/engine%d] error '%s' vs '%s'", Engine,
                           Err.c_str(), RefErr.c_str());
     if (Err.empty())
-      if (std::string D = compareTraces(Ref, T); !D.empty())
+      if (std::string D = traceDiff(Ref, T); !D.empty())
         return formatString("[timing/engine%d] %s", Engine, D.c_str());
   }
   return "";

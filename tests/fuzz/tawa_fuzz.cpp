@@ -241,6 +241,8 @@ int emitCorpus(const std::string &Dir) {
   struct Entry {
     const char *Name;
     FuzzCase C;
+    /// Replaces the rendered fuzz.args (launches no generated case makes).
+    const char *Args = nullptr;
   };
   std::vector<Entry> Entries;
 
@@ -392,6 +394,18 @@ int emitCorpus(const std::string &Dir) {
     C.Options.EnableWarpSpecialization = false;
     Entries.push_back({"grouped_plain_partial_tile", C});
   }
+  {
+    // gemm_ws with A's tensor argument at rank 3 and at rank 1 against the
+    // kernel's two TMA offsets: every engine must fail alike, as a bad
+    // launch. Last: the coarse pipeliner orders loop-carried values by
+    // address, so compiling a case ahead of the others can reorder them in
+    // the attention file.
+    FuzzCase C = Entries.front().C;
+    Entries.push_back({"gemm_ws_rank3_arg", C,
+                       "t1:2x128x64;t2:128x64;t0:128x128;s128;s128;s64"});
+    Entries.push_back({"gemm_ws_rank1_arg", C,
+                       "t1:8192;t2:128x64;t0:128x128;s128;s128;s64"});
+  }
 
   std::string Manifest =
       "# Pinned textual-IR corpus: every file must parse (src/ir/Parser)\n"
@@ -404,6 +418,11 @@ int emitCorpus(const std::string &Dir) {
     if (!Err.empty()) {
       std::fprintf(stderr, "emit-corpus: %s: %s\n", E.Name, Err.c_str());
       return 1;
+    }
+    if (E.Args) {
+      const std::string Key = "fuzz.args = \"";
+      size_t Begin = Text.find(Key) + Key.size();
+      Text.replace(Begin, Text.find('"', Begin) - Begin, E.Args);
     }
     std::string Path = Dir + "/" + E.Name + ".tawa";
     if (!writeFile(Path, Text)) {

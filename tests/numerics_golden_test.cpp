@@ -20,6 +20,7 @@
 
 #include "driver/Runner.h"
 #include "sim/Interpreter.h"
+#include "support/Status.h"
 #include "support/Support.h"
 #include "tests/oracle/TreeWalk.h"
 
@@ -57,10 +58,11 @@ const CorpusGolden CorpusGoldens[] = {
     {"grouped_plain_partial_tile.tawa", {"6058f7fc8915bb91"}},
 };
 
-// Corpus files that pin a failure (deadlock, injected worker faults), not
-// numerics.
-const char *const CorpusErrorPaths[] = {"protocol_ring_deadlock.tawa",
-                                        "gemm_ws_worker_faults.tawa"};
+// Corpus files that pin a failure (deadlock, injected worker faults, a
+// tensor argument of the wrong rank), not numerics.
+const char *const CorpusErrorPaths[] = {
+    "protocol_ring_deadlock.tawa", "gemm_ws_worker_faults.tawa",
+    "gemm_ws_rank3_arg.tawa", "gemm_ws_rank1_arg.tawa"};
 
 /// Runs \p Text functionally and returns the fnv1a64 of each output tensor,
 /// or the run error as the only element, prefixed with "error: ".
@@ -100,6 +102,36 @@ TEST(NumericsGolden, CorpusOutputHashes) {
       EXPECT_EQ(replayOutputHashes(Text, C.Oracle, C.Workers), G.Outputs)
           << G.File << (C.Oracle ? " oracle" : " bytecode") << " workers "
           << C.Workers;
+  }
+}
+
+TEST(NumericsGolden, RankMismatchedArgsFailAlikeAsUnsupported) {
+  // A's tensor argument at another rank than the kernel's two TMA offsets
+  // used to read past the offsets or leave the tile uninitialized, so the
+  // outputs differed run to run. Now every engine stops at the first CTA's
+  // first load with one message.
+  struct Case {
+    const char *File;
+    const char *Error;
+  };
+  const Case Cases[] = {
+      {"gemm_ws_rank3_arg.tawa",
+       "cta (0,0): unsupported launch: TMA load of a rank-2 tile at 2 "
+       "offsets into a rank-3 tensor argument"},
+      {"gemm_ws_rank1_arg.tawa",
+       "cta (0,0): unsupported launch: TMA load of a rank-2 tile at 2 "
+       "offsets into a rank-1 tensor argument"},
+  };
+  for (const Case &C : Cases) {
+    std::string Text = readCorpus(C.File);
+    ASSERT_FALSE(Text.empty()) << C.File;
+    EXPECT_EQ(classifyError(C.Error), ErrorKind::Unsupported);
+    for (bool Oracle : {false, true})
+      for (int64_t Workers : {1, 4})
+        EXPECT_EQ(replayOutputHashes(Text, Oracle, Workers),
+                  std::vector<std::string>{std::string("error: ") + C.Error})
+            << C.File << (Oracle ? " oracle" : " bytecode") << " workers "
+            << Workers;
   }
 }
 

@@ -734,8 +734,10 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     std::vector<int64_t> Offsets;
     for (unsigned I = 1, EIt = Op->getNumOperands(); I != EIt; ++I)
       Offsets.push_back(asInt(Val(I)));
-    auto T = std::make_shared<TensorData>(
-        loadWindow(*Arg.Data, Offsets, Ty->getShape()));
+    auto T = std::make_shared<TensorData>(Ty->getShape());
+    A.Error = loadWindowInto(*Arg.Data, Offsets, T->getShape(), T->data());
+    if (!A.Error.empty())
+      return false;
     SetResult(RValue::makeTensor(std::move(T)));
     return true;
   }
@@ -757,8 +759,9 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
       Offsets.push_back(asInt(Val(I)));
     TensorData Rounded = *V.T;
     roundTensorTo(Rounded, Ty->getElementType());
-    storeWindow(*Opts.Args[Desc.H].Data, Offsets, Rounded);
-    return true;
+    A.Error = storeWindow(*Opts.Args[Desc.H].Data, Offsets,
+                          Rounded.getShape(), Rounded.data());
+    return A.Error.empty();
   }
   case OpKind::Store: {
     const RValue &Ptr = Val(0);
@@ -1031,10 +1034,13 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
       std::vector<int64_t> Offsets;
       for (unsigned I = 0; I < NumOffsets; ++I)
         Offsets.push_back(asInt(Val(1 + I)));
-      const auto &ShapeAttr =
-          std::get<std::vector<int64_t>>(Op->getAttrs().at("shape"));
-      Buf.Store[{Idx, Op->getIntAttr("slot_offset")}] =
-          loadWindow(*Opts.Args[Desc.H].Data, Offsets, ShapeAttr);
+      TensorData Tile(
+          std::get<std::vector<int64_t>>(Op->getAttrs().at("shape")));
+      A.Error = loadWindowInto(*Opts.Args[Desc.H].Data, Offsets,
+                               Tile.getShape(), Tile.data());
+      if (!A.Error.empty())
+        return false;
+      Buf.Store[{Idx, Op->getIntAttr("slot_offset")}] = std::move(Tile);
     }
     // The copy's arrival (with its transaction bytes) is immediate in the
     // functional model; the replay applies the real transfer latency.

@@ -22,6 +22,7 @@
 #include "sim/Replay.h"
 #include "support/Support.h"
 #include "support/WorkerPool.h"
+#include "tests/support/TraceDiff.h"
 
 #include <gtest/gtest.h>
 
@@ -43,37 +44,6 @@ void expectTensorsBitIdentical(const TensorData &A, const TensorData &B) {
                         sizeof(float) * A.getNumElements()),
             0)
       << "outputs differ bitwise (maxAbsDiff=" << A.maxAbsDiff(B) << ")";
-}
-
-/// Agent names carry the CTA coordinates; \p SameCta = false compares two
-/// CTAs' traces on everything else.
-void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B,
-                           bool SameCta = true) {
-  ASSERT_EQ(L.Agents.size(), B.Agents.size());
-  for (size_t G = 0; G < L.Agents.size(); ++G) {
-    const AgentTrace &La = L.Agents[G], &Ba = B.Agents[G];
-    if (SameCta)
-      EXPECT_EQ(La.Name, Ba.Name);
-    EXPECT_EQ(La.Replicas, Ba.Replicas);
-    ASSERT_EQ(La.Actions.size(), Ba.Actions.size())
-        << "agent " << La.Name << ": action counts differ";
-    for (size_t I = 0; I < La.Actions.size(); ++I) {
-      const Action &X = La.Actions[I], &Y = Ba.Actions[I];
-      ASSERT_EQ(static_cast<int>(X.Kind), static_cast<int>(Y.Kind));
-      EXPECT_EQ(X.Cycles, Y.Cycles);
-      EXPECT_EQ(X.Bytes, Y.Bytes);
-      EXPECT_EQ(X.Bar, Y.Bar);
-      EXPECT_EQ(X.Idx, Y.Idx);
-      EXPECT_EQ(X.Parity, Y.Parity);
-      EXPECT_EQ(X.Pendings, Y.Pendings);
-      EXPECT_EQ(X.Lookahead, Y.Lookahead);
-    }
-  }
-  EXPECT_EQ(L.NumBarrierArrays, B.NumBarrierArrays);
-  EXPECT_EQ(L.BarrierArrivals, B.BarrierArrivals);
-  EXPECT_EQ(L.BarrierSizes, B.BarrierSizes);
-  EXPECT_EQ(L.SmemBytes, B.SmemBytes);
-  EXPECT_EQ(L.HbEvents, B.HbEvents) << "happens-before event counts differ";
 }
 
 constexpr int64_t WorkerCounts[] = {1, 2, 8};
@@ -139,15 +109,15 @@ TEST(ParallelDeterminism, GemmGridWorkerCountInvariant) {
       for (int64_t P = 0; P < GridX; ++P) {
         CtaTrace T;
         ASSERT_EQ(SerialInterp.runCta(Serial, P, 0, T), "");
-        expectTracesIdentical(RefTraces[P], T);
+        EXPECT_EQ(traceDiff(RefTraces[P], T), "");
       }
       expectTensorsBitIdentical(*RefC, *C2);
       continue;
     }
     expectTensorsBitIdentical(*RefC, *C);
-    expectTracesIdentical(RefSample, Sample);
+    EXPECT_EQ(traceDiff(RefSample, Sample), "");
     for (int64_t P = 0; P < GridX; ++P)
-      expectTracesIdentical(RefTraces[P], Traces[P]);
+      EXPECT_EQ(traceDiff(RefTraces[P], Traces[P]), "");
   }
 }
 
@@ -202,7 +172,7 @@ TEST(ParallelDeterminism, AttentionGridWorkerCountInvariant) {
     expectTensorsBitIdentical(*RefO, *O);
     ASSERT_EQ(RefTraces.size(), Traces.size());
     for (size_t I = 0; I < Traces.size(); ++I)
-      expectTracesIdentical(RefTraces[I], Traces[I]);
+      EXPECT_EQ(traceDiff(RefTraces[I], Traces[I]), "");
   }
 }
 
@@ -372,14 +342,14 @@ TEST(SamplerDeterminism, TimingBatchWorkerCountInvariant) {
       for (size_t I = 0; I < Coords.size(); ++I) {
         CtaTrace T;
         ASSERT_EQ(Serial.runCta(Launch, Coords[I].X, Coords[I].Y, T), "");
-        expectTracesIdentical(Ref[I], T);
+        EXPECT_EQ(traceDiff(Ref[I], T), "");
       }
       continue;
     }
     EXPECT_EQ(Rep.Cycles, RefCycles)
         << "cycle totals differ at workers=" << WorkerCounts[WI];
     for (size_t I = 0; I < Traces.size(); ++I)
-      expectTracesIdentical(Ref[I], Traces[I]);
+      EXPECT_EQ(traceDiff(Ref[I], Traces[I]), "");
   }
 }
 
@@ -499,7 +469,7 @@ void expectSamplerClassesHold(const AttentionWorkload &W,
     if (Rep != I) {
       SCOPED_TRACE(testing::Message() << "cta " << I << " vs class rep "
                                       << Rep);
-      expectTracesIdentical(Traces[Rep], Traces[I], /*SameCta=*/false);
+      EXPECT_EQ(traceDiff(Traces[Rep], Traces[I], /*SameCta=*/false), "");
       ++Repeats;
     }
     Schedule.push_back(&Traces[I]);

@@ -21,6 +21,7 @@
 #include "support/Env.h"
 #include "support/ProgramCache.h"
 #include "support/Support.h"
+#include "tests/support/TraceDiff.h"
 
 #include <gtest/gtest.h>
 
@@ -88,25 +89,6 @@ RunOptions gemmTimingLaunch() {
   return Launch;
 }
 
-void expectTracesIdentical(const CtaTrace &L, const CtaTrace &B) {
-  ASSERT_EQ(L.Agents.size(), B.Agents.size());
-  for (size_t G = 0; G < L.Agents.size(); ++G) {
-    const AgentTrace &La = L.Agents[G], &Ba = B.Agents[G];
-    EXPECT_EQ(La.Name, Ba.Name);
-    ASSERT_EQ(La.Actions.size(), Ba.Actions.size());
-    for (size_t I = 0; I < La.Actions.size(); ++I) {
-      const Action &X = La.Actions[I], &Y = Ba.Actions[I];
-      ASSERT_EQ(static_cast<int>(X.Kind), static_cast<int>(Y.Kind));
-      EXPECT_EQ(X.Cycles, Y.Cycles);
-      EXPECT_EQ(X.Bytes, Y.Bytes);
-      EXPECT_EQ(X.Bar, Y.Bar);
-      EXPECT_EQ(X.Idx, Y.Idx);
-    }
-  }
-  EXPECT_EQ(L.SmemBytes, B.SmemBytes);
-  EXPECT_EQ(L.HbEvents, B.HbEvents);
-}
-
 /// Rewrites the trailing checksum (the serializer's fnv1a64 from
 /// support/Support.h) so byte patches test the field checks underneath,
 /// not just the checksum.
@@ -154,7 +136,7 @@ TEST(Serializer, RoundTripExecutesIdentically) {
   ASSERT_EQ(Orig.runCta(Launch, 3, 0, A), "");
   Interpreter FromDisk(nullptr, Cfg, Loaded);
   ASSERT_EQ(FromDisk.runCta(Launch, 3, 0, B), "");
-  expectTracesIdentical(A, B);
+  EXPECT_EQ(traceDiff(A, B), "");
 
   // Serialization is deterministic (stable cache files).
   EXPECT_EQ(Bytes, bc::serializeProgram(*Loaded));

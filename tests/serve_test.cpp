@@ -604,6 +604,24 @@ TEST(ServeExecute, OutOfRangePipelineDepthIsCompileError) {
   EXPECT_EQ(Kind, ErrorKind::None);
 }
 
+TEST(ServeExecute, RankMismatchedTensorArgIsUnsupported) {
+  // An ir request's launch args reach the TMA ops unchecked by the launch
+  // codec; a tensor of another rank than the op's offsets is refused there.
+  for (const char *File :
+       {"gemm_ws_rank3_arg.tawa", "gemm_ws_rank1_arg.tawa"}) {
+    SCOPED_TRACE(File);
+    ServeRequest Req;
+    ASSERT_EQ(parseRequest(irReq("rank", readFile(corpusPath(File))), Req),
+              "");
+    ServeResponse Resp;
+    ErrorKind Kind = ErrorKind::None;
+    std::string Err = executeRequest(Req, ExecEnv(), Resp, Kind);
+    EXPECT_NE(Err.find("unsupported launch: TMA load"), std::string::npos)
+        << Err;
+    EXPECT_EQ(Kind, ErrorKind::Unsupported);
+  }
+}
+
 TEST(ServeExecute, OutOfRangeLaunchIsCompileErrorAndServiceSurvives) {
   // Each launch below once killed the daemon: a negative or huge extent
   // sized an allocation (length_error, SIGSEGV, bad_alloc), a rank-5 shape

@@ -27,6 +27,7 @@
 #include "support/Env.h"
 #include "support/Status.h"
 #include "tests/oracle/TreeWalk.h"
+#include "tests/support/TraceDiff.h"
 
 #include <cstdio>
 #include <cstring>
@@ -94,44 +95,6 @@ ComboOut runCombo(const fuzz::PreparedCase &P, Engine E, int64_t Workers) {
   for (const TensorRef &T : Outs)
     R.Outputs.emplace_back(T->data(), T->data() + T->getNumElements());
   return R;
-}
-
-/// Byte-for-byte trace equality: agent action streams, happens-before event
-/// counts, and the deferred atomic-contribution log (the split-K reduction
-/// surface — recording order is part of the determinism contract).
-std::string traceDiff(const CtaTrace &A, const CtaTrace &B) {
-  if (A.Agents.size() != B.Agents.size())
-    return "agent count";
-  for (size_t I = 0; I < A.Agents.size(); ++I) {
-    const AgentTrace &X = A.Agents[I];
-    const AgentTrace &Y = B.Agents[I];
-    if (X.Name != Y.Name || X.Replicas != Y.Replicas)
-      return formatString("agent %zu identity", I);
-    if (X.Actions.size() != Y.Actions.size())
-      return formatString("agent %s action count", X.Name.c_str());
-    for (size_t J = 0; J < X.Actions.size(); ++J) {
-      const Action &P = X.Actions[J];
-      const Action &Q = Y.Actions[J];
-      if (P.Kind != Q.Kind || P.Cycles != Q.Cycles || P.Bytes != Q.Bytes ||
-          P.Bar != Q.Bar || P.Idx != Q.Idx || P.Parity != Q.Parity ||
-          P.Pendings != Q.Pendings || P.Lookahead != Q.Lookahead)
-        return formatString("agent %s action %zu", X.Name.c_str(), J);
-    }
-  }
-  if (A.HbEvents != B.HbEvents)
-    return "happens-before events";
-  if (A.Atomics.size() != B.Atomics.size())
-    return "atomic contrib count";
-  for (size_t I = 0; I < A.Atomics.size(); ++I) {
-    const AtomicContrib &P = A.Atomics[I];
-    const AtomicContrib &Q = B.Atomics[I];
-    if (P.Arg != Q.Arg || P.Index != Q.Index ||
-        P.Value.size() != Q.Value.size() ||
-        std::memcmp(P.Value.data(), Q.Value.data(),
-                    P.Value.size() * sizeof(float)) != 0)
-      return formatString("atomic contrib %zu", I);
-  }
-  return "";
 }
 
 /// Prepares \p C and asserts every bytecode combo reproduces the oracle

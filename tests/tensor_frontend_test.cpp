@@ -24,7 +24,7 @@ TEST(TensorData, WindowRoundTrips) {
   EXPECT_EQ(W.at(0, 0), T.at(2, 4));
   EXPECT_EQ(W.at(3, 3), T.at(5, 7));
   TensorData Zero({4, 4});
-  T.insertWindow({2, 4}, Zero);
+  T.insertWindow({2, 4}, Zero.getShape(), Zero.data());
   EXPECT_EQ(T.at(3, 5), 0.0f);
 }
 
@@ -41,9 +41,101 @@ TEST(TensorData, OutOfBoundsWritesDropped) {
   TensorData T({4, 4});
   TensorData W({4, 4});
   W.fill(9.0f);
-  T.insertWindow({2, 2}, W);
+  T.insertWindow({2, 2}, W.getShape(), W.data());
   EXPECT_EQ(T.at(3, 3), 9.0f);
   EXPECT_EQ(T.at(0, 0), 0.0f); // Untouched.
+}
+
+/// Host after writing \p Window (sized \p WindowShape, same rank as the
+/// host) at \p Offsets one element at a time, dropping what falls outside.
+TensorData insertElementwise(TensorData Host,
+                             const std::vector<int64_t> &Offsets,
+                             const ShapeVec &WindowShape,
+                             const float *Window) {
+  size_t Rank = WindowShape.size();
+  std::vector<int64_t> Idx(Rank, 0);
+  int64_t N = 1;
+  for (int64_t D : WindowShape)
+    N *= D;
+  for (int64_t Linear = 0; Linear < N; ++Linear) {
+    int64_t Dst = 0;
+    bool In = true;
+    for (size_t D = 0; D < Rank; ++D) {
+      int64_t Coord = Offsets[D] + Idx[D];
+      In &= Coord >= 0 && Coord < Host.getDim(D);
+      Dst = Dst * Host.getDim(D) + Coord;
+    }
+    if (In)
+      Host.at(Dst) = Window[Linear];
+    for (size_t D = Rank; D-- > 0;) {
+      if (++Idx[D] < WindowShape[D])
+        break;
+      Idx[D] = 0;
+    }
+  }
+  return Host;
+}
+
+TEST(TensorData, InsertWindowMatchesElementwise) {
+  struct Case {
+    ShapeVec Host;
+    std::vector<int64_t> Offsets;
+    ShapeVec Tile; ///< Left-padded with 1s to the host rank by storeWindow.
+  };
+  const Case Cases[] = {
+      {{10}, {2}, {5}},                  // in range
+      {{10}, {7}, {5}},                  // past the end
+      {{10}, {-2}, {5}},                 // before the start
+      {{6, 9}, {1, 2}, {3, 4}},          // in range
+      {{6, 9}, {4, 7}, {3, 4}},          // past both edges
+      {{6, 9}, {-1, 0}, {3, 9}},         // a negative row offset
+      {{3, 5, 7}, {1, 1, 2}, {2, 3, 4}}, // in range
+      {{3, 5, 7}, {2, 3, 5}, {2, 3, 4}}, // past every edge
+      {{3, 5, 7}, {2, 1, 0}, {4, 7}},    // rank-padded, in range
+      {{3, 5, 7}, {1, 3, 3}, {4, 7}},    // rank-padded, past the edge
+      {{3, 5, 7}, {0, 2, 3}, {4}},       // padded by two
+  };
+  for (const Case &C : Cases) {
+    TensorData Host(C.Host), Tile(C.Tile);
+    Host.fillRandom(1);
+    Tile.fillRandom(2);
+    ShapeVec Window;
+    for (size_t D = C.Tile.size(); D < C.Host.size(); ++D)
+      Window.push_back(1);
+    for (int64_t D : C.Tile)
+      Window.push_back(D);
+    TensorData Want = insertElementwise(Host, C.Offsets, Window, Tile.data());
+    TensorData Got = Host;
+    EXPECT_EQ(exec::storeWindow(Got, C.Offsets, C.Tile, Tile.data()), "");
+    EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                          sizeof(float) * Want.getNumElements()),
+              0)
+        << "host rank " << C.Host.size() << ", offset " << C.Offsets[0]
+        << ", tile rank " << C.Tile.size();
+  }
+}
+
+TEST(TensorData, WindowRankMismatchIsAnError) {
+  // The offsets must match the host rank and the tile may not exceed it;
+  // otherwise nothing moves and both directions name the mismatch.
+  TensorData Host({4, 8});
+  Host.fill(1.0f);
+  TensorData Tile({2, 2});
+  Tile.fill(2.0f);
+  EXPECT_EQ(exec::storeWindow(Host, {0, 0, 0}, Tile.getShape(), Tile.data()),
+            "unsupported launch: TMA store of a rank-2 tile at 3 offsets into "
+            "a rank-2 tensor argument");
+  EXPECT_EQ(exec::loadWindowInto(Host, {0}, Tile.getShape(), Tile.data()),
+            "unsupported launch: TMA load of a rank-2 tile at 1 offsets into "
+            "a rank-2 tensor argument");
+  TensorData Row({8});
+  EXPECT_EQ(exec::loadWindowInto(Row, {0}, Tile.getShape(), Tile.data()),
+            "unsupported launch: TMA load of a rank-2 tile at 1 offsets into "
+            "a rank-1 tensor argument");
+  for (int64_t I = 0; I < Host.getNumElements(); ++I)
+    EXPECT_EQ(Host.at(I), 1.0f);
+  for (int64_t I = 0; I < Tile.getNumElements(); ++I)
+    EXPECT_EQ(Tile.at(I), 2.0f);
 }
 
 TEST(TensorData, DiffMetrics) {
@@ -229,6 +321,11 @@ TEST(Reference, GemmMatchesNaiveLoopBitForBit) {
   for (int64_t N : {20, 23, 28, 30})
     for (int64_t M : {4, 7})
       Shapes.push_back({M, N, 33});
+  // Each pass packs 64 rows of B: N = 64 fills one pass exactly, N = 65
+  // leaves one row for a second, N = 100 ends on a partial second pass.
+  for (int64_t N : {64, 65, 100})
+    for (int64_t M : {5, 9})
+      Shapes.push_back({M, N, 40});
   // Long contractions: the summation order over K is what must be kept.
   Shapes.push_back({5, 17, 2048});
   Shapes.push_back({33, 20, 1000});
@@ -250,11 +347,14 @@ TEST(Reference, AttentionMatchesNaiveLoopBitForBit) {
     int64_t L, LK, D;
   };
   // L != LK both ways, row counts around and past the kernel's blocks; LK
-  // = 20 ends Q·Kᵀ on a lone 4-row panel, LK = 23 on a partial pair.
+  // = 20 ends Q·Kᵀ on a lone 4-row panel, LK = 23 on a partial pair. P·V
+  // keeps 8 (Baseline) or 16 (Avx2) columns of D in registers: D = 6 is
+  // all tail, D = 20 leaves a tail after a block on both, D = 40 on Avx2.
   const Shape Shapes[] = {{1, 1, 1},     {3, 5, 4},      {17, 5, 8},
                           {5, 17, 3},    {40, 33, 16},   {64, 129, 32},
                           {130, 70, 64}, {70, 130, 128}, {9, 20, 16},
-                          {21, 23, 8}};
+                          {21, 23, 8},   {7, 9, 6},      {18, 33, 20},
+                          {33, 70, 40}};
   for (TileIsa Isa : AllTileIsas) {
     if (!hostRuns(Isa))
       GTEST_SKIP() << tileIsaName(Isa) << ": host lacks AVX2 and F16C";
