@@ -160,23 +160,29 @@ bool CoarsePipeliner::classify(ForOp *Loop, StageInfo &Info) {
 
   // Cross-iteration values: anything C/U reads that T/POST or the block
   // arguments produce must be carried one iteration (state args excepted —
-  // they already lag naturally).
+  // they already lag naturally). They become the rotated loop's iter args in
+  // first-use order; the set only answers membership, since its pointer
+  // order would follow the heap's history.
   std::set<unsigned> StateSet(Info.StateArgs.begin(), Info.StateArgs.end());
   std::set<Value *> Cross;
+  auto Carry = [&](Value *V) {
+    if (Cross.insert(V).second)
+      Info.CrossVals.push_back(V);
+  };
   auto Consider = [&](Value *V) {
     if (auto *Arg = dyn_cast<BlockArgument>(V)) {
       if (Arg->getOwner() != &Body)
         return; // Defined outside the loop: shared.
       if (Arg->getArgIndex() > 0 && StateSet.count(Arg->getArgIndex() - 1))
         return; // State args lag naturally.
-      Cross.insert(V);
+      Carry(V);
       return;
     }
     Operation *Def = cast<OpResult>(V)->getOwner();
     if (Def->getParentBlock() != &Body)
       return;
     if (TSet.count(Def) || PostSet.count(Def))
-      Cross.insert(V);
+      Carry(V);
   };
   for (Operation *Op : Info.COps)
     for (Value *V : Op->getOperands())
@@ -184,7 +190,6 @@ bool CoarsePipeliner::classify(ForOp *Loop, StageInfo &Info) {
   for (Operation *Op : Info.UOps)
     for (Value *V : Op->getOperands())
       Consider(V);
-  Info.CrossVals.assign(Cross.begin(), Cross.end());
   return true;
 }
 

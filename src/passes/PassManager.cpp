@@ -6,8 +6,6 @@
 #include "ir/Verifier.h"
 #include "support/Support.h"
 
-#include <chrono>
-
 using namespace tawa;
 
 std::string TawaOptions::validate() const {
@@ -32,13 +30,8 @@ std::string TawaOptions::validate() const {
 
 std::string PassManager::run(Module &M) {
   Dumps.clear();
-  Timings.clear();
   for (auto &[Name, Fn] : Passes) {
-    auto Start = std::chrono::steady_clock::now();
     std::string Err = Fn(M);
-    auto End = std::chrono::steady_clock::now();
-    Timings.emplace_back(
-        Name, std::chrono::duration<double>(End - Start).count());
     if (!Err.empty())
       return Name + ": " + Err;
     if (std::string VerifyErr = verify(M); !VerifyErr.empty())

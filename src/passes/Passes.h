@@ -89,7 +89,7 @@ std::string runCanonicalize(Module &M);
 //===----------------------------------------------------------------------===//
 
 /// Runs a sequence of named passes, verifying the module after each one and
-/// optionally collecting IR dumps / timing.
+/// optionally collecting IR dumps.
 class PassManager {
 public:
   using PassFn = std::function<std::string(Module &)>;
@@ -110,15 +110,9 @@ public:
     return Dumps;
   }
 
-  /// Wall-clock seconds per pass (parallel array with the pass list).
-  const std::vector<std::pair<std::string, double>> &getTimings() const {
-    return Timings;
-  }
-
 private:
   std::vector<std::pair<std::string, PassFn>> Passes;
   std::vector<std::pair<std::string, std::string>> Dumps;
-  std::vector<std::pair<std::string, double>> Timings;
 };
 
 /// Builds the full Tawa pipeline for \p Options into \p PM (the §III-A flow:

@@ -9,9 +9,12 @@
 // with initial state E = 1, F = 0. One ArefSlotState models one slot of the
 // D-deep ring; ArefMachine models the whole ring plus the release/acquire
 // happens-before chain the paper claims (producer writes → consumer reads →
-// producer reuse). The simulator replays every lowered mbarrier transition
-// through this machine, so protocol violations (double put, premature get,
-// reuse before consumed) surface as hard errors rather than silent races.
+// producer reuse). It is the executable reference sem_test checks and
+// examples/aref_protocol.cpp drives. The simulator does not run it: both
+// engines monitor lowered mbarrier traffic with exec::SlotMonitor
+// (sim/ExecCommon.h), a four-state form of the same machine for tuple slots
+// and cooperative readers, so protocol violations (double put, premature
+// get, reuse before consumed) still surface as hard errors.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,9 +83,9 @@ struct ProtocolViolation {
   int64_t Slot = -1;
 };
 
-/// The whole D-slot ring of §III-B/§III-C2 plus violation accounting. This is
-/// the reference model both for unit/property tests and for the simulator's
-/// online checking.
+/// The whole D-slot ring of §III-B/§III-C2 plus violation accounting: the
+/// reference model for the unit and property tests. The simulator's online
+/// checking is exec::SlotMonitor, not this class.
 class ArefMachine {
 public:
   explicit ArefMachine(int64_t Depth, std::string Name = "aref");

@@ -6,13 +6,12 @@
 // values precomputed; shared-memory staging data lives in a flat per-buffer
 // vector keyed by (slot, field) instead of an ordered map.
 //
-// Dispatch is token-threaded where the compiler supports computed goto
-// (TAWA_THREADED_DISPATCH, probed by CMake): every handler jumps directly
-// through a label table indexed by the next opcode, so the branch predictor
-// sees one indirect branch per handler instead of the single shared switch
-// branch. Non-GNU compilers fall back to the historical switch loop — both
-// skeletons share the same handler bodies via the TAWA_CASE/TAWA_NEXT/
-// TAWA_JUMP macros below.
+// Dispatch is token-threaded through GCC's computed goto ("labels as
+// values"): every handler jumps directly through a label table indexed by
+// the next opcode, so the branch predictor sees one indirect branch per
+// handler instead of one shared switch branch. Computed goto is a GNU
+// extension; the library already requires GCC (ExecCommon.cpp calls
+// __builtin_shuffle).
 //
 // The superinstruction opcodes emitted by the peephole pass (Peephole.h)
 // execute the exact sequence they replaced — same helper functions, same
@@ -724,13 +723,8 @@ bool BcExec::schedule(std::vector<AgentRun> &Agents) {
 // The dispatch loop
 //===----------------------------------------------------------------------===//
 //
-// Two skeletons, one set of handler bodies:
-//
-//   * TAWA_THREADED_DISPATCH (computed goto, probed by CMake): handlers are
-//     labels; TAWA_NEXT()/TAWA_JUMP() jump through the label table indexed
-//     by the next opcode. One indirect branch per handler.
-//   * Fallback: the historical for(;;)/switch loop; TAWA_NEXT() breaks to
-//     the shared ++Pc, TAWA_JUMP() continues after the handler set Pc.
+// Handlers are labels; TAWA_NEXT()/TAWA_JUMP() jump through the label table
+// indexed by the next opcode, one indirect branch per handler.
 //
 // Handler contract: a body either falls off its end via TAWA_NEXT()
 // (advance one instruction), sets Pc itself and calls TAWA_JUMP(), or
@@ -760,7 +754,6 @@ void BcExec::step(AgentRun &Run) {
     }
   };
 
-#ifdef TAWA_THREADED_DISPATCH
   // Label table in exact BcOp order (static_assert below guards drift).
   static const void *const Dispatch[NumBcOps] = {
       &&op_Nop,          &&op_LoopBegin,       &&op_LoopEnd,
@@ -782,12 +775,12 @@ void BcExec::step(AgentRun &Run) {
       &&op_WaitRead2,    &&op_AtomicAdd,       &&op_LoadScalar,
   };
   static_assert(NumBcOps == 51, "update the dispatch table with the enum");
-// Threaded dispatch: TAWA_NEXT/TAWA_JUMP are indirect gotos, and GCC does
-// NOT run destructors of in-scope nontrivial locals on an indirect goto
-// (the jump target is opaque to the cleanup machinery). Handler bodies
-// must therefore close the scope of any heap-owning local (std::vector,
-// non-moved shared_ptr, TensorData) BEFORE dispatching — the LeakSanitizer
-// leg of scripts/check.sh catches violations.
+// TAWA_NEXT/TAWA_JUMP are indirect gotos, and GCC does NOT run destructors
+// of in-scope nontrivial locals on an indirect goto (the jump target is
+// opaque to the cleanup machinery). Handler bodies must therefore close the
+// scope of any heap-owning local (std::vector, non-moved shared_ptr,
+// TensorData) BEFORE dispatching — the LeakSanitizer leg of scripts/check.sh
+// catches violations.
 #define TAWA_CASE(name) op_##name
 #define TAWA_DISPATCH()                                                     \
   do {                                                                      \
@@ -802,15 +795,6 @@ void BcExec::step(AgentRun &Run) {
   } while (0)
 #define TAWA_JUMP() TAWA_DISPATCH()
   TAWA_DISPATCH();
-#else
-#define TAWA_CASE(name) case BcOp::name
-#define TAWA_NEXT() break
-#define TAWA_JUMP() continue
-  for (;;) {
-    IP = Code + Pc;
-    Profile();
-    switch (IP->Op) {
-#endif
 
     TAWA_CASE(Nop) : { TAWA_NEXT(); }
     TAWA_CASE(Halt) : {
@@ -1682,18 +1666,10 @@ void BcExec::step(AgentRun &Run) {
       TAWA_NEXT();
     }
 
-#ifdef TAWA_THREADED_DISPATCH
-#else
-    }
-    ++Pc;
-  }
-#endif
 #undef TAWA_CASE
 #undef TAWA_NEXT
 #undef TAWA_JUMP
-#ifdef TAWA_THREADED_DISPATCH
 #undef TAWA_DISPATCH
-#endif
 }
 
 std::string BcExec::run(CtaTrace &Out) {

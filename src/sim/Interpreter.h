@@ -113,11 +113,9 @@ struct RunOptions {
 
 /// Grids with fewer CTAs than this run Interpreter::runGrid on one worker
 /// even when NumWorkers allows parallelism: pool wake-up costs more than a
-/// handful of CTAs can amortize (the
-/// gemm-ws-functional worker-scaling rows of BENCH_interp.json measured
-/// 0.95-0.97x at 2-8 workers on a 4-CTA grid). Results are bit-identical
-/// either way — the fallback is purely a scheduling choice. Recorded in
-/// BENCH_interp.json as "serial_grid_threshold".
+/// handful of CTAs can amortize (a 4-CTA functional warp-specialized GEMM
+/// grid measured 0.95-0.97x at 2-8 workers). Results are bit-identical
+/// either way — the fallback is purely a scheduling choice.
 constexpr int64_t SerialGridCtaThreshold = 8;
 
 /// Resolves RunOptions::NumWorkers: 0 becomes the hardware thread count.

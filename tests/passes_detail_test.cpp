@@ -261,18 +261,45 @@ TEST(Canonicalize, StripsDeadPreambleAfterSpecialization) {
   }
 }
 
-TEST(PassManager, ReportsTimings) {
-  IrContext Ctx;
-  GemmKernelConfig C;
-  auto M = buildGemmModule(Ctx, C);
-  PassManager PM;
-  buildTawaPipeline(PM, TawaOptions());
-  ASSERT_EQ(PM.run(*M), "");
-  EXPECT_GE(PM.getTimings().size(), 4u);
-  for (const auto &[Name, Seconds] : PM.getTimings()) {
-    EXPECT_FALSE(Name.empty());
-    EXPECT_GE(Seconds, 0.0);
+/// Compiles the causal attention kernel through the coarse pipeline after
+/// \p Earlier other compiles, keeping every second earlier module alive, so
+/// each call sees the heap in a different state. Returns the printed IR.
+std::string printCausalCoarseAfter(int Earlier) {
+  struct Compiled {
+    IrContext Ctx;
+    std::unique_ptr<Module> M;
+  };
+  std::vector<std::unique_ptr<Compiled>> Kept;
+  for (int I = 0; I < Earlier; ++I) {
+    auto Other = std::make_unique<Compiled>();
+    GemmKernelConfig G;
+    G.TileK = 32 << (I % 3);
+    Other->M = buildGemmModule(Other->Ctx, G);
+    PassManager PM;
+    buildTawaPipeline(PM, TawaOptions());
+    EXPECT_EQ(PM.run(*Other->M), "");
+    if (I % 2)
+      Kept.push_back(std::move(Other));
   }
+  IrContext Ctx;
+  AttentionKernelConfig C;
+  C.Causal = true;
+  auto M = buildAttentionModule(Ctx, C);
+  TawaOptions Options;
+  Options.CoarsePipeline = true;
+  PassManager PM;
+  buildTawaPipeline(PM, Options);
+  EXPECT_EQ(PM.run(*M), "");
+  return M->print();
+}
+
+TEST(CoarsePipeline, IterArgOrderIndependentOfHeapHistory) {
+  // The rotated loop carries one iter arg per cross-iteration value; their
+  // order must follow the loop body, not where the values sit on the heap.
+  const std::string Reference = printCausalCoarseAfter(0);
+  for (int Earlier = 1; Earlier < 12; ++Earlier)
+    EXPECT_EQ(printCausalCoarseAfter(Earlier), Reference)
+        << "after " << Earlier << " earlier compiles";
 }
 
 } // namespace
