@@ -113,11 +113,15 @@ std::string pipelineConsumerLoop(IrContext &Ctx, WarpGroupOp *WG,
   B.setInsertionPointAfter(DrainAnchor);
   if (DrainAnchor != Loop)
     B.createWgmmaWait(0);
-  // Recover the aref channels released in this loop.
-  std::set<Value *> Arefs;
+  // Recover the aref channels released in this loop, in first-use order;
+  // the set only answers membership, since its pointer order would follow
+  // the heap's history.
+  std::set<Value *> Released;
+  std::vector<Value *> Arefs;
   for (Operation &Op : Loop->getBody())
-    if (Op.getKind() == OpKind::ArefConsumed)
-      Arefs.insert(Op.getOperand(0));
+    if (Op.getKind() == OpKind::ArefConsumed &&
+        Released.insert(Op.getOperand(0)).second)
+      Arefs.push_back(Op.getOperand(0));
   for (int64_t J = 0; J < P; ++J) {
     // idx = N - P + J, released only when it is a real iteration (idx >= 0
     // and idx was not already released in the loop, which holds because the

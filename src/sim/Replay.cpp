@@ -5,6 +5,10 @@
 #include "support/Support.h"
 
 #include <algorithm>
+#include <bitset>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
 #include <limits>
 
 using namespace tawa;
@@ -85,6 +89,67 @@ struct AgentState {
   }
 };
 
+/// The running values a wave advances, as they stood when it started.
+struct WaveStart {
+  double SmTime, BaseTime, TcFree, DramFree, TensorBusyCycles,
+      DramBusyCycles;
+  int64_t DramBytes;
+};
+
+/// A set of binades [2^E, 2^(E+1)) of normal doubles, indexed by E + 1024.
+using BinadeSet = std::bitset<2048>;
+
+/// What one CTA trace adds to the running sums (Replay.h, "Repeated
+/// waves").
+struct WaveAddends {
+  bool FiniteNonNegative = true;
+  /// The largest latency a DRAM completion time adds to the server's time.
+  double MaxLatency = 0;
+  /// Per running sum (times and the two busy-cycle sums): the binades in
+  /// which adding one of its addends can round half to even.
+  BinadeSet TimeTies, TensorBusyTies, DramBusyTies;
+};
+
+/// Marks the binade in which adding \p C (finite, > 0) to a value rounds
+/// half to even: the one whose unit in the last place is twice C's lowest
+/// set bit.
+void markTieBinade(BinadeSet &Set, double C) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &C, sizeof(Bits));
+  int BiasedExp = static_cast<int>(Bits >> 52);
+  uint64_t Mantissa = Bits & ((uint64_t(1) << 52) - 1);
+  if (BiasedExp != 0)
+    Mantissa |= uint64_t(1) << 52;
+  int LowestBit = std::max(BiasedExp, 1) - 1075 + __builtin_ctzll(Mantissa);
+  int E = LowestBit + 53; // At least -1021; past 1023 no double lies there.
+  if (E <= 1023)
+    Set.set(static_cast<size_t>(E + 1024));
+}
+
+/// The largest K <= \p Limit for which K more waves can each move a running
+/// sum by the same step the last one did (\p From to \p To, reaching at most
+/// \p Hi) with every rounding exactly shifted: From and Hi + K*step lie in
+/// one binade, and the step is an even number of units there unless no
+/// addend can tie in it.
+int64_t shiftableWaves(double From, double To, double Hi,
+                       const BinadeSet &TieBinades, int64_t Limit) {
+  if (To == From && std::isfinite(To))
+    return Limit; // Unchanged: every such wave leaves it as it is.
+  if (!(From >= DBL_MIN) || !(To > From))
+    return 0;
+  int E = std::ilogb(From);
+  double Unit = std::ldexp(1.0, E - 52);
+  double Top = std::ldexp(1.0, E + 1);
+  if (!(Hi < Top))
+    return 0;
+  // Both are whole numbers of units below 2^53, so the divisions are exact.
+  auto Room = static_cast<int64_t>((Top - Hi) / Unit);
+  auto Step = static_cast<int64_t>((To - From) / Unit);
+  if (Step % 2 != 0 && TieBinades.test(static_cast<size_t>(E + 1024)))
+    return 0;
+  return std::min(Limit, (Room - 1) / Step);
+}
+
 class ReplayEngine {
 public:
   ReplayEngine(const GpuConfig &Config, const ReplayParams &Params)
@@ -95,6 +160,17 @@ public:
   ReplayResult run(const std::vector<const CtaTrace *> &Ctas);
 
 private:
+  /// Service cycles of a transfer (shared by the DRAM server and the
+  /// addend scan, so both see the same bits).
+  double serviceCycles(int64_t Bytes, double BwEfficiency,
+                       double Reuse) const {
+    return static_cast<double>(Bytes) * Reuse / (BwPerSm * BwEfficiency);
+  }
+  WaveAddends scanAddends(const CtaTrace &Cta) const;
+  /// How many of the \p Repeats waves that follow the one just replayed,
+  /// all of the same trace, would replay it exactly shifted.
+  int64_t skippableWaves(const WaveStart &Start, double SmTime,
+                         const WaveAddends &Addends, int64_t Repeats) const;
   void resetBarriers(const CtaTrace &Cta);
   /// Replays one CTA's agents to completion; false on deadlock.
   bool coSimulate();
@@ -131,13 +207,96 @@ private:
 double ReplayEngine::scheduleTransfer(double IssueTime, int64_t Bytes,
                                       double Latency, double BwEfficiency,
                                       double Reuse) {
-  double EffBytes = static_cast<double>(Bytes) * Reuse;
-  double Service = EffBytes / (BwPerSm * BwEfficiency);
+  double Service = serviceCycles(Bytes, BwEfficiency, Reuse);
   double ServiceStart = std::max(IssueTime, DramFree);
   DramFree = ServiceStart + Service;
   Result.DramBusyCycles += Service;
-  Result.DramBytes += static_cast<int64_t>(EffBytes);
+  Result.DramBytes +=
+      static_cast<int64_t>(static_cast<double>(Bytes) * Reuse);
   return DramFree + Latency;
+}
+
+WaveAddends ReplayEngine::scanAddends(const CtaTrace &Cta) const {
+  WaveAddends W;
+  auto Add = [&](BinadeSet &Ties, double C) {
+    if (!(std::isfinite(C) && C >= 0))
+      W.FiniteNonNegative = false;
+    else if (C != 0)
+      markTieBinade(Ties, C);
+  };
+  // A transfer adds its issue cost to the agent's time, its service time to
+  // the server's and the busy cycles, and its latency to the completion.
+  auto Transfer = [&](const Action &A, double Latency, double BwEfficiency,
+                      double Reuse) {
+    double Service = serviceCycles(A.Bytes, BwEfficiency, Reuse);
+    Add(W.TimeTies, A.Cycles);
+    Add(W.TimeTies, Service);
+    Add(W.DramBusyTies, Service);
+    Add(W.TimeTies, Latency);
+    W.MaxLatency = std::max(W.MaxLatency, Latency);
+  };
+  Add(W.TimeTies, Config.CtaStartCycles);
+  Add(W.TimeTies, Params.CtaGapCycles);
+  for (const AgentTrace &T : Cta.Agents)
+    for (const Action &A : T.Actions) {
+      switch (A.Kind) {
+      case ActionKind::CudaWork:
+      case ActionKind::CtaSync:
+        Add(W.TimeTies, A.Cycles * Params.CudaPenalty);
+        break;
+      case ActionKind::TensorIssue:
+        Add(W.TimeTies, Config.WgmmaIssueCycles);
+        Add(W.TimeTies, A.Cycles * Params.TensorPenalty);
+        Add(W.TensorBusyTies, A.Cycles * Params.TensorPenalty);
+        break;
+      case ActionKind::TensorWait:
+      case ActionKind::IterMark:
+        break;
+      case ActionKind::BarExpectTx:
+      case ActionKind::BarArrive:
+      case ActionKind::BarWait:
+        Add(W.TimeTies, A.Cycles);
+        break;
+      case ActionKind::TmaIssue:
+        Transfer(A, Config.TmaLatencyCycles, Config.TmaBwEfficiency,
+                 Params.DramReuseFactor);
+        break;
+      case ActionKind::GStoreAsync:
+        Transfer(A, 0, Config.TmaBwEfficiency, /*Reuse=*/1.0);
+        break;
+      case ActionKind::GLoadSync:
+        Transfer(A, Config.SyncLoadLatencyCycles, Config.TmaBwEfficiency,
+                 Params.DramReuseFactor);
+        break;
+      case ActionKind::CopyPipelined:
+        Transfer(A, Config.CpAsyncLatencyCycles, Config.CpAsyncBwEfficiency,
+                 Params.DramReuseFactor);
+        break;
+      }
+    }
+  return W;
+}
+
+int64_t ReplayEngine::skippableWaves(const WaveStart &Start, double SmTime,
+                                     const WaveAddends &Addends,
+                                     int64_t Repeats) const {
+  // Both servers must be free when the wave starts, so that it read none
+  // of their earlier values, and the tensor core when the next one starts,
+  // so that the next wave starts alike. (DramFree always is: a CTA of a
+  // multi-CTA schedule retires only after the DRAM drains.)
+  double NextBase = SmTime + Config.CtaStartCycles;
+  if (!Addends.FiniteNonNegative || Start.TcFree > Start.BaseTime ||
+      Start.DramFree > Start.BaseTime || TcFree > NextBase)
+    return 0;
+  // Every time the wave computed is at most the next start, TcFree, or a
+  // DRAM completion: DramFree plus a latency.
+  double Hi = std::max(NextBase, DramFree + Addends.MaxLatency);
+  int64_t K =
+      shiftableWaves(Start.SmTime, SmTime, Hi, Addends.TimeTies, Repeats);
+  K = shiftableWaves(Start.TensorBusyCycles, Result.TensorBusyCycles,
+                     Result.TensorBusyCycles, Addends.TensorBusyTies, K);
+  return shiftableWaves(Start.DramBusyCycles, Result.DramBusyCycles,
+                        Result.DramBusyCycles, Addends.DramBusyTies, K);
 }
 
 void ReplayEngine::wakeWaiters(size_t Slot) {
@@ -345,8 +504,25 @@ bool ReplayEngine::coSimulate() {
 
 ReplayResult ReplayEngine::run(const std::vector<const CtaTrace *> &Ctas) {
   double SmTime = Config.launchCycles();
-  for (const CtaTrace *Cta : Ctas) {
+  size_t RunEnd = 0; // One past the last entry equal to the current one.
+  WaveAddends Addends;
+  for (size_t Wave = 0; Wave < Ctas.size(); ++Wave) {
+    const CtaTrace *Cta = Ctas[Wave];
+    if (Wave >= RunEnd) {
+      RunEnd = Wave + 1;
+      while (RunEnd < Ctas.size() && Ctas[RunEnd] == Cta)
+        ++RunEnd;
+      if (RunEnd - Wave > 1)
+        Addends = scanAddends(*Cta);
+    }
     BaseTime = SmTime + Config.CtaStartCycles;
+    WaveStart Start{SmTime,
+                    BaseTime,
+                    TcFree,
+                    DramFree,
+                    Result.TensorBusyCycles,
+                    Result.DramBusyCycles,
+                    Result.DramBytes};
 
     // Fresh barrier and agent state per CTA.
     resetBarriers(*Cta);
@@ -356,6 +532,7 @@ ReplayResult ReplayEngine::run(const std::vector<const CtaTrace *> &Ctas) {
 
     if (!coSimulate())
       return Result;
+    ++Result.SimulatedCtas;
 
     double CtaEnd = BaseTime;
     for (AgentState &A : Agents)
@@ -366,6 +543,25 @@ ReplayResult ReplayEngine::run(const std::vector<const CtaTrace *> &Ctas) {
     if (Ctas.size() > 1)
       CtaEnd = std::max(CtaEnd, DramFree);
     SmTime = CtaEnd + Params.CtaGapCycles;
+
+    // Skip the waves of this run that would replay this one exactly
+    // shifted: move every running value on by K of its steps at once.
+    int64_t Repeats = static_cast<int64_t>(RunEnd - Wave) - 1;
+    int64_t K =
+        Repeats > 0 ? skippableWaves(Start, SmTime, Addends, Repeats) : 0;
+    if (K == 0)
+      continue;
+    double Steps = static_cast<double>(K);
+    double Shift = Steps * (SmTime - Start.SmTime);
+    SmTime += Shift;
+    TcFree += Shift;
+    DramFree += Shift;
+    Result.TensorBusyCycles +=
+        Steps * (Result.TensorBusyCycles - Start.TensorBusyCycles);
+    Result.DramBusyCycles +=
+        Steps * (Result.DramBusyCycles - Start.DramBusyCycles);
+    Result.DramBytes += K * (Result.DramBytes - Start.DramBytes);
+    Wave += static_cast<size_t>(K);
   }
 
   // Let the DRAM drain (epilogue stores in flight).

@@ -22,8 +22,34 @@
 // same operands: ring buffers replace the per-agent deques, each barrier
 // keeps only its latest completion time (the only one a waiter reads), and
 // one flat barrier array is reused across CTAs. tests/replay_test.cpp
-// keeps the scan-every-action engine as an oracle and compares every
-// ReplayResult field bit for bit.
+// compares every ReplayResult field bit for bit with the scan-every-action
+// engine kept as an oracle (tests/oracle/ScanReplay.h).
+//
+// Repeated waves. A schedule often points at one trace wave after wave
+// (every non-persistent GEMM, every non-causal attention kernel). If a wave
+// starts with TcFree and DramFree at or before its BaseTime, no operation
+// reads their earlier values, and each time in the wave is computed from
+// the wave's start by x + c (c fixed by the trace, the params and the
+// config), max and comparisons. Call [2^e, 2^(e+1)) binade e; every double
+// in it is a multiple of u = 2^(e-52). If the wave's start and every value
+// it computes, up to the next wave's start, lie in binade e, then moving
+// the start by a multiple of u moves every rounded result by exactly as
+// much: the next wave replays this one shifted by its duration. The one
+// exception is a round-half-even tie, which flips when the shift is an odd
+// number of units. x + c can tie only in the binade whose u/2 is c's lowest
+// set bit, so a scan of the trace's addends lists the binades in which an
+// odd shift is refused. The tensor and DRAM busy-cycle sums follow the same
+// argument in their own binades.
+//
+// After replaying a wave whose trace the next entries repeat, the engine
+// skips the largest K of them for which the wave ends with TcFree at or
+// before the next start, the K-th skipped wave's values still lie in
+// binade e, and the same holds for each busy-cycle sum the wave changed.
+// It then moves every running value on by K steps. A run of one trace is
+// thus stepped a few times per binade it crosses, and every result is the
+// one replaying each wave would give. A server the wave never used moves on
+// by K steps too, which is harmless: it stays at or before every later
+// start, where replay reads it only through a max.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +88,9 @@ struct ReplayResult {
   double TensorBusyCycles = 0;  ///< Tensor-core occupancy.
   double DramBusyCycles = 0;    ///< DRAM service time consumed.
   int64_t DramBytes = 0;        ///< Effective bytes moved.
+  /// CTAs replayed action by action; the rest of the schedule was skipped
+  /// as repeated waves. A cost count, not part of the model's output.
+  int64_t SimulatedCtas = 0;
 };
 
 /// Replays a sequence of CTA traces executed back-to-back on one SM (the

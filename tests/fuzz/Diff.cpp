@@ -8,6 +8,7 @@
 #include "support/FaultInject.h"
 #include "support/Status.h"
 #include "support/Support.h"
+#include "tests/oracle/ScanReplay.h"
 #include "tests/oracle/TreeWalk.h"
 #include "tests/support/TraceDiff.h"
 
@@ -147,17 +148,26 @@ std::string compareCombos(const ComboResult &Ref, const ComboResult &R,
 
   if (Ref.HasReplay != R.HasReplay)
     return formatString("[%s] replay availability", Name.c_str());
-  if (Ref.HasReplay) {
-    if (Ref.Replay.Deadlock != R.Replay.Deadlock ||
-        Ref.Replay.Error != R.Replay.Error)
-      return formatString("[%s] replay status", Name.c_str());
-    if (Ref.Replay.Cycles != R.Replay.Cycles ||
-        Ref.Replay.TensorBusyCycles != R.Replay.TensorBusyCycles ||
-        Ref.Replay.DramBusyCycles != R.Replay.DramBusyCycles ||
-        Ref.Replay.DramBytes != R.Replay.DramBytes)
-      return formatString("[%s] replay cycles %.3f vs %.3f", Name.c_str(),
-                          R.Replay.Cycles, Ref.Replay.Cycles);
-  }
+  if (Ref.HasReplay)
+    if (std::string D = replayDiff(Ref.Replay, R.Replay); !D.empty())
+      return formatString("[%s] replay %s", Name.c_str(), D.c_str());
+  return "";
+}
+
+/// The first CTA's trace as a long run of identical waves, the way the
+/// Runner's schedules repeat a trace: replaySmSchedule, which skips
+/// repeated waves, must match the scan-every-action oracle, which does not.
+std::string diffRepeatedWaves(const ComboResult &Ref) {
+  if (!Ref.HasReplay || Ref.Traces.empty())
+    return "";
+  GpuConfig Cfg;
+  std::vector<const CtaTrace *> Schedule(64, &Ref.Traces[0]);
+  ReplayResult Oracle =
+      replaySmScheduleOracle(Schedule, Cfg, ReplayParams());
+  if (std::string D = replayDiff(
+          Oracle, replaySmSchedule(Schedule, Cfg, ReplayParams()));
+      !D.empty())
+    return "[repeated waves] replay " + D;
   return "";
 }
 
@@ -203,6 +213,8 @@ std::string tawa::fuzz::diffCase(const PreparedCase &P,
   ComboResult Ref;
   if (std::string E = runCombo(P, 0, false, Ref); !E.empty())
     return "harness: " + E;
+  if (std::string D = diffRepeatedWaves(Ref); !D.empty())
+    return D;
   for (int I = 1; I < NumDiffCombos; ++I) {
     ComboResult R;
     bool Corrupt = Opts.CorruptFusedOutput && I == NumDiffCombos - 1;

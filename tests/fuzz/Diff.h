@@ -5,7 +5,9 @@
 // combination, and compares every observable the engines promise to keep
 // identical — output tensor bytes, per-CTA action traces, happens-before
 // event counts, error strings and their ErrorKind classification, deadlock
-// diagnostic JSON, and replayed cycle totals.
+// diagnostic JSON, and replayed cycle totals. The reference's first CTA
+// also replays as 64 identical waves against the scan-every-action replay
+// oracle (tests/oracle/ScanReplay.h).
 // Returns "" when all combos agree, or a description of the first
 // divergence (which doubles as the minimization oracle's signal).
 //

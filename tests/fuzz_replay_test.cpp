@@ -12,6 +12,7 @@
 
 #include "sim/Interpreter.h"
 #include "sim/Replay.h"
+#include "tests/oracle/ScanReplay.h"
 #include "tests/oracle/TreeWalk.h"
 
 #include <gtest/gtest.h>
@@ -46,15 +47,6 @@ ReplayResult replayAll(const std::vector<CtaTrace> &Traces) {
   return replaySmSchedule(Ptrs, Cfg, ReplayParams());
 }
 
-void expectReplayEq(const ReplayResult &A, const ReplayResult &B) {
-  EXPECT_EQ(A.Deadlock, B.Deadlock);
-  EXPECT_EQ(A.Error, B.Error);
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.TensorBusyCycles, B.TensorBusyCycles);
-  EXPECT_EQ(A.DramBusyCycles, B.DramBusyCycles);
-  EXPECT_EQ(A.DramBytes, B.DramBytes);
-}
-
 /// Clean (no faults, no deadlock bug) fuzzed case for \p Seed, or nullopt
 /// behavior via the bool return.
 bool prepareClean(uint64_t Seed, PreparedCase &P) {
@@ -86,14 +78,14 @@ TEST(FuzzReplay, TotalsMatchAcrossEnginesAndWorkers) {
     ReplayResult Ref = replayAll(RefTraces);
     // Deterministic: replaying the same traces twice gives the same
     // totals.
-    expectReplayEq(Ref, replayAll(RefTraces));
+    EXPECT_EQ(replayDiff(Ref, replayAll(RefTraces)), "");
 
     for (size_t I = 1; I < 3; ++I) {
       std::vector<CtaTrace> Traces;
       ASSERT_EQ(runForTraces(P, Combos[I].Oracle, Combos[I].Fuse,
                              Combos[I].Workers, Traces),
                 "");
-      expectReplayEq(Ref, replayAll(Traces));
+      EXPECT_EQ(replayDiff(Ref, replayAll(Traces)), "");
     }
     ++Checked;
   }
@@ -117,7 +109,7 @@ TEST(FuzzReplay, TextualRoundTripPreservesReplayTotals) {
     ASSERT_EQ(loadCase(P.Mod->print(), Loaded), "");
     std::vector<CtaTrace> LoadedTraces;
     ASSERT_EQ(runForTraces(Loaded, false, true, 1, LoadedTraces), "");
-    expectReplayEq(Ref, replayAll(LoadedTraces));
+    EXPECT_EQ(replayDiff(Ref, replayAll(LoadedTraces)), "");
     ++Checked;
   }
   EXPECT_GE(Checked, 2) << "generator produced too few clean cases";

@@ -261,10 +261,11 @@ TEST(Canonicalize, StripsDeadPreambleAfterSpecialization) {
   }
 }
 
-/// Compiles the causal attention kernel through the coarse pipeline after
+/// Compiles the attention kernel (causal or not) with \p Options after
 /// \p Earlier other compiles, keeping every second earlier module alive, so
 /// each call sees the heap in a different state. Returns the printed IR.
-std::string printCausalCoarseAfter(int Earlier) {
+std::string printAttentionAfter(int Earlier, bool Causal,
+                                const TawaOptions &Options) {
   struct Compiled {
     IrContext Ctx;
     std::unique_ptr<Module> M;
@@ -283,10 +284,8 @@ std::string printCausalCoarseAfter(int Earlier) {
   }
   IrContext Ctx;
   AttentionKernelConfig C;
-  C.Causal = true;
+  C.Causal = Causal;
   auto M = buildAttentionModule(Ctx, C);
-  TawaOptions Options;
-  Options.CoarsePipeline = true;
   PassManager PM;
   buildTawaPipeline(PM, Options);
   EXPECT_EQ(PM.run(*M), "");
@@ -296,10 +295,27 @@ std::string printCausalCoarseAfter(int Earlier) {
 TEST(CoarsePipeline, IterArgOrderIndependentOfHeapHistory) {
   // The rotated loop carries one iter arg per cross-iteration value; their
   // order must follow the loop body, not where the values sit on the heap.
-  const std::string Reference = printCausalCoarseAfter(0);
+  TawaOptions Options;
+  Options.CoarsePipeline = true;
+  const std::string Reference = printAttentionAfter(0, true, Options);
   for (int Earlier = 1; Earlier < 12; ++Earlier)
-    EXPECT_EQ(printCausalCoarseAfter(Earlier), Reference)
+    EXPECT_EQ(printAttentionAfter(Earlier, true, Options), Reference)
         << "after " << Earlier << " earlier compiles";
+}
+
+TEST(FineGrainedPipeline, DrainOrderIndependentOfHeapHistory) {
+  // The drain after the loop releases each channel the loop released; the
+  // releases must follow the loop body, not where the arefs sit on the heap.
+  TawaOptions Options;
+  Options.ArefDepth = 3;
+  Options.MmaPipelineDepth = 2;
+  for (bool Causal : {false, true}) {
+    const std::string Reference = printAttentionAfter(0, Causal, Options);
+    for (int Earlier = 1; Earlier < 12; ++Earlier)
+      EXPECT_EQ(printAttentionAfter(Earlier, Causal, Options), Reference)
+          << "causal " << Causal << ", after " << Earlier
+          << " earlier compiles";
+  }
 }
 
 } // namespace

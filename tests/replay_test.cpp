@@ -5,17 +5,16 @@
 // deadlock detection, DRAM serialization, and the software-pipelined copy
 // lookahead.
 //
-// Every replay here also runs through OracleReplay, the replay model in
-// its plainest form: it rescans every agent before each action, keeps each
-// agent's in-flight MMAs and iteration starts in std::deques, every
-// barrier's full completion history, and fresh barrier vectors per CTA.
+// Every replay here also runs through the scan-every-action oracle
+// (tests/oracle/ScanReplay.h), the replay model in its plainest form.
 // replaySmSchedule must match it bit for bit on the hand-built traces, on
 // the traces of every ok-path tests/corpus module, and on seeded random
-// multi-agent schedules.
+// multi-agent schedules, long runs of one trace among them.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tests/fuzz/Gen.h"
+#include "tests/oracle/ScanReplay.h"
 
 #include "sim/Interpreter.h"
 #include "sim/Replay.h"
@@ -23,8 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <deque>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -33,248 +31,11 @@ using namespace tawa::sim;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Oracle: the scan-every-action engine
-//===----------------------------------------------------------------------===//
-
-struct OracleBarrier {
-  int64_t ExpectedArrivals = 1;
-  int64_t Arrivals = 0;
-  int64_t ExpectedTxBytes = 0;
-  int64_t ArrivedTxBytes = 0;
-  double PhaseMaxTime = 0;
-  int64_t Completions = 0;
-  std::vector<double> CompletionTimes;
-
-  bool phaseComplete() const {
-    return Arrivals >= ExpectedArrivals && ArrivedTxBytes >= ExpectedTxBytes;
-  }
-};
-
-struct OracleAgent {
-  const AgentTrace *Trace = nullptr;
-  size_t Pc = 0;
-  double ReadyAt = 0;
-  bool Done = false;
-  bool Blocked = false;
-  int32_t BlockBar = -1, BlockIdx = 0;
-  int64_t BlockTargetCompletion = 0;
-  std::deque<double> TensorInflight;
-  std::deque<double> IterStartHistory;
-};
-
-class OracleReplay {
-public:
-  OracleReplay(const GpuConfig &Config, const ReplayParams &Params)
-      : Config(Config), Params(Params) {}
-
-  ReplayResult run(const std::vector<const CtaTrace *> &Ctas) {
-    double SmTime = Config.launchCycles();
-    for (const CtaTrace *Cta : Ctas) {
-      BaseTime = SmTime + Config.CtaStartCycles;
-      Barriers.assign(Cta->NumBarrierArrays, {});
-      for (int32_t B = 0; B < Cta->NumBarrierArrays; ++B) {
-        Barriers[B].assign(Cta->BarrierSizes[B], OracleBarrier());
-        for (OracleBarrier &Bar : Barriers[B])
-          Bar.ExpectedArrivals = Cta->BarrierArrivals[B];
-      }
-      Agents.clear();
-      for (const AgentTrace &T : Cta->Agents) {
-        OracleAgent S;
-        S.Trace = &T;
-        S.ReadyAt = BaseTime;
-        Agents.push_back(std::move(S));
-      }
-      while (true) {
-        OracleAgent *Best = nullptr;
-        for (OracleAgent &A : Agents)
-          if (!A.Done && !A.Blocked && (!Best || A.ReadyAt < Best->ReadyAt))
-            Best = &A;
-        if (!Best) {
-          bool AnyBlocked = false;
-          for (OracleAgent &A : Agents)
-            AnyBlocked |= A.Blocked;
-          if (AnyBlocked) {
-            Result.Deadlock = true;
-            Result.Error = "replay deadlock: all agents blocked on mbarriers";
-            return Result;
-          }
-          break;
-        }
-        step(*Best);
-      }
-      double CtaEnd = BaseTime;
-      for (OracleAgent &A : Agents)
-        CtaEnd = std::max(CtaEnd, A.ReadyAt);
-      if (Ctas.size() > 1)
-        CtaEnd = std::max(CtaEnd, DramFree);
-      SmTime = CtaEnd + Params.CtaGapCycles;
-    }
-    Result.Cycles = std::max(SmTime, DramFree);
-    return Result;
-  }
-
-private:
-  double scheduleTransfer(double IssueTime, int64_t Bytes, double Latency,
-                          double BwEfficiency, double Reuse) {
-    double EffBytes = static_cast<double>(Bytes) * Reuse;
-    double BwPerSm = Config.HbmTBps * 1e12 /
-                     (Params.BwShareSms * Config.ClockGhz * 1e9) *
-                     BwEfficiency;
-    double ServiceStart = std::max(IssueTime, DramFree);
-    DramFree = ServiceStart + EffBytes / BwPerSm;
-    Result.DramBusyCycles += EffBytes / BwPerSm;
-    Result.DramBytes += static_cast<int64_t>(EffBytes);
-    return DramFree + Latency;
-  }
-
-  void arrive(int32_t Bar, int32_t Idx, double Time, int64_t TxBytes) {
-    OracleBarrier &B = Barriers[Bar][Idx];
-    ++B.Arrivals;
-    B.ArrivedTxBytes += TxBytes;
-    B.PhaseMaxTime = std::max(B.PhaseMaxTime, Time);
-    if (!B.phaseComplete())
-      return;
-    ++B.Completions;
-    B.CompletionTimes.push_back(B.PhaseMaxTime);
-    B.Arrivals = 0;
-    B.ArrivedTxBytes = 0;
-    B.ExpectedTxBytes = 0;
-    B.PhaseMaxTime = 0;
-    for (OracleAgent &A : Agents) {
-      if (!A.Blocked || A.BlockBar != Bar || A.BlockIdx != Idx)
-        continue;
-      if (B.Completions >= A.BlockTargetCompletion) {
-        A.Blocked = false;
-        A.ReadyAt = std::max(A.ReadyAt,
-                             B.CompletionTimes[A.BlockTargetCompletion - 1]);
-      }
-    }
-  }
-
-  void step(OracleAgent &Agent) {
-    if (Agent.Pc >= Agent.Trace->Actions.size()) {
-      Agent.Done = true;
-      return;
-    }
-    const Action &A = Agent.Trace->Actions[Agent.Pc];
-    switch (A.Kind) {
-    case ActionKind::CudaWork:
-    case ActionKind::CtaSync:
-      Agent.ReadyAt += A.Cycles * Params.CudaPenalty;
-      break;
-    case ActionKind::TensorIssue: {
-      Agent.ReadyAt += Config.WgmmaIssueCycles;
-      double Start = std::max(Agent.ReadyAt, TcFree);
-      double Done = Start + A.Cycles * Params.TensorPenalty;
-      TcFree = Done;
-      Result.TensorBusyCycles += A.Cycles * Params.TensorPenalty;
-      Agent.TensorInflight.push_back(Done);
-      break;
-    }
-    case ActionKind::TensorWait:
-      while (static_cast<int64_t>(Agent.TensorInflight.size()) > A.Pendings) {
-        Agent.ReadyAt = std::max(Agent.ReadyAt, Agent.TensorInflight.front());
-        Agent.TensorInflight.pop_front();
-      }
-      while (!Agent.TensorInflight.empty() &&
-             Agent.TensorInflight.front() <= Agent.ReadyAt)
-        Agent.TensorInflight.pop_front();
-      break;
-    case ActionKind::TmaIssue: {
-      Agent.ReadyAt += A.Cycles;
-      double Done =
-          scheduleTransfer(Agent.ReadyAt, A.Bytes, Config.TmaLatencyCycles,
-                           Config.TmaBwEfficiency, Params.DramReuseFactor);
-      arrive(A.Bar, A.Idx, Done, A.Bytes);
-      break;
-    }
-    case ActionKind::BarExpectTx:
-      Agent.ReadyAt += A.Cycles;
-      Barriers[A.Bar][A.Idx].ExpectedTxBytes += A.Bytes;
-      break;
-    case ActionKind::BarArrive:
-      Agent.ReadyAt += A.Cycles;
-      arrive(A.Bar, A.Idx, Agent.ReadyAt, 0);
-      break;
-    case ActionKind::BarWait: {
-      Agent.ReadyAt += A.Cycles;
-      OracleBarrier &B = Barriers[A.Bar][A.Idx];
-      if (B.Completions % 2 != A.Parity) {
-        if (B.Completions > 0)
-          Agent.ReadyAt =
-              std::max(Agent.ReadyAt, B.CompletionTimes[B.Completions - 1]);
-        break;
-      }
-      Agent.Blocked = true;
-      Agent.BlockBar = A.Bar;
-      Agent.BlockIdx = A.Idx;
-      Agent.BlockTargetCompletion = B.Completions + 1;
-      ++Agent.Pc;
-      return;
-    }
-    case ActionKind::GStoreAsync:
-      Agent.ReadyAt += A.Cycles;
-      scheduleTransfer(Agent.ReadyAt, A.Bytes, 0, Config.TmaBwEfficiency,
-                       /*Reuse=*/1.0);
-      break;
-    case ActionKind::GLoadSync:
-      Agent.ReadyAt += A.Cycles;
-      Agent.ReadyAt = scheduleTransfer(Agent.ReadyAt, A.Bytes,
-                                       Config.SyncLoadLatencyCycles,
-                                       Config.TmaBwEfficiency,
-                                       Params.DramReuseFactor);
-      break;
-    case ActionKind::CopyPipelined: {
-      Agent.ReadyAt += A.Cycles;
-      double IssueTime = BaseTime;
-      if (static_cast<int64_t>(Agent.IterStartHistory.size()) >= A.Lookahead)
-        IssueTime = Agent.IterStartHistory[Agent.IterStartHistory.size() -
-                                           A.Lookahead];
-      double Done = scheduleTransfer(std::max(IssueTime, BaseTime), A.Bytes,
-                                     Config.CpAsyncLatencyCycles,
-                                     Config.CpAsyncBwEfficiency,
-                                     Params.DramReuseFactor);
-      Agent.ReadyAt = std::max(Agent.ReadyAt, Done);
-      break;
-    }
-    case ActionKind::IterMark:
-      Agent.IterStartHistory.push_back(Agent.ReadyAt);
-      if (Agent.IterStartHistory.size() > 64)
-        Agent.IterStartHistory.pop_front();
-      break;
-    }
-    ++Agent.Pc;
-  }
-
-  const GpuConfig &Config;
-  const ReplayParams &Params;
-  std::vector<OracleAgent> Agents;
-  std::vector<std::vector<OracleBarrier>> Barriers;
-  double TcFree = 0;
-  double DramFree = 0;
-  ReplayResult Result;
-  double BaseTime = 0;
-};
-
-bool sameBits(double A, double B) {
-  return std::memcmp(&A, &B, sizeof(double)) == 0;
-}
-
 /// replaySmSchedule, checked field by field against the oracle.
 ReplayResult replayChecked(const std::vector<const CtaTrace *> &Ctas,
                            const GpuConfig &Cfg, const ReplayParams &Params) {
   ReplayResult R = replaySmSchedule(Ctas, Cfg, Params);
-  ReplayResult O = OracleReplay(Cfg, Params).run(Ctas);
-  EXPECT_EQ(R.Deadlock, O.Deadlock);
-  EXPECT_EQ(R.Error, O.Error);
-  EXPECT_TRUE(sameBits(R.Cycles, O.Cycles))
-      << R.Cycles << " vs oracle " << O.Cycles;
-  EXPECT_TRUE(sameBits(R.TensorBusyCycles, O.TensorBusyCycles))
-      << R.TensorBusyCycles << " vs oracle " << O.TensorBusyCycles;
-  EXPECT_TRUE(sameBits(R.DramBusyCycles, O.DramBusyCycles))
-      << R.DramBusyCycles << " vs oracle " << O.DramBusyCycles;
-  EXPECT_EQ(R.DramBytes, O.DramBytes);
+  EXPECT_EQ(replayDiff(replaySmScheduleOracle(Ctas, Cfg, Params), R), "");
   return R;
 }
 
@@ -630,6 +391,7 @@ TEST(ReplayOracle, CorpusTracesMatch) {
   std::string Name;
   GpuConfig Cfg;
   size_t Replayed = 0;
+  int64_t Scheduled = 0, Simulated = 0;
   while (std::getline(Manifest, Name)) {
     if (Name.empty() || Name[0] == '#')
       continue;
@@ -648,23 +410,40 @@ TEST(ReplayOracle, CorpusTracesMatch) {
     for (const CtaTrace &T : Traces)
       Grid.push_back(&T);
     // The whole grid on one SM, the first CTA alone, and the first CTA
-    // repeated the way the Runner's sample classes repeat a pointer.
+    // repeated the way the Runner's sample classes repeat a pointer, for as
+    // many waves as a large figure point runs.
     for (const ReplayParams &Params : paramVariants()) {
       replayChecked(Grid, Cfg, Params);
       replayChecked({Grid[0]}, Cfg, Params);
-      replayChecked(std::vector<const CtaTrace *>(5, Grid[0]), Cfg, Params);
+      std::vector<const CtaTrace *> Long(300, Grid[0]);
+      Simulated += replayChecked(Long, Cfg, Params).SimulatedCtas;
+      Scheduled += static_cast<int64_t>(Long.size());
     }
     ++Replayed;
   }
   EXPECT_GE(Replayed, 9u);
+  // Most of the long runs' waves are skipped, not replayed action by action.
+  EXPECT_LT(Simulated * 4, Scheduled);
+}
+
+/// A cycle cost whose lowest set bit is 2^(E-53) for a random E in 12..30
+/// (and below 2^E, so exact): adding it to a time in the binade
+/// [2^E, 2^(E+1)) rounds half to even.
+double tieProneCycles(fuzz::Rng &R) {
+  int E = static_cast<int>(R.range(12, 30));
+  double Whole = std::ldexp(static_cast<double>(R.range(0, 1000)),
+                            static_cast<int>(R.range(0, E - 10)));
+  return Whole +
+         std::ldexp(static_cast<double>(2 * R.range(0, 100) + 1), E - 53);
 }
 
 /// A random CTA: up to four agents over up to three barrier arrays. Cycle
 /// costs come from a short list, so agents often tie on ReadyAt; waits make
 /// some schedules deadlock. A quarter of the agents run a software-
 /// pipelined loop long enough to overflow the 64-entry history, with
-/// lookaheads on both sides of it.
-CtaTrace randomCta(fuzz::Rng &R, bool Waits) {
+/// lookaheads on both sides of it. With \p TieProne, a quarter of the
+/// costs are tieProneCycles instead.
+CtaTrace randomCta(fuzz::Rng &R, bool Waits, bool TieProne = false) {
   CtaTrace T;
   T.NumBarrierArrays = static_cast<int32_t>(R.range(0, 3));
   for (int32_t B = 0; B < T.NumBarrierArrays; ++B) {
@@ -672,6 +451,8 @@ CtaTrace randomCta(fuzz::Rng &R, bool Waits) {
     T.BarrierSizes.push_back(R.range(1, 4));
   }
   auto Cycles = [&] {
+    if (TieProne && R.chance(25))
+      return tieProneCycles(R);
     return R.pick({0.0, 0.0, 1.0, 2.0, 2.0, 0.5, 10.0, 100.0, 1000.0});
   };
   int64_t NumAgents = R.range(1, 4);
@@ -758,6 +539,94 @@ TEST(ReplayOracle, RandomSchedulesMatch) {
   EXPECT_GT(Deadlocks, 100);
   EXPECT_GT(Completed, 100);
   EXPECT_GT(RepeatedMultiCta, 50);
+}
+
+//===----------------------------------------------------------------------===//
+// Repeated waves: long runs of one trace
+//===----------------------------------------------------------------------===//
+
+TEST(ReplayOracle, LongRepeatedSchedulesMatch) {
+  // Runs of one pointer long enough to cross many binades, alone or mixed
+  // with short runs of other traces, under the Runner's kinds of penalty
+  // (products like 1.04 and 1.15 * 1.08 fill the low bits) and
+  // tie-prone costs.
+  GpuConfig Cfg;
+  int64_t Scheduled = 0, Simulated = 0;
+  int Completed = 0;
+  for (uint64_t Seed = 1; Seed <= 300; ++Seed) {
+    SCOPED_TRACE(Seed);
+    fuzz::Rng R(Seed);
+    bool Waits = R.chance(50);
+    std::vector<CtaTrace> Ctas;
+    for (int64_t I = 0, E = R.range(1, 3); I < E; ++I)
+      Ctas.push_back(randomCta(R, Waits, /*TieProne=*/true));
+    std::vector<const CtaTrace *> Schedule;
+    if (R.chance(50)) {
+      Schedule.assign(static_cast<size_t>(R.range(50, 600)), &Ctas[0]);
+    } else {
+      while (Schedule.size() < 300) {
+        const CtaTrace *Cta =
+            &Ctas[R.range(0, static_cast<int64_t>(Ctas.size()) - 1)];
+        Schedule.insert(Schedule.end(),
+                        static_cast<size_t>(R.pick<int64_t>(
+                            {1, 2, R.range(50, 200)})),
+                        Cta);
+      }
+    }
+    ReplayParams Params;
+    Params.DramReuseFactor = R.pick({1.0, 0.8, 0.25});
+    Params.BwShareSms = R.pick({132.0, 7.0});
+    Params.TensorPenalty = R.pick({1.0, 1.04, 1.15 * 1.08, 1.45});
+    Params.CudaPenalty = R.pick({1.0, 0.8, 1.45});
+    Params.CtaGapCycles = R.pick({0.0, 0.3, 2500.0});
+    ReplayResult Rep = replayChecked(Schedule, Cfg, Params);
+    if (Rep.Deadlock)
+      continue;
+    ++Completed;
+    Scheduled += static_cast<int64_t>(Schedule.size());
+    Simulated += Rep.SimulatedCtas;
+  }
+  EXPECT_GT(Completed, 100);
+  // Most waves are skipped, not replayed action by action.
+  EXPECT_LT(Simulated * 4, Scheduled);
+}
+
+/// One agent: an MMA it waits for, some CUDA-core work, then, if
+/// \p LeakCycles is positive, an MMA of that many cycles it never waits
+/// for, which keeps the tensor core busy into the next wave.
+CtaTrace mmaCta(double LeakCycles) {
+  AgentTrace A;
+  A.Name = "wg";
+  A.emit(tensorIssue(300));
+  A.emit(tensorWait(0));
+  A.emit(cuda(200));
+  if (LeakCycles > 0)
+    A.emit(tensorIssue(LeakCycles));
+  return makeCta({A}, 0, {});
+}
+
+TEST(RepeatedWaves, WaveLeavingTensorCoreBusyIsNotRepeated) {
+  // Each Leaky wave keeps the tensor core busy past the next wave's start,
+  // delaying that wave's first MMA. So the first Leaky wave, which started
+  // with the core free, is no pattern for the ones after it.
+  CtaTrace Clean = mmaCta(0), Leaky = mmaCta(5000);
+  std::vector<const CtaTrace *> Schedule(300, &Clean);
+  Schedule.insert(Schedule.end(), 300, &Leaky);
+  GpuConfig Cfg;
+  ReplayResult R = replayChecked(Schedule, Cfg, ReplayParams());
+  EXPECT_LT(R.SimulatedCtas, 400); // The Clean run is still skipped.
+}
+
+TEST(RepeatedWaves, WaveStartingWithTensorCoreBusyIsNotRepeated) {
+  // The Clean wave after the Leaky one waits for the leaked MMA; the Clean
+  // waves after it start with the core free and run shorter.
+  CtaTrace Clean = mmaCta(0), Leaky = mmaCta(5000);
+  std::vector<const CtaTrace *> Schedule(300, &Clean);
+  Schedule.push_back(&Leaky);
+  Schedule.insert(Schedule.end(), 300, &Clean);
+  GpuConfig Cfg;
+  ReplayResult R = replayChecked(Schedule, Cfg, ReplayParams());
+  EXPECT_LT(R.SimulatedCtas, 100); // Both Clean runs are still skipped.
 }
 
 } // namespace
