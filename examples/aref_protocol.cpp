@@ -1,9 +1,10 @@
 //===- aref_protocol.cpp - The Fig. 4 semantics, interactively ----------------//
 //
-// Walks the asynchronous-reference state machine step by step: the legal
-// put -> get -> consumed handshake, the blocking cases a real mbarrier would
-// park a warp on, and the protocol errors the compiler must never emit —
-// then shows the happens-before chain the machine induces.
+// Walks sem::SlotMonitor, the aref slot machine both simulator engines run,
+// step by step: the legal put -> get -> consumed handshake on a 2-slot
+// ring, a tuple slot two TMA writes fill, and the protocol violations the
+// mbarriers exist to prevent — then shows the happens-before chain the
+// handshake induces.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,54 +12,48 @@
 #include "sem/HappensBefore.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 using namespace tawa::sem;
 
 namespace {
 
-const char *resultName(TransitionResult R) {
-  switch (R) {
-  case TransitionResult::Ok:
-    return "ok";
-  case TransitionResult::WouldBlock:
-    return "would-block (mbarrier wait)";
-  case TransitionResult::ProtocolError:
-    return "PROTOCOL ERROR";
-  }
-  return "?";
-}
-
-void show(const char *What, TransitionResult R, const ArefMachine &M,
-          int64_t Slot) {
-  std::printf("  %-24s -> %-28s slot state: %s\n", What, resultName(R),
-              getSlotStateName(M.getSlotState(Slot)));
+void show(const char *What, const std::string &Violation,
+          const SlotMonitor &M) {
+  std::printf("  %-26s -> %-9s slot state: %s\n", What,
+              Violation.empty() ? "ok" : "VIOLATION", M.name());
+  if (!Violation.empty())
+    std::printf("      %s\n", Violation.c_str());
 }
 
 } // namespace
 
 int main() {
-  std::printf("A 2-slot aref ring (D = 2), E = 1 / F = 0 initially:\n\n");
-  ArefMachine M(2);
+  std::printf("A 2-slot aref ring (D = 2), one writer and one reader per "
+              "slot:\n\n");
+  std::vector<SlotMonitor> Ring(2);
 
   std::printf("The legal pipeline (producer one slot ahead):\n");
-  show("put(slot 0)", M.put(0, 1), M, 0);
-  show("put(slot 1)", M.put(1, 2), M, 1);
-  show("put(slot 0) again", M.put(0, 3), M, 0); // Blocks: ring full.
-  show("get(slot 0)", M.get(0), M, 0);
-  show("consumed(slot 0)", M.consumed(0), M, 0);
-  show("put(slot 0) retried", M.put(0, 3), M, 0); // Now the credit is back.
+  show("write slot 0 (put)", Ring[0].write(1, 0, 0), Ring[0]);
+  show("write slot 1 (put)", Ring[1].write(1, 0, 1), Ring[1]);
+  show("read slot 0 (get)", Ring[0].read(0, 0), Ring[0]);
+  show("release slot 0 (consumed)", Ring[0].release(1, 0, 0), Ring[0]);
+  show("write slot 0 again", Ring[0].write(1, 0, 0), Ring[0]);
+
+  std::printf("\nA tuple slot filled by two TMA writes:\n");
+  SlotMonitor Tuple;
+  show("first write", Tuple.write(2, 1, 0), Tuple);
+  show("read before the second", Tuple.read(1, 0), Tuple);
+  show("second write", Tuple.write(2, 1, 0), Tuple);
+  show("read", Tuple.read(1, 0), Tuple);
 
   std::printf("\nWhat the hardware mbarriers protect against:\n");
-  ArefMachine Bad(1);
-  show("get before any put", Bad.get(0), Bad, 0); // Premature access: blocks.
-  Bad.put(0, 1);
-  Bad.get(0);
-  show("get while borrowed", Bad.get(0), Bad, 0);     // Double acquisition.
-  Bad.consumed(0);
-  show("consumed when empty", Bad.consumed(0), Bad, 0); // Spurious release.
-  std::printf("  recorded violations: %zu\n", Bad.getViolations().size());
-  for (const ProtocolViolation &V : Bad.getViolations())
-    std::printf("    - %s\n", V.Message.c_str());
+  SlotMonitor Bad;
+  show("read before any write", Bad.read(2, 0), Bad);
+  show("release before any read", Bad.release(1, 2, 0), Bad);
+  Bad.write(1, 2, 0);
+  show("write while full", Bad.write(1, 2, 0), Bad);
 
   std::printf("\nThe happens-before chain (producer agent 0, consumer 1):\n");
   HappensBeforeTracker HB(2);

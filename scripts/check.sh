@@ -27,8 +27,9 @@
 #
 # Then checks the documentation tree: every relative .md link and every
 # source-file path mentioned in docs/, README.md and the verify skill must
-# exist in the repo, and every ./<binary> they tell a reader to run must
-# have a source file, so docs cannot silently rot as files move.
+# exist in the repo, every ./<binary> they tell a reader to run must
+# have a source file, and every .md a source comment names must exist, so
+# docs cannot silently rot as files move.
 #
 # Then runs the differential fuzz smoke: tawa-fuzz sweeps seeded kernel
 # configurations across all seven engine x worker combos (docs/fuzzing.md)
@@ -373,6 +374,17 @@ for DOC in "$REPO_ROOT"/docs/*.md "$REPO_ROOT"/README.md \
   done < <(grep -oP '(?<![\w./-])\./\K\w[\w-]*(?![\w/-]|\.\w)' "$DOC" |
            sort -u)
 done
+# 5) Every *.md a source comment names (a // comment in src/, tools/,
+#    tests/, bench/ or examples/) must exist, as a path from the repo root.
+while IFS= read -r MD; do
+  if [[ ! -e "$REPO_ROOT/$MD" ]]; then
+    echo "missing doc named in a source comment: $MD"
+    DOCS_FAIL=1
+  fi
+done < <(grep -rhoE '//.*' --include='*.cpp' --include='*.h' \
+           "$REPO_ROOT/src" "$REPO_ROOT/tools" "$REPO_ROOT/tests" \
+           "$REPO_ROOT/bench" "$REPO_ROOT/examples" |
+         grep -oE '[A-Za-z0-9_./-]+\.md\b' | sort -u)
 if [[ "$DOCS_FAIL" != 0 ]]; then
   echo "FAIL: docs link check"
   exit 1

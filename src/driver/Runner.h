@@ -73,9 +73,9 @@ public:
   /// deterministic message — identical at any NumWorkers.
   int64_t MaxSteps = 0;
 
-  /// Wall-clock guard in milliseconds per CTA (0 = off, TAWA_MAX_WALL_MS
-  /// supplies a default). A non-deterministic safety net for harnesses —
-  /// prefer MaxSteps wherever determinism matters.
+  /// Wall-clock guard in milliseconds per CTA (0 = off). A
+  /// non-deterministic safety net for harnesses — prefer MaxSteps wherever
+  /// determinism matters.
   int64_t MaxWallMs = 0;
 
   /// When non-null, a deadlock / watchdog / protocol abort during

@@ -8,7 +8,7 @@
 //     *schedule envelopes*: the same compiled pipeline with per-framework
 //     scheduling options plus documented tuning factors taken from the
 //     paper's own relative measurements (we cannot rebuild those external
-//     code bases — see DESIGN.md's substitution table);
+//     code bases; Frameworks.cpp gives each factor's provenance);
 //
 //   * analytic models — cuBLAS (closed-source) and the theoretical peak are
 //     closed-form rooflines with documented efficiencies.

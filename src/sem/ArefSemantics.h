@@ -1,120 +1,106 @@
-//===- ArefSemantics.h - Fig. 4 operational semantics -----------*- C++ -*-===//
+//===- ArefSemantics.h - Fig. 4 slot machine --------------------*- C++ -*-===//
 //
-// The asynchronous-reference abstract machine of §III-B, executable:
+// The asynchronous-reference machine of §III-B, as the simulator runs it.
+// Fig. 4 gives each slot of a D-deep aref ring a buffer and two credits,
+// initially E = 1, F = 0:
 //
 //   PUT:       requires E = 1; writes buf;       -> F = 1, E = 0
 //   GET:       requires F = 1; reads buf;        -> F = 0, E = 0 (borrowed)
 //   CONSUMED:  (from borrowed)                   -> F = 0, E = 1
 //
-// with initial state E = 1, F = 0. One ArefSlotState models one slot of the
-// D-deep ring; ArefMachine models the whole ring plus the release/acquire
-// happens-before chain the paper claims (producer writes → consumer reads →
-// producer reuse). It is the executable reference sem_test checks and
-// examples/aref_protocol.cpp drives. The simulator does not run it: both
-// engines monitor lowered mbarrier traffic with exec::SlotMonitor
-// (sim/ExecCommon.h), a four-state form of the same machine for tuple slots
-// and cooperative readers, so protocol violations (double put, premature
-// get, reuse before consumed) still surface as hard errors.
+// Lowered code spreads each rule over several events: Writers TMA deposits
+// fill a tuple slot, and each of a cooperative group of Readers warp groups
+// reads it and arrives on its empty barrier. So SlotMonitor adds a fourth
+// state, Filling (some but not all writers have deposited), and counts:
+//
+//   write()    TMA deposit (put)               -> Filling, Full at Writers
+//   read()     staging read (get)              -> Borrowed
+//   release()  empty-barrier arrive (consumed) -> Empty at Readers
+//
+// The machine monitors; it never blocks. Each transition returns the
+// violation the run reports, or "" when it is legal. A write into a Full
+// or Borrowed slot (overwrite before consumed) still counts and moves the
+// slot on; a read of an Empty or Filling slot (premature get) leaves it
+// alone; a release of an Empty or Filling slot (consumed without get) is
+// flagged, one from Full or Borrowed is not. The slot empties, and its
+// counts reset, only once Readers releases have arrived.
+//
+// The bytecode executor (src/sim/Executor.cpp) keeps one SlotMonitor per
+// staging slot and calls these transitions; the tree-walking oracle
+// (tests/oracle/TreeWalk.cpp) spells them out again over the same state,
+// as the independent reference the executor is diffed against.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef TAWA_SEM_AREFSEMANTICS_H
 #define TAWA_SEM_AREFSEMANTICS_H
 
+#include "support/Support.h"
+
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace tawa {
 namespace sem {
 
-/// The three abstract states a slot can be in. Exactly one of E/F holds a
-/// credit except in the borrowed state, where neither does.
-enum class SlotState : uint8_t {
-  Empty,    ///< E = 1, F = 0: producer may put.
-  Full,     ///< E = 0, F = 1: consumer may get.
-  Borrowed, ///< E = 0, F = 0: value in use; consumed will release.
-};
+/// One slot of an aref ring.
+struct SlotMonitor {
+  enum class State : uint8_t { Empty, Filling, Full, Borrowed };
 
-const char *getSlotStateName(SlotState S);
+  State S = State::Empty;
+  int Writes = 0;   ///< Deposits since the slot last emptied.
+  int Releases = 0; ///< Releases since the slot last emptied.
 
-/// Outcome of attempting a transition.
-enum class TransitionResult : uint8_t {
-  Ok,            ///< Precondition held; state advanced.
-  WouldBlock,    ///< Precondition does not hold yet (caller must wait).
-  ProtocolError, ///< Transition illegal from this state even after waiting
-                 ///< (e.g. consumed on an Empty slot).
-};
-
-/// One slot: the Fig. 4 triple <buf, F, E> with a generation counter used to
-/// build happens-before edges.
-class ArefSlotState {
-public:
-  SlotState getState() const { return State; }
-
-  /// True when the corresponding abstract flag holds a credit.
-  bool emptyCredit() const { return State == SlotState::Empty; }
-  bool fullCredit() const { return State == SlotState::Full; }
-
-  /// Producer publication (PUT rule). \p Epoch identifies the producer's
-  /// logical time; recorded so readers can validate happens-before.
-  TransitionResult put(uint64_t Epoch);
-
-  /// Consumer acquisition (GET rule). On success \p PublishEpochOut receives
-  /// the epoch of the put whose value is being read.
-  TransitionResult get(uint64_t *PublishEpochOut = nullptr);
-
-  /// Consumer release (CONSUMED rule). Legal only from Borrowed: calling it
-  /// on a never-gotten slot is a protocol error the compiler must never emit.
-  TransitionResult consumed();
-
-  /// Number of completed put→get→consumed round trips.
-  uint64_t getGeneration() const { return Generation; }
-
-private:
-  SlotState State = SlotState::Empty;
-  uint64_t PublishEpoch = 0;
-  uint64_t Generation = 0;
-};
-
-/// A protocol violation (or deadlock) diagnosis.
-struct ProtocolViolation {
-  std::string Message;
-  int64_t Slot = -1;
-};
-
-/// The whole D-slot ring of §III-B/§III-C2 plus violation accounting: the
-/// reference model for the unit and property tests. The simulator's online
-/// checking is exec::SlotMonitor, not this class.
-class ArefMachine {
-public:
-  explicit ArefMachine(int64_t Depth, std::string Name = "aref");
-
-  int64_t getDepth() const { return Depth; }
-  const std::string &getName() const { return Name; }
-
-  /// Blocking-style transitions: Ok or WouldBlock advance/queue naturally; a
-  /// ProtocolError is recorded in the violation list.
-  TransitionResult put(int64_t Slot, uint64_t Epoch);
-  TransitionResult get(int64_t Slot, uint64_t *PublishEpochOut = nullptr);
-  TransitionResult consumed(int64_t Slot);
-
-  SlotState getSlotState(int64_t Slot) const;
-  uint64_t getGeneration(int64_t Slot) const;
-
-  bool hasViolations() const { return !Violations.empty(); }
-  const std::vector<ProtocolViolation> &getViolations() const {
-    return Violations;
+  /// One TMA deposit into slot \p Slot of channel \p Channel, a slot that
+  /// \p Writers deposits fill.
+  std::string write(int Writers, int64_t Channel, int64_t Slot) {
+    std::string Err;
+    if (S == State::Full || S == State::Borrowed)
+      Err = violation(Channel, Slot, "TMA write",
+                      "overwrite before consumed");
+    S = ++Writes >= Writers ? State::Full : State::Filling;
+    return Err;
   }
 
-private:
-  ArefSlotState &slot(int64_t Slot);
-  void recordViolation(int64_t Slot, const std::string &What);
+  /// One staging read of the slot.
+  std::string read(int64_t Channel, int64_t Slot) {
+    if (S == State::Empty || S == State::Filling)
+      return violation(Channel, Slot, "read", "premature get");
+    S = State::Borrowed;
+    return "";
+  }
 
-  int64_t Depth;
-  std::string Name;
-  std::vector<ArefSlotState> Slots;
-  std::vector<ProtocolViolation> Violations;
+  /// One empty-barrier arrive on a slot that \p Readers arrives release.
+  std::string release(int Readers, int64_t Channel, int64_t Slot) {
+    std::string Err;
+    if (S == State::Empty || S == State::Filling)
+      Err = violation(Channel, Slot, "released", "consumed without get");
+    if (++Releases >= Readers) {
+      S = State::Empty;
+      Writes = 0;
+      Releases = 0;
+    }
+    return Err;
+  }
+
+  /// The state's name in violation text.
+  const char *name() const {
+    static const char *const Names[] = {"empty", "filling", "full",
+                                        "borrowed"};
+    return Names[static_cast<int>(S)];
+  }
+
+  /// The slot's letter in diagnostics: E(mpty), W(riting/filling),
+  /// F(ull), B(orrowed).
+  char letter() const { return "EWFB"[static_cast<int>(S)]; }
+
+private:
+  std::string violation(int64_t Channel, int64_t Slot, const char *Event,
+                        const char *Why) const {
+    return formatString("channel %lld slot %lld: %s while %s (%s)",
+                        static_cast<long long>(Channel),
+                        static_cast<long long>(Slot), Event, name(), Why);
+  }
 };
 
 } // namespace sem

@@ -195,7 +195,7 @@ std::string Supervisor::ensureChild(Slot &S) {
 //===----------------------------------------------------------------------===//
 
 std::string Supervisor::execute(const std::string &RequestLine,
-                                int64_t RemainingMs, std::string &RespLine) {
+                                const ExecEnv &Env, std::string &RespLine) {
   Slot *S = nullptr;
   {
     std::unique_lock<std::mutex> L(Mu);
@@ -209,7 +209,7 @@ std::string Supervisor::execute(const std::string &RequestLine,
     });
     S->Busy = true;
   }
-  std::string Err = runSlot(*S, RequestLine, RemainingMs, RespLine);
+  std::string Err = runSlot(*S, RequestLine, Env, RespLine);
   {
     std::lock_guard<std::mutex> L(Mu);
     S->Busy = false;
@@ -224,17 +224,20 @@ std::string Supervisor::execute(const std::string &RequestLine,
 }
 
 std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
-                                int64_t RemainingMs, std::string &RespLine) {
+                                const ExecEnv &Env, std::string &RespLine) {
   if (std::string Err = ensureChild(S); !Err.empty())
     return Err;
 
   // Forward the parent's process-wide fault spec with the frame (never via
   // spawn env): faults::reset() in the parent disarms the child on its
   // next request instead of leaving a stale spec in a surviving process.
+  int64_t RemainingMs = std::max<int64_t>(1, Env.RemainingMs);
   std::string Spec = faults::currentSpec();
   std::string Frame =
-      formatString("req %lld %s ",
-                   static_cast<long long>(std::max<int64_t>(1, RemainingMs)),
+      formatString("req %lld %lld %lld %s ",
+                   static_cast<long long>(RemainingMs),
+                   static_cast<long long>(Env.DefaultMaxSteps),
+                   static_cast<long long>(Env.ExecWorkers),
                    Spec.empty() ? "-" : Spec.c_str()) +
       RequestLine + "\n";
 
@@ -258,8 +261,7 @@ std::string Supervisor::runSlot(Slot &S, const std::string &RequestLine,
 
   Clock::time_point Start = Clock::now();
   Clock::time_point Overall =
-      Start + std::chrono::milliseconds(std::max<int64_t>(1, RemainingMs) +
-                                        Cfg.HeartbeatTimeoutMs);
+      Start + std::chrono::milliseconds(RemainingMs + Cfg.HeartbeatTimeoutMs);
   Clock::time_point HbDeadline =
       Start + std::chrono::milliseconds(Cfg.HeartbeatTimeoutMs);
 

@@ -4,11 +4,13 @@
 // pool of tawa-sandbox runner processes, one request in flight per
 // process. A request routed here is written as one frame
 //
-//   req <remaining-ms> <fault-spec|-> <tawa-serve-req-v1 json>\n
+//   req <remaining-ms> <max-steps> <exec-workers> <fault-spec|-> <json>\n
 //
-// and answered with exactly one tawa-serve-resp-v1 line; while executing,
-// the child emits `hb` heartbeat lines. The supervisor classifies every
-// way a child can die:
+// carrying the attempt's whole serve::ExecEnv (deadline budget, default
+// step budget, workers per simulation) so the child executes it exactly
+// as the parent would, and answered with exactly one tawa-serve-resp-v1
+// line; while executing, the child emits `hb` heartbeat lines. The
+// supervisor classifies every way a child can die:
 //
 //   * exit/signal (waitpid)            -> "sandbox crash: signal 9 (SIGKILL)"
 //   * heartbeat silence past timeout   -> "sandbox timeout: heartbeat lost"
@@ -30,6 +32,7 @@
 #ifndef TAWA_SERVE_SANDBOX_H
 #define TAWA_SERVE_SANDBOX_H
 
+#include "serve/Execute.h"
 #include "support/Subprocess.h"
 
 #include <atomic>
@@ -98,12 +101,12 @@ public:
   Supervisor(const Supervisor &) = delete;
   Supervisor &operator=(const Supervisor &) = delete;
 
-  /// Executes one request line out of process (blocking; waits for a free
-  /// slot when every sandbox is busy). Returns "" with \p RespLine the
-  /// child's tawa-serve-resp-v1 answer, or the deterministic error string
-  /// ("sandbox crash: ..." / "sandbox timeout: ..." / "sandbox spawn:
-  /// ...").
-  std::string execute(const std::string &RequestLine, int64_t RemainingMs,
+  /// Executes one request line out of process under \p Env (blocking;
+  /// waits for a free slot when every sandbox is busy). Returns "" with
+  /// \p RespLine the child's tawa-serve-resp-v1 answer, or the
+  /// deterministic error string ("sandbox crash: ..." / "sandbox timeout:
+  /// ..." / "sandbox spawn: ...").
+  std::string execute(const std::string &RequestLine, const ExecEnv &Env,
                       std::string &RespLine);
 
   void setDeathHook(DeathHook H);
@@ -123,7 +126,7 @@ private:
   /// Runs one request on an acquired slot (only the owning thread touches
   /// it while Busy).
   std::string runSlot(Slot &S, const std::string &RequestLine,
-                      int64_t RemainingMs, std::string &RespLine);
+                      const ExecEnv &Env, std::string &RespLine);
   std::string ensureChild(Slot &S);
   /// Reads one newline-terminated line from the slot's channel, waiting at
   /// most \p TimeoutMs. Returns 1 on a line, 0 on timeout, -1 on

@@ -422,15 +422,14 @@ std::string Service::executeOnce(const std::string &RawText,
                                  const ServeRequest &Req,
                                  const std::string &Key, int64_t RemainingMs,
                                  ServeResponse &Resp, ErrorKind &KindOut) {
-  // Out-of-process routing: either the request opted in (sandbox=true) or
-  // the ladder moved its compile key to the sandbox rung.
-  if (Req.Sandbox || sandboxed(Key))
-    return executeSandbox(RawText, RemainingMs, Resp, KindOut);
-
   ExecEnv Env;
   Env.RemainingMs = RemainingMs;
   Env.DefaultMaxSteps = Cfg.DefaultMaxSteps;
   Env.ExecWorkers = Cfg.ExecWorkers;
+  // Out-of-process routing: either the request opted in (sandbox=true) or
+  // the ladder moved its compile key to the sandbox rung.
+  if (Req.Sandbox || sandboxed(Key))
+    return executeSandbox(RawText, Env, Resp, KindOut);
   return serve::executeRequest(Req, Env, Resp, KindOut);
 }
 
@@ -449,7 +448,7 @@ Supervisor &Service::supervisor() {
 }
 
 std::string Service::executeSandbox(const std::string &RawText,
-                                    int64_t RemainingMs, ServeResponse &Resp,
+                                    const ExecEnv &Env, ServeResponse &Resp,
                                     ErrorKind &KindOut) {
   // Even a failed attempt reports where it ran.
   Resp.Degrade = "sandbox";
@@ -459,7 +458,7 @@ std::string Service::executeSandbox(const std::string &RawText,
   }
 
   std::string RespLine;
-  std::string Err = supervisor().execute(RawText, RemainingMs, RespLine);
+  std::string Err = supervisor().execute(RawText, Env, RespLine);
   if (!Err.empty()) {
     KindOut = classifyError(Err);
     std::lock_guard<std::mutex> L(StatsMu);

@@ -165,9 +165,8 @@ private:
                           ServeResponse &Resp, ErrorKind &KindOut);
   /// The out-of-process path: frames the raw request to the supervisor's
   /// warm pool, decodes the child's response line.
-  std::string executeSandbox(const std::string &RawText,
-                             int64_t RemainingMs, ServeResponse &Resp,
-                             ErrorKind &KindOut);
+  std::string executeSandbox(const std::string &RawText, const ExecEnv &Env,
+                             ServeResponse &Resp, ErrorKind &KindOut);
   /// Lazily creates the supervisor (first sandbox-routed request).
   Supervisor &supervisor();
   /// True once \p Key has DegradeThreshold crash-kind failures.

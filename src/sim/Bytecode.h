@@ -8,10 +8,11 @@
 // pre-resolved to instruction indices, attributes materialized into
 // immediates/pools, and per-op costs precomputed from the machine model.
 //
-// The executor (Executor.cpp) dispatches through a single switch over BcOp —
-// no virtual calls, no string-keyed attribute lookups, no pointer-keyed maps
-// on the per-op path — and replaces the legacy std::function wait-condition
-// machinery with a tagged WaitCond evaluated inline. Semantics (numerics,
+// The executor (Executor.cpp) dispatches over BcOp by computed goto, one
+// label per opcode — no virtual calls, no string-keyed attribute lookups,
+// no pointer-keyed maps on the per-op path — and replaces the legacy
+// std::function wait-condition machinery with a tagged WaitCond evaluated
+// inline. Semantics (numerics,
 // trace event sequences, protocol monitors, happens-before recording) are
 // bit-identical to the legacy tree-walking interpreter, which the tests
 // keep as a differential oracle (tests/oracle/TreeWalk.h).

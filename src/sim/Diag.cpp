@@ -30,8 +30,6 @@ std::string ExecDiagnostic::renderText() const {
                         static_cast<long long>(A.WaitChannel),
                         static_cast<long long>(A.WaitParity),
                         static_cast<long long>(A.WaitCompletions));
-    if (A.Pc >= 0)
-      S += formatString(", pc %lld", static_cast<long long>(A.Pc));
     S += "\n";
     if (!A.Error.empty())
       S += "      error: " + A.Error + "\n";
@@ -91,8 +89,6 @@ std::string ExecDiagnostic::renderJson() const {
       W.field("completions", A.WaitCompletions);
       W.endObject();
     }
-    if (A.Pc >= 0)
-      W.field("pc", A.Pc);
     W.endObject();
   }
   W.endArray();

@@ -6,15 +6,13 @@
 // per-agent scheduler state (steps executed, the mbarrier wait each
 // blocked agent is parked on), every barrier array's completion/arrival
 // counters, and the staging-channel slot monitors — everything needed to
-// see WHY the machine wedged without re-running under TAWA_TRACE.
+// see WHY the machine wedged without re-running it.
 //
 // The snapshot is deliberately engine-independent: it contains only state
 // both the bytecode executor and the legacy tree-walking oracle maintain
 // identically (the differential tests pin that), so renderText() and
 // renderJson() are byte-identical across legacy/unfused/fused engines and
-// across NumWorkers — golden-testable. Bytecode-only detail (the saved
-// program counter) is captured only under TAWA_DIAG_VERBOSE and therefore
-// stays out of the goldens.
+// across NumWorkers — golden-testable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +48,6 @@ struct ExecDiagnostic {
     int64_t WaitChannel = -1;
     int64_t WaitParity = 0;
     int64_t WaitCompletions = 0;
-    int64_t Pc = -1; ///< Bytecode pc; filled only under TAWA_DIAG_VERBOSE.
   };
   std::vector<Agent> Agents;
 
@@ -65,8 +62,8 @@ struct ExecDiagnostic {
 
   struct Channel {
     int64_t Id = -1;
-    /// One letter per staging slot: E(mpty), W(riting/filling), F(ull),
-    /// B(orrowed).
+    /// One letter per staging slot (sem::SlotMonitor::letter): E(mpty),
+    /// W(riting/filling), F(ull), B(orrowed).
     std::string Slots;
   };
   std::vector<Channel> Channels;

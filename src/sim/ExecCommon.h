@@ -77,7 +77,7 @@ inline int64_t asInt(const RValue &R) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shared CTA state (functional barriers, protocol monitors)
+// Shared CTA state (functional barriers)
 //===----------------------------------------------------------------------===//
 
 struct FunctionalBarrier {
@@ -92,16 +92,6 @@ struct BarrierArray {
   int64_t Channel = -1;
   bool IsFull = false;
   std::vector<FunctionalBarrier> Bars;
-};
-
-/// Per-slot protocol monitor: the Fig. 4 machine generalized to tuple slots
-/// (several TMA writes fill one slot) and cooperative readers (several
-/// consumer warp groups release one slot).
-struct SlotMonitor {
-  enum class St : uint8_t { Empty, Filling, Full, Borrowed };
-  St S = St::Empty;
-  int Writes = 0;
-  int Releases = 0;
 };
 
 struct AgentCtx {

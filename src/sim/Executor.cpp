@@ -36,6 +36,7 @@
 
 #include "sim/Bytecode.h"
 
+#include "sem/ArefSemantics.h"
 #include "sem/HappensBefore.h"
 #include "sim/Diag.h"
 #include "sim/ExecCommon.h"
@@ -150,7 +151,7 @@ struct ExecSmem {
   int Writers = 1;
   int Readers = 1;
   int64_t NumFields = 1;
-  std::vector<SlotMonitor> Monitors;
+  std::vector<sem::SlotMonitor> Monitors;
   std::vector<TensorRef> Store;    ///< NumSlots * NumFields, dense.
 };
 
@@ -184,8 +185,7 @@ public:
   BcExec(const CompiledProgram &P, const RunOptions &Opts, int64_t PidX,
          int64_t PidY, TileArena *ExternalArena)
       : P(P), Config(P.Config), Opts(Opts), PidX(PidX), PidY(PidY),
-        Arena(ExternalArena ? ExternalArena : &LocalArena),
-        TraceEnv(envFlag("TAWA_TRACE")) {
+        Arena(ExternalArena ? ExternalArena : &LocalArena) {
     if (BcProfile::instance())
       Prof = std::make_unique<BcProfileCounts>();
   }
@@ -383,13 +383,6 @@ private:
     Act.Parity = static_cast<int32_t>(Parity % 2);
     Act.Cycles = Config.BarrierOpCycles;
     emitAction(A, Act);
-    if (TraceEnv) {
-      BarrierArray &Arr = BarrierArrays[Bar];
-      fprintf(stderr,
-              "[agent %d] wait %s[%lld] parity %lld completions %lld\n",
-              A.Id, Arr.IsFull ? "full" : "empty", (long long)Idx,
-              (long long)Parity, (long long)Arr.Bars[Idx].Completions);
-    }
   }
 
   /// Issue-then-block-or-resume prologue shared by the fused wait
@@ -444,15 +437,9 @@ private:
                     AgentCtx &A, int32_t SmemH, int64_t Idx,
                     std::vector<RValue> &S) {
     ExecSmem &Buf = SmemBuffers[SmemH];
-    SlotMonitor &Mon = Buf.Monitors[Idx];
-    if (Mon.S == SlotMonitor::St::Empty ||
-        Mon.S == SlotMonitor::St::Filling)
-      recordViolation(formatString(
-          "channel %lld slot %lld: read while %s (premature get)",
-          static_cast<long long>(Buf.Channel), static_cast<long long>(Idx),
-          Mon.S == SlotMonitor::St::Empty ? "empty" : "filling"));
-    else
-      Mon.S = SlotMonitor::St::Borrowed;
+    if (std::string Err = Buf.Monitors[Idx].read(Buf.Channel, Idx);
+        !Err.empty())
+      recordViolation(std::move(Err));
     if (std::string Err = HB->recordRead(A.Id, Buf.Channel, Idx);
         !Err.empty())
       recordViolation(Err);
@@ -498,17 +485,10 @@ private:
     emitAction(A, Act);
 
     ExecSmem &Buf = SmemBuffers[Smem];
-    SlotMonitor &Mon = Buf.Monitors[Idx];
-    if (Mon.S == SlotMonitor::St::Full ||
-        Mon.S == SlotMonitor::St::Borrowed)
-      recordViolation(formatString(
-          "channel %lld slot %lld: TMA write while %s (overwrite before "
-          "consumed)",
-          static_cast<long long>(Buf.Channel), static_cast<long long>(Idx),
-          Mon.S == SlotMonitor::St::Full ? "full" : "borrowed"));
-    Mon.S = SlotMonitor::St::Filling;
-    if (++Mon.Writes >= Buf.Writers)
-      Mon.S = SlotMonitor::St::Full;
+    if (std::string Err =
+            Buf.Monitors[Idx].write(Buf.Writers, Buf.Channel, Idx);
+        !Err.empty())
+      recordViolation(std::move(Err));
     if (std::string Err = HB->recordWrite(A.Id, Buf.Channel, Idx);
         !Err.empty())
       recordViolation(Err);
@@ -540,7 +520,6 @@ private:
   int64_t PidX, PidY;
   TileArena *Arena;      ///< Tile payload arena; reset at the start of run().
   TileArena LocalArena;  ///< Fallback when the caller supplies none.
-  bool TraceEnv;
   bool Functional = true;
 
   std::vector<ExecSmem> SmemBuffers;
@@ -556,10 +535,8 @@ private:
   //===--- Execution watchdog + abort diagnostics (docs/robustness.md) ---===//
 
   int64_t MaxSteps = 0;  ///< Resolved in run(): Opts or TAWA_MAX_STEPS.
-  int64_t MaxWallMs = 0; ///< Resolved in run(): Opts or TAWA_MAX_WALL_MS.
   std::chrono::steady_clock::time_point WallDeadline;
   uint32_t WallCheckTick = 0; ///< Clock polled every 1024 step events.
-  bool DiagVerbose = false;   ///< TAWA_DIAG_VERBOSE: include pc in diags.
   /// Scheduler state snapshotted after schedule() while the AgentRuns are
   /// still alive, so an abort return can fill Opts.Diag after the AgentCtxs
   /// have been moved out.
@@ -581,11 +558,11 @@ private:
           "step budget exceeded: agent %d used %lld steps (budget %lld)",
           A.Id, static_cast<long long>(A.Steps),
           static_cast<long long>(MaxSteps));
-    } else if (MaxWallMs > 0 && (++WallCheckTick & 1023u) == 0 &&
+    } else if (Opts.MaxWallMs > 0 && (++WallCheckTick & 1023u) == 0 &&
                std::chrono::steady_clock::now() >= WallDeadline) {
       A.Error = formatString(
           "wall clock budget exceeded: cta did not finish within %lld ms",
-          static_cast<long long>(MaxWallMs));
+          static_cast<long long>(Opts.MaxWallMs));
     } else {
       return false;
     }
@@ -625,8 +602,6 @@ private:
         D.WaitParity = R.W.Parity; // Raw, matching the deadlock message.
         D.WaitCompletions = Arr.Bars[R.W.Idx].Completions;
       }
-      if (DiagVerbose)
-        D.Pc = R.Pc;
       DiagAgents.push_back(std::move(D));
     }
   }
@@ -663,11 +638,8 @@ private:
     for (const ExecSmem &Buf : SmemBuffers) {
       ExecDiagnostic::Channel C;
       C.Id = Buf.Channel;
-      for (const SlotMonitor &M : Buf.Monitors)
-        C.Slots.push_back(M.S == SlotMonitor::St::Empty      ? 'E'
-                          : M.S == SlotMonitor::St::Filling  ? 'W'
-                          : M.S == SlotMonitor::St::Full     ? 'F'
-                                                             : 'B');
+      for (const sem::SlotMonitor &M : Buf.Monitors)
+        C.Slots.push_back(M.letter());
       D.Channels.push_back(std::move(C));
     }
   }
@@ -1416,7 +1388,7 @@ void BcExec::step(AgentRun &Run) {
       Buf.Readers = static_cast<int>(I.Aux & 0xffff);
       Buf.NumFields =
           std::max<int64_t>(1, static_cast<int64_t>(P.SlotOffsets.size()));
-      Buf.Monitors.assign(I.Imm3, SlotMonitor());
+      Buf.Monitors.assign(I.Imm3, sem::SlotMonitor());
       if (Functional)
         Buf.Store.assign(I.Imm3 * Buf.NumFields, nullptr);
       SmemBuffers.push_back(std::move(Buf));
@@ -1461,9 +1433,6 @@ void BcExec::step(AgentRun &Run) {
       int32_t Bar = V(0).H;
       int64_t Idx = asInt(V(1));
       BarrierArray &Arr = BarrierArrays[Bar];
-      if (TraceEnv)
-        fprintf(stderr, "[agent %d] arrive %s[%lld]\n", A.Id,
-                Arr.IsFull ? "full" : "empty", (long long)Idx);
       Action Act;
       Act.Kind = ActionKind::BarArrive;
       Act.Bar = Bar;
@@ -1476,20 +1445,10 @@ void BcExec::step(AgentRun &Run) {
         for (ExecSmem &Buf : SmemBuffers) {
           if (Buf.Channel != Arr.Channel)
             continue;
-          SlotMonitor &Mon = Buf.Monitors[Idx];
-          if (Mon.S == SlotMonitor::St::Empty ||
-              Mon.S == SlotMonitor::St::Filling)
-            recordViolation(formatString(
-                "channel %lld slot %lld: released while %s (consumed without "
-                "get)",
-                static_cast<long long>(Arr.Channel),
-                static_cast<long long>(Idx),
-                Mon.S == SlotMonitor::St::Empty ? "empty" : "filling"));
-          if (++Mon.Releases >= Buf.Readers) {
-            Mon.S = SlotMonitor::St::Empty;
-            Mon.Writes = 0;
-            Mon.Releases = 0;
-          }
+          if (std::string Err =
+                  Buf.Monitors[Idx].release(Buf.Readers, Arr.Channel, Idx);
+              !Err.empty())
+            recordViolation(std::move(Err));
         }
       }
       applyArrival(Bar, Idx, 0);
@@ -1676,16 +1635,12 @@ std::string BcExec::run(CtaTrace &Out) {
   if (!P.CompileError.empty())
     return P.CompileError;
   Functional = Opts.Functional;
-  // Execution watchdog: explicit options win, the environment supplies
-  // process-wide defaults (see docs/robustness.md for the knobs).
+  // Execution watchdog: an explicit step budget wins, TAWA_MAX_STEPS
+  // supplies a process-wide default (see docs/robustness.md).
   MaxSteps = Opts.MaxSteps > 0 ? Opts.MaxSteps : envInt64("TAWA_MAX_STEPS", 0);
-  MaxWallMs =
-      Opts.MaxWallMs > 0 ? Opts.MaxWallMs : envInt64("TAWA_MAX_WALL_MS", 0);
-  if (MaxWallMs > 0)
-    WallDeadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(MaxWallMs);
-  if (Opts.Diag)
-    DiagVerbose = envFlag("TAWA_DIAG_VERBOSE");
+  if (Opts.MaxWallMs > 0)
+    WallDeadline = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(Opts.MaxWallMs);
   // Everything the previous CTA allocated is dead; reclaim it wholesale so
   // a worker's chunks stay warm for the whole grid.
   Arena->reset();

@@ -13,9 +13,10 @@
 // The original tree-walking interpreter lives only in the test tree
 // (tests/oracle/TreeWalk.h), as the differential-testing oracle.
 //
-// Protocol checking is layered (per DESIGN.md):
-//   * per-slot state monitors (the Fig. 4 machine extended with multi-writer
-//     tuple slots and multi-reader cooperative groups);
+// Protocol checking is layered:
+//   * one sem::SlotMonitor per staging slot (src/sem/ArefSemantics.h: the
+//     Fig. 4 machine extended with multi-writer tuple slots and
+//     multi-reader cooperative groups);
 //   * the sem::HappensBeforeTracker validating the release/acquire chain;
 //   * deadlock detection when every agent is blocked.
 //
@@ -96,12 +97,11 @@ struct RunOptions {
   /// budget fails with a "step budget exceeded" error (ErrorKind::
   /// StepBudget). See docs/robustness.md.
   int64_t MaxSteps = 0;
-  /// Wall-clock watchdog per CTA in milliseconds (0 = off; TAWA_MAX_WALL_MS
-  /// supplies a default). A safety net behind MaxSteps for kernels whose
-  /// step rate is pathological: NOT deterministic (depends on host speed),
-  /// so prefer MaxSteps anywhere reproducibility matters. The test-side
-  /// oracle ignores it. Trips fail the agent with a "wall clock" error
-  /// (ErrorKind::WallClock).
+  /// Wall-clock watchdog per CTA in milliseconds (0 = off). A safety net
+  /// behind MaxSteps for kernels whose step rate is pathological: NOT
+  /// deterministic (depends on host speed), so prefer MaxSteps anywhere
+  /// reproducibility matters. The test-side oracle ignores it. Trips fail
+  /// the agent with a "wall clock" error (ErrorKind::WallClock).
   int64_t MaxWallMs = 0;
   /// When non-null, a deadlock or watchdog abort fills this with the
   /// post-mortem snapshot (sim/Diag.h): per-agent state/steps/wait, barrier

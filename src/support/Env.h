@@ -1,7 +1,7 @@
 //===- Env.h - TAWA_* environment-knob parsing ------------------*- C++ -*-===//
 //
 // One home for the ad-hoc getenv parsing that had grown across the tree
-// (TAWA_TRACE, TAWA_NO_FUSE, TAWA_BC_PROFILE, TAWA_CACHE_DIR, and the
+// (TAWA_NO_FUSE, TAWA_BC_PROFILE, TAWA_CACHE_DIR, and the
 // watchdog/fault knobs added with them). Two properties every knob now
 // shares:
 //

@@ -1,12 +1,12 @@
 //===- interpreter_protocol_test.cpp - Online protocol monitoring -------------//
 //
 // Hand-builds *incorrect* lowered warp-group programs — the kinds of bugs
-// §III-B says aref prevents by construction — and checks that the
-// simulator's monitors catch each one: premature get (read before
-// publication), missing consumed (producer starves/deadlocks), overwrite
-// before release, and plain deadlock. Also checks that the correct
-// hand-built program passes cleanly, so the monitors are not trivially
-// noisy.
+// §III-B says aref prevents by construction — and checks that each of the
+// slot monitor's three checks (sem::SlotMonitor) catches its own bug by
+// name: premature get (read before publication), overwrite before
+// consumed, and consumed without get; a missing consumed deadlocks. Also
+// checks that the correct hand-built program passes cleanly, so the
+// monitors are not trivially noisy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +27,10 @@ namespace {
 struct ProtocolHarness {
   enum class Bug {
     None,
-    ConsumerSkipsFullWait, ///< Premature get: reads without waiting.
-    ConsumerSkipsRelease,  ///< Never arrives on empty: producer starves.
-    ProducerSkipsEmptyWait ///< Overwrites a slot still in use.
+    ConsumerSkipsFullWait,  ///< Premature get: reads without waiting.
+    ConsumerSkipsRelease,   ///< Never arrives on empty: producer starves.
+    ProducerSkipsEmptyWait, ///< Overwrites a slot still in use.
+    ConsumerSkipsGet        ///< Releases slots it never waited for or read.
   };
 
   IrContext Ctx;
@@ -101,12 +102,15 @@ struct ProtocolHarness {
       Value *K = Loop->getInductionVar();
       Value *Slot = L.createRem(K, DepthC);
       Value *Wrap = L.createDiv(K, DepthC);
-      if (Inject != Bug::ConsumerSkipsFullWait) {
+      if (Inject != Bug::ConsumerSkipsFullWait &&
+          Inject != Bug::ConsumerSkipsGet) {
         Value *Parity = L.createRem(Wrap, Two);
         L.createMBarrierWait(Full, Slot, Parity);
       }
-      Value *Tile = L.createSmemRead(Smem, Slot, TileTy, 0);
-      L.createTmaStore(OutDesc, {Slot, Slot}, Tile);
+      if (Inject != Bug::ConsumerSkipsGet) {
+        Value *Tile = L.createSmemRead(Smem, Slot, TileTy, 0);
+        L.createTmaStore(OutDesc, {Slot, Slot}, Tile);
+      }
       if (Inject != Bug::ConsumerSkipsRelease)
         L.createMBarrierArrive(Empty, Slot);
       L.createYield({});
@@ -141,14 +145,16 @@ TEST(ProtocolMonitors, SingleSlotRingIsCleanToo) {
 }
 
 TEST(ProtocolMonitors, PrematureGetIsCaught) {
-  // The consumer reads without waiting on the full barrier: with
-  // interleaving it can observe an unwritten or stale slot. The monitors
-  // must flag it (premature read / unordered read).
+  // The consumer reads without waiting on the full barrier: once it
+  // overtakes the producer it reads a slot nothing was published into.
+  // The happens-before tracker flags that read too; the slot monitor must
+  // flag it by its own name.
   ProtocolHarness H;
   H.build(2, 6, ProtocolHarness::Bug::ConsumerSkipsFullWait);
   std::string Err = H.run();
-  EXPECT_NE(Err, "");
-  EXPECT_NE(Err.find("violation"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("protocol violations:"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("read while empty (premature get)"), std::string::npos)
+      << Err;
 }
 
 TEST(ProtocolMonitors, MissingReleaseDeadlocks) {
@@ -166,8 +172,24 @@ TEST(ProtocolMonitors, OverwriteBeforeReleaseIsCaught) {
   ProtocolHarness H;
   H.build(2, 6, ProtocolHarness::Bug::ProducerSkipsEmptyWait);
   std::string Err = H.run();
-  EXPECT_NE(Err, "");
-  EXPECT_NE(Err.find("violation"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("protocol violations:"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("TMA write while full (overwrite before consumed)"),
+            std::string::npos)
+      << Err;
+}
+
+TEST(ProtocolMonitors, ConsumedWithoutGetIsCaught) {
+  // The consumer arrives on the empty barrier without waiting for or
+  // reading the slot: it hands the producer credits for slots it drained
+  // before anything was written. Nothing is read, so only the slot
+  // monitor can see it.
+  ProtocolHarness H;
+  H.build(2, 6, ProtocolHarness::Bug::ConsumerSkipsGet);
+  std::string Err = H.run();
+  EXPECT_NE(Err.find("protocol violations:"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("released while empty (consumed without get)"),
+            std::string::npos)
+      << Err;
 }
 
 } // namespace

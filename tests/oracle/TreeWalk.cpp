@@ -10,6 +10,7 @@
 #include "tests/oracle/TreeWalk.h"
 
 #include "ir/Ir.h"
+#include "sem/ArefSemantics.h"
 #include "sem/HappensBefore.h"
 #include "sim/Diag.h"
 #include "sim/ExecCommon.h"
@@ -32,6 +33,8 @@ using namespace tawa::sim::exec;
 
 namespace {
 
+using Slot = sem::SlotMonitor::State;
+
 struct Env {
   std::map<Value *, RValue> Local;
   const Env *Outer = nullptr;
@@ -45,14 +48,17 @@ struct Env {
   void set(Value *V, RValue R) { Local[V] = std::move(R); }
 };
 
-/// Staging-buffer state with the legacy ordered-map tensor store.
+/// Staging-buffer state with the legacy ordered-map tensor store. The slot
+/// monitors hold the executor's state, but this file spells out their
+/// transitions itself: it is the reference the executor's calls into
+/// sem::SlotMonitor are diffed against.
 struct SmemBuffer {
   int64_t Channel = -1;
   int64_t SlotBytes = 0;
   int64_t Bytes = 0;
   int WritersPerSlot = 1;
   int ReadersPerSlot = 1;
-  std::vector<SlotMonitor> Monitors;
+  std::vector<sem::SlotMonitor> Monitors;
   /// Staged tensors keyed by (slot, byte offset inside the slot).
   std::map<std::pair<int64_t, int64_t>, TensorData> Store;
 };
@@ -196,11 +202,8 @@ private:
     for (const SmemBuffer &Buf : SmemBuffers) {
       ExecDiagnostic::Channel C;
       C.Id = Buf.Channel;
-      for (const SlotMonitor &M : Buf.Monitors)
-        C.Slots.push_back(M.S == SlotMonitor::St::Empty      ? 'E'
-                          : M.S == SlotMonitor::St::Filling  ? 'W'
-                          : M.S == SlotMonitor::St::Full     ? 'F'
-                                                             : 'B');
+      for (const sem::SlotMonitor &M : Buf.Monitors)
+        C.Slots.push_back(M.letter());
       D.Channels.push_back(std::move(C));
     }
   }
@@ -881,7 +884,7 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
         static_cast<int>(Op->getIntAttrOr("writers_per_slot", 1));
     Buf.ReadersPerSlot =
         static_cast<int>(Op->getIntAttrOr("readers_per_slot", 1));
-    Buf.Monitors.assign(Op->getIntAttrOr("num_slots", 1), SlotMonitor());
+    Buf.Monitors.assign(Op->getIntAttrOr("num_slots", 1), sem::SlotMonitor());
     SmemBuffers.push_back(std::move(Buf));
     SetResult(RValue::makeHandle(
         static_cast<int32_t>(SmemBuffers.size() - 1)));
@@ -921,9 +924,6 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     int32_t Bar = Val(0).H;
     int64_t Idx = asInt(Val(1));
     BarrierArray &Arr = BarrierArrays[Bar];
-    if (envFlag("TAWA_TRACE"))
-      fprintf(stderr, "[agent %d] arrive %s[%lld]\n", A.Id,
-              Arr.IsFull ? "full" : "empty", (long long)Idx);
     Action Act;
     Act.Kind = ActionKind::BarArrive;
     Act.Bar = Bar;
@@ -936,17 +936,16 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
       for (SmemBuffer &Buf : SmemBuffers) {
         if (Buf.Channel != Arr.Channel)
           continue;
-        SlotMonitor &Mon = Buf.Monitors[Idx];
-        if (Mon.S == SlotMonitor::St::Empty ||
-            Mon.S == SlotMonitor::St::Filling)
+        sem::SlotMonitor &Mon = Buf.Monitors[Idx];
+        if (Mon.S == Slot::Empty || Mon.S == Slot::Filling)
           recordViolation(formatString(
               "channel %lld slot %lld: released while %s (consumed without "
               "get)",
               static_cast<long long>(Arr.Channel),
               static_cast<long long>(Idx),
-              Mon.S == SlotMonitor::St::Empty ? "empty" : "filling"));
+              Mon.S == Slot::Empty ? "empty" : "filling"));
         if (++Mon.Releases >= Buf.ReadersPerSlot) {
-          Mon.S = SlotMonitor::St::Empty;
+          Mon.S = Slot::Empty;
           Mon.Writes = 0;
           Mon.Releases = 0;
         }
@@ -968,10 +967,6 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     Act.Cycles = Config.BarrierOpCycles;
     EmitAction(Act);
     BarrierArray &Arr = BarrierArrays[Bar];
-    if (envFlag("TAWA_TRACE"))
-      fprintf(stderr, "[agent %d] wait %s[%lld] parity %lld completions %lld\n",
-              A.Id, Arr.IsFull ? "full" : "empty", (long long)Idx,
-              (long long)Parity, (long long)Arr.Bars[Idx].Completions);
     BlockInfo[A.Id] = {Bar, Idx, Parity};
     // Every wait issued is one watchdog step event, blocked or not.
     // Agents here are preemptive OS threads, so whether the phase has
@@ -1014,16 +1009,16 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     EmitAction(Act);
 
     SmemBuffer &Buf = SmemBuffers[Smem];
-    SlotMonitor &Mon = Buf.Monitors[Idx];
-    if (Mon.S == SlotMonitor::St::Full || Mon.S == SlotMonitor::St::Borrowed)
+    sem::SlotMonitor &Mon = Buf.Monitors[Idx];
+    if (Mon.S == Slot::Full || Mon.S == Slot::Borrowed)
       recordViolation(formatString(
           "channel %lld slot %lld: TMA write while %s (overwrite before "
           "consumed)",
           static_cast<long long>(Buf.Channel), static_cast<long long>(Idx),
-          Mon.S == SlotMonitor::St::Full ? "full" : "borrowed"));
-    Mon.S = SlotMonitor::St::Filling;
+          Mon.S == Slot::Full ? "full" : "borrowed"));
+    Mon.S = Slot::Filling;
     if (++Mon.Writes >= Buf.WritersPerSlot)
-      Mon.S = SlotMonitor::St::Full;
+      Mon.S = Slot::Full;
     if (std::string Err = HB->recordWrite(A.Id, Buf.Channel, Idx);
         !Err.empty())
       recordViolation(Err);
@@ -1051,14 +1046,14 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     const RValue &Smem = Val(0);
     int64_t Idx = asInt(Val(1));
     SmemBuffer &Buf = SmemBuffers[Smem.H];
-    SlotMonitor &Mon = Buf.Monitors[Idx];
-    if (Mon.S == SlotMonitor::St::Empty || Mon.S == SlotMonitor::St::Filling)
+    sem::SlotMonitor &Mon = Buf.Monitors[Idx];
+    if (Mon.S == Slot::Empty || Mon.S == Slot::Filling)
       recordViolation(formatString(
           "channel %lld slot %lld: read while %s (premature get)",
           static_cast<long long>(Buf.Channel), static_cast<long long>(Idx),
-          Mon.S == SlotMonitor::St::Empty ? "empty" : "filling"));
+          Mon.S == Slot::Empty ? "empty" : "filling"));
     else
-      Mon.S = SlotMonitor::St::Borrowed;
+      Mon.S = Slot::Borrowed;
     if (std::string Err = HB->recordRead(A.Id, Buf.Channel, Idx);
         !Err.empty())
       recordViolation(Err);

@@ -30,16 +30,13 @@
 #include "support/Support.h"
 #include "tests/fuzz/Diff.h"
 #include "tests/fuzz/Gen.h"
+#include "tests/support/ServeWire.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
-#include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +44,6 @@
 #include <dirent.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -63,51 +59,6 @@ using namespace tawa;
 using namespace tawa::serve;
 
 namespace {
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
-std::string corpusPath(const std::string &Name) {
-  return std::string(TAWA_SOURCE_DIR) + "/tests/corpus/" + Name;
-}
-
-std::string respField(const std::string &Line, const std::string &Key) {
-  JsonValue V;
-  std::string Err;
-  EXPECT_TRUE(parseJson(Line, V, Err)) << Err << "\n" << Line;
-  const JsonValue *F = V.find(Key);
-  if (!F)
-    return "";
-  if (F->isString())
-    return F->asString();
-  return std::to_string(F->asInt64());
-}
-
-std::string gemmReq(const std::string &Id, bool Sandbox = false,
-                    int64_t SleepMs = 0, int64_t DeadlineMs = 0) {
-  std::string Extra;
-  if (Sandbox)
-    Extra += ",\"sandbox\":true";
-  if (SleepMs > 0)
-    Extra += formatString(",\"sleep_ms\":%lld", (long long)SleepMs);
-  if (DeadlineMs > 0)
-    Extra += formatString(",\"deadline_ms\":%lld", (long long)DeadlineMs);
-  return formatString(
-      "{\"schema\":\"tawa-serve-req-v1\",\"id\":\"%s\",\"kind\":\"gemm\","
-      "\"framework\":\"tawa\",\"m\":256,\"n\":256,\"k\":128,"
-      "\"functional\":true%s}",
-      Id.c_str(), Extra.c_str());
-}
-
-std::string irReq(const std::string &Id, const std::string &IrText) {
-  return "{\"schema\":\"tawa-serve-req-v1\",\"id\":\"" + Id +
-         "\",\"kind\":\"ir\",\"ir\":\"" + JsonWriter::escape(IrText) + "\"}";
-}
 
 std::string mkTmpDir(const char *Tag) {
   std::string Tmpl = formatString("/tmp/tawa-%s-XXXXXX", Tag);
@@ -421,6 +372,46 @@ TEST(SandboxService, SandboxPingRoundTrips) {
   Svc.shutdown();
 }
 
+TEST(SandboxService, ServiceExecEnvReachesTheSandbox) {
+  // A step budget set on the service in code, not through the
+  // environment, must bind out of process too: the supervisor's frame
+  // carries the attempt's whole ExecEnv, so in and out of process answer
+  // alike.
+  ServeConfig C = chaosConfig("");
+  C.DefaultMaxSteps = 1;
+  C.MaxRetries = 0;
+  Service Svc(C);
+  std::string Corpus = readFile(corpusPath("gemm_ws.tawa"));
+  std::string In = Svc.call(irReq("in", Corpus));
+  std::string Out = Svc.call(irReq("out", Corpus, /*Sandbox=*/true));
+  EXPECT_EQ(respField(In, "status"), "failed") << In;
+  EXPECT_EQ(respField(In, "error_kind"), "step-budget") << In;
+  EXPECT_EQ(respField(Out, "degrade"), "sandbox") << Out;
+  for (const char *Field : {"status", "error_kind", "error"})
+    EXPECT_EQ(respField(Out, Field), respField(In, Field))
+        << Field << "\n" << In << "\n" << Out;
+  Svc.shutdown();
+}
+
+TEST(SandboxService, MalformedFrameFieldIsStreamCorruption) {
+  // The runner parses every frame field strictly: a malformed number is a
+  // corrupted stream, and it exits 2 for the supervisor to replace it.
+  Supervisor Sup{SandboxConfig()}; // Resolves the runner; spawns nothing.
+  for (const char *Frame :
+       {"req 100 - {}",                           // The fields are missing.
+        "req 100 1000000 two - {}",               // Not a number.
+        "req 1e3 1000000 0 - {}",                 // Trailing garbage.
+        "req 100 99999999999999999999 0 - {}"}) { // Out of range.
+    Subprocess::Options O;
+    O.Argv = {Sup.config().Binary};
+    std::string Err;
+    auto P = Subprocess::spawn(O, Err);
+    ASSERT_NE(P, nullptr) << Err;
+    ASSERT_TRUE(sendLine(P->channel(), Frame));
+    EXPECT_EQ(P->wait().describe(), "exit code 2") << Frame;
+  }
+}
+
 /// The SIGKILL-recovery contract, pinned at a given executor count: the
 /// error string, kind, attempt count and dump layout are identical at
 /// any Workers — the acceptance bar for the sandbox layer.
@@ -571,63 +562,6 @@ TEST(SandboxService, MissingRunnerBinaryReportsExecErrno) {
 //===----------------------------------------------------------------------===//
 // serve.response-write fault: the line is lost, never the daemon
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-int connectUnix(const std::string &Path) {
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  while (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-         0) {
-    if (errno == EINTR)
-      continue;
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-bool sendLine(int Fd, const std::string &Line) {
-  std::string Out = Line + "\n";
-  size_t Off = 0;
-  while (Off < Out.size()) {
-    ssize_t N = ::send(Fd, Out.data() + Off, Out.size() - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool recvLine(int Fd, std::string &Buf, std::string &Line) {
-  for (;;) {
-    size_t NL = Buf.find('\n');
-    if (NL != std::string::npos) {
-      Line = Buf.substr(0, NL);
-      Buf.erase(0, NL + 1);
-      return true;
-    }
-    char Tmp[4096];
-    ssize_t N = ::recv(Fd, Tmp, sizeof(Tmp), 0);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return false;
-    Buf.append(Tmp, static_cast<size_t>(N));
-  }
-}
-
-} // namespace
 
 TEST(SandboxService, ResponseWriteFaultDropsLineNotDaemon) {
   ServeConfig C;

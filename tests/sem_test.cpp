@@ -1,9 +1,11 @@
 //===- sem_test.cpp - aref operational semantics (Fig. 4) tests ---------------//
 //
-// Exhaustive transition checks of the ArefSlotState machine, ring-level
-// ArefMachine behaviour, happens-before tracking, and property-style sweeps:
-// every valid producer/consumer interleaving of a D-slot ring completes
-// without violations, and every single-step corruption is caught.
+// Transition checks of sem::SlotMonitor, the slot machine both engines
+// run: the Fig. 4 handshake, tuple slots (several writers), cooperative
+// readers, the outcome of every illegal transition, and property-style
+// sweeps: every valid producer/consumer pipeline over a D-slot ring runs
+// without a violation, and a producer that overruns the ring is flagged.
+// Then the happens-before tracker.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,129 +14,198 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace tawa::sem;
 
 namespace {
 
-TEST(ArefSlot, InitialStateIsEmpty) {
-  ArefSlotState S;
-  EXPECT_EQ(S.getState(), SlotState::Empty);
-  EXPECT_TRUE(S.emptyCredit());
-  EXPECT_FALSE(S.fullCredit());
+using State = SlotMonitor::State;
+
+TEST(SlotMonitor, Fig4Handshake) {
+  SlotMonitor M;
+  EXPECT_EQ(M.S, State::Empty);
+  EXPECT_EQ(M.letter(), 'E');
+  EXPECT_EQ(M.write(/*Writers=*/1, /*Channel=*/7, /*Slot=*/0), ""); // Put.
+  EXPECT_EQ(M.S, State::Full);
+  EXPECT_EQ(M.letter(), 'F');
+  EXPECT_EQ(M.read(7, 0), ""); // Get.
+  EXPECT_EQ(M.S, State::Borrowed);
+  EXPECT_EQ(M.letter(), 'B');
+  EXPECT_EQ(M.release(/*Readers=*/1, 7, 0), ""); // Consumed.
+  EXPECT_EQ(M.S, State::Empty);
+  EXPECT_EQ(M.Writes, 0);
+  EXPECT_EQ(M.Releases, 0);
 }
 
-TEST(ArefSlot, PutRequiresEmptyCredit) {
-  ArefSlotState S;
-  EXPECT_EQ(S.put(1), TransitionResult::Ok);
-  EXPECT_EQ(S.getState(), SlotState::Full);
-  // Second put must block (empty credit consumed).
-  EXPECT_EQ(S.put(2), TransitionResult::WouldBlock);
+TEST(SlotMonitor, TupleSlotFillsAtWriters) {
+  SlotMonitor M;
+  EXPECT_EQ(M.write(2, 3, 1), "");
+  EXPECT_EQ(M.S, State::Filling);
+  EXPECT_EQ(M.letter(), 'W');
+  // A read before the last deposit is premature and changes nothing.
+  EXPECT_EQ(M.read(3, 1),
+            "channel 3 slot 1: read while filling (premature get)");
+  EXPECT_EQ(M.S, State::Filling);
+  EXPECT_EQ(M.write(2, 3, 1), "");
+  EXPECT_EQ(M.S, State::Full);
+  EXPECT_EQ(M.read(3, 1), "");
+  EXPECT_EQ(M.release(1, 3, 1), "");
+  EXPECT_EQ(M.S, State::Empty);
+  // The write count reset with the release: the next fill needs two again.
+  EXPECT_EQ(M.write(2, 3, 1), "");
+  EXPECT_EQ(M.S, State::Filling);
 }
 
-TEST(ArefSlot, GetRequiresFullCredit) {
-  ArefSlotState S;
-  // Premature get blocks (this is what the full mbarrier enforces).
-  EXPECT_EQ(S.get(), TransitionResult::WouldBlock);
-  ASSERT_EQ(S.put(1), TransitionResult::Ok);
-  uint64_t Epoch = 0;
-  EXPECT_EQ(S.get(&Epoch), TransitionResult::Ok);
-  EXPECT_EQ(Epoch, 1u);
-  EXPECT_EQ(S.getState(), SlotState::Borrowed);
-  // Double get of one credit is a protocol error, not a blocking wait.
-  EXPECT_EQ(S.get(), TransitionResult::ProtocolError);
+TEST(SlotMonitor, CooperativeReadersReleaseAtReaders) {
+  SlotMonitor M;
+  EXPECT_EQ(M.write(1, 0, 2), "");
+  EXPECT_EQ(M.read(0, 2), "");
+  EXPECT_EQ(M.read(0, 2), "");
+  EXPECT_EQ(M.release(/*Readers=*/2, 0, 2), "");
+  // One of two readers has released: the slot is still borrowed.
+  EXPECT_EQ(M.S, State::Borrowed);
+  EXPECT_EQ(M.Releases, 1);
+  EXPECT_EQ(M.write(1, 0, 2),
+            "channel 0 slot 2: TMA write while borrowed (overwrite before "
+            "consumed)");
+  EXPECT_EQ(M.release(2, 0, 2), "");
+  EXPECT_EQ(M.S, State::Empty);
+  EXPECT_EQ(M.Writes, 0);
+  EXPECT_EQ(M.Releases, 0);
+  // A second round needs both releases again.
+  EXPECT_EQ(M.write(1, 0, 2), "");
+  EXPECT_EQ(M.read(0, 2), "");
+  EXPECT_EQ(M.read(0, 2), "");
+  EXPECT_EQ(M.release(2, 0, 2), "");
+  EXPECT_EQ(M.S, State::Borrowed);
+  EXPECT_EQ(M.release(2, 0, 2), "");
+  EXPECT_EQ(M.S, State::Empty);
 }
 
-TEST(ArefSlot, ConsumedClosesHandshake) {
-  ArefSlotState S;
-  // consumed on a never-acquired slot is unconditionally illegal.
-  EXPECT_EQ(S.consumed(), TransitionResult::ProtocolError);
-  ASSERT_EQ(S.put(1), TransitionResult::Ok);
-  EXPECT_EQ(S.consumed(), TransitionResult::ProtocolError); // Full, not borrowed.
-  ASSERT_EQ(S.get(), TransitionResult::Ok);
-  EXPECT_EQ(S.consumed(), TransitionResult::Ok);
-  EXPECT_EQ(S.getState(), SlotState::Empty);
-  EXPECT_EQ(S.getGeneration(), 1u);
+TEST(SlotMonitor, IllegalWriteStillCounts) {
+  SlotMonitor M;
+  ASSERT_EQ(M.write(1, 5, 0), "");
+  EXPECT_EQ(M.write(1, 5, 0),
+            "channel 5 slot 0: TMA write while full (overwrite before "
+            "consumed)");
+  EXPECT_EQ(M.S, State::Full);
+  EXPECT_EQ(M.Writes, 2);
+  // Over a borrowed tuple slot, too.
+  SlotMonitor T;
+  ASSERT_EQ(T.write(3, 5, 1), "");
+  ASSERT_EQ(T.write(3, 5, 1), "");
+  ASSERT_EQ(T.write(3, 5, 1), "");
+  ASSERT_EQ(T.read(5, 1), "");
+  EXPECT_NE(T.write(3, 5, 1), "");
+  EXPECT_EQ(T.S, State::Full);
+  EXPECT_EQ(T.Writes, 4);
 }
 
-TEST(ArefSlot, PutWhileBorrowedBlocks) {
-  ArefSlotState S;
-  ASSERT_EQ(S.put(1), TransitionResult::Ok);
-  ASSERT_EQ(S.get(), TransitionResult::Ok);
-  // The value is in use; the producer must wait for consumed.
-  EXPECT_EQ(S.put(2), TransitionResult::WouldBlock);
+TEST(SlotMonitor, PrematureReadLeavesTheSlotAlone) {
+  SlotMonitor M;
+  EXPECT_EQ(M.read(1, 4),
+            "channel 1 slot 4: read while empty (premature get)");
+  EXPECT_EQ(M.S, State::Empty);
+  EXPECT_EQ(M.Writes, 0);
+  EXPECT_EQ(M.Releases, 0);
 }
 
-TEST(ArefMachine, RecordsViolations) {
-  ArefMachine M(2, "ch");
-  EXPECT_EQ(M.consumed(0), TransitionResult::ProtocolError);
-  ASSERT_TRUE(M.hasViolations());
-  EXPECT_NE(M.getViolations()[0].Message.find("ch[0]"), std::string::npos);
+TEST(SlotMonitor, ReleaseChecksOnlyThatTheSlotWasPublished) {
+  SlotMonitor Empty;
+  EXPECT_EQ(Empty.release(1, 2, 0),
+            "channel 2 slot 0: released while empty (consumed without get)");
+  EXPECT_EQ(Empty.S, State::Empty);
+  SlotMonitor Filling;
+  ASSERT_EQ(Filling.write(2, 2, 0), "");
+  EXPECT_EQ(Filling.release(1, 2, 0),
+            "channel 2 slot 0: released while filling (consumed without "
+            "get)");
+  // The flagged release still empties the slot and resets its counts.
+  EXPECT_EQ(Filling.S, State::Empty);
+  EXPECT_EQ(Filling.Writes, 0);
+  // From Full (published, never read) the release is not flagged.
+  SlotMonitor Full;
+  ASSERT_EQ(Full.write(1, 2, 0), "");
+  EXPECT_EQ(Full.release(1, 2, 0), "");
+  EXPECT_EQ(Full.S, State::Empty);
 }
 
-TEST(ArefMachine, RingSlotsAreIndependent) {
-  ArefMachine M(3);
-  EXPECT_EQ(M.put(0, 1), TransitionResult::Ok);
-  EXPECT_EQ(M.put(1, 2), TransitionResult::Ok);
-  EXPECT_EQ(M.getSlotState(0), SlotState::Full);
-  EXPECT_EQ(M.getSlotState(1), SlotState::Full);
-  EXPECT_EQ(M.getSlotState(2), SlotState::Empty);
-  EXPECT_EQ(M.get(0), TransitionResult::Ok);
-  EXPECT_EQ(M.getSlotState(0), SlotState::Borrowed);
-  EXPECT_EQ(M.getSlotState(1), SlotState::Full);
+TEST(SlotMonitor, RingSlotsAreIndependent) {
+  std::vector<SlotMonitor> Ring(3);
+  EXPECT_EQ(Ring[0].write(1, 0, 0), "");
+  EXPECT_EQ(Ring[1].write(1, 0, 1), "");
+  EXPECT_EQ(Ring[0].S, State::Full);
+  EXPECT_EQ(Ring[1].S, State::Full);
+  EXPECT_EQ(Ring[2].S, State::Empty);
+  EXPECT_EQ(Ring[0].read(0, 0), "");
+  EXPECT_EQ(Ring[0].S, State::Borrowed);
+  EXPECT_EQ(Ring[1].S, State::Full);
+  EXPECT_EQ(Ring[2].read(0, 2),
+            "channel 0 slot 2: read while empty (premature get)");
+  EXPECT_EQ(Ring[0].S, State::Borrowed);
 }
 
-/// Property: for any ring depth D and any lag 0 <= Lag < D between the
-/// producer and the consumer, N pipelined iterations complete without
-/// violations and every slot ends Empty with generation N/D (+/- remainder).
-class ArefPipelineProperty
+/// Property: for any ring depth D, any lag 0 <= Lag < D between the
+/// producer and the consumer, and any tuple width and cooperative group
+/// size, N pipelined iterations run without a violation and every slot
+/// ends Empty.
+class SlotPipelineProperty
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(ArefPipelineProperty, ValidPipelinesNeverViolate) {
+TEST_P(SlotPipelineProperty, ValidPipelinesNeverViolate) {
   auto [D, Lag, N] = GetParam();
   if (Lag >= D)
     GTEST_SKIP() << "lag must be < depth";
-  ArefMachine M(D);
-  // The producer runs Lag iterations ahead; each logical iteration k does
-  // put(k), and the consumer (at k - Lag) does get + consumed.
-  for (int K = 0; K < N + Lag; ++K) {
-    if (K < N)
-      ASSERT_EQ(M.put(K % D, K + 1), TransitionResult::Ok)
-          << "put " << K << " D=" << D << " lag=" << Lag;
-    int C = K - Lag;
-    if (C >= 0 && C < N) {
-      uint64_t Epoch = 0;
-      ASSERT_EQ(M.get(C % D, &Epoch), TransitionResult::Ok);
-      EXPECT_EQ(Epoch, static_cast<uint64_t>(C + 1))
-          << "consumer read a stale publication";
-      ASSERT_EQ(M.consumed(C % D), TransitionResult::Ok);
+  for (int Writers : {1, 2, 3})
+    for (int Readers : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << "writers " << Writers << " readers "
+                                      << Readers);
+      std::vector<SlotMonitor> Ring(D);
+      // The producer runs Lag iterations ahead: iteration K deposits
+      // Writers tiles into slot K % D; the consumer, at K - Lag, has each
+      // of its Readers warp groups read the slot and then release it.
+      for (int K = 0; K < N + Lag; ++K) {
+        if (K < N)
+          for (int W = 0; W < Writers; ++W)
+            ASSERT_EQ(Ring[K % D].write(Writers, 0, K % D), "")
+                << "put " << K;
+        int C = K - Lag;
+        if (C < 0 || C >= N)
+          continue;
+        for (int R = 0; R < Readers; ++R)
+          ASSERT_EQ(Ring[C % D].read(0, C % D), "") << "get " << C;
+        for (int R = 0; R < Readers; ++R)
+          ASSERT_EQ(Ring[C % D].release(Readers, 0, C % D), "")
+              << "consumed " << C;
+      }
+      for (const SlotMonitor &M : Ring)
+        EXPECT_EQ(M.S, State::Empty);
     }
-  }
-  EXPECT_FALSE(M.hasViolations());
-  for (int S = 0; S < D; ++S)
-    EXPECT_EQ(M.getSlotState(S), SlotState::Empty);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DepthLagSweep, ArefPipelineProperty,
+    DepthLagSweep, SlotPipelineProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
                        ::testing::Values(0, 1, 2, 3),
                        ::testing::Values(1, 7, 32)));
 
-/// Property: running the producer more than D slots ahead always blocks
-/// (never corrupts) — the bounded-ring guarantee.
-class ArefOverrunProperty : public ::testing::TestWithParam<int> {};
+/// Property: a producer that runs D slots ahead of a consumer that has not
+/// released slot 0 overwrites it, and the write is flagged: the bounded
+/// ring's guarantee rests on the empty barrier, which the monitor checks.
+class SlotOverrunProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(ArefOverrunProperty, ProducerOverrunBlocks) {
+TEST_P(SlotOverrunProperty, ProducerOverrunIsFlagged) {
   int D = GetParam();
-  ArefMachine M(D);
+  std::vector<SlotMonitor> Ring(D);
   for (int K = 0; K < D; ++K)
-    ASSERT_EQ(M.put(K % D, K + 1), TransitionResult::Ok);
-  // Slot 0 has not been consumed: the D+1-th put must block, not overwrite.
-  EXPECT_EQ(M.put(0, D + 1), TransitionResult::WouldBlock);
-  EXPECT_FALSE(M.hasViolations());
+    ASSERT_EQ(Ring[K].write(1, 0, K), "");
+  EXPECT_EQ(Ring[0].write(1, 0, 0),
+            "channel 0 slot 0: TMA write while full (overwrite before "
+            "consumed)");
 }
 
-INSTANTIATE_TEST_SUITE_P(Depths, ArefOverrunProperty,
+INSTANTIATE_TEST_SUITE_P(Depths, SlotOverrunProperty,
                          ::testing::Values(1, 2, 3, 4, 6, 8));
 
 //===----------------------------------------------------------------------===//

@@ -32,23 +32,18 @@
 #include "support/Status.h"
 #include "support/Support.h"
 #include "tests/fuzz/Gen.h"
+#include "tests/support/ServeWire.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace tawa;
@@ -56,49 +51,11 @@ using namespace tawa::serve;
 
 namespace {
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
-std::string corpusPath(const std::string &Name) {
-  return std::string(TAWA_SOURCE_DIR) + "/tests/corpus/" + Name;
-}
-
-/// Field access on a response line.
-std::string respField(const std::string &Line, const std::string &Key) {
-  JsonValue V;
-  std::string Err;
-  EXPECT_TRUE(parseJson(Line, V, Err)) << Err << "\n" << Line;
-  const JsonValue *F = V.find(Key);
-  if (!F)
-    return "";
-  if (F->isString())
-    return F->asString();
-  return std::to_string(F->asInt64());
-}
-
 std::string pingReq(const std::string &Id, bool WaitGate = false) {
   return formatString("{\"schema\":\"tawa-serve-req-v1\",\"id\":\"%s\","
                       "\"kind\":\"ping\"%s}",
                       Id.c_str(),
                       WaitGate ? ",\"wait_gate\":true" : "");
-}
-
-std::string gemmReq(const std::string &Id) {
-  return formatString(
-      "{\"schema\":\"tawa-serve-req-v1\",\"id\":\"%s\",\"kind\":\"gemm\","
-      "\"framework\":\"tawa\",\"m\":256,\"n\":256,\"k\":128,"
-      "\"functional\":true}",
-      Id.c_str());
-}
-
-std::string irReq(const std::string &Id, const std::string &IrText) {
-  return "{\"schema\":\"tawa-serve-req-v1\",\"id\":\"" + Id +
-         "\",\"kind\":\"ir\",\"ir\":\"" + JsonWriter::escape(IrText) + "\"}";
 }
 
 void waitInflight(Service &Svc, int64_t N) {
@@ -515,58 +472,6 @@ TEST(ServeService, RequestsNeverArmProcessWideFaults) {
 // Socket transport
 //===----------------------------------------------------------------------===//
 
-int connectTo(const std::string &Path) {
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-      0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-bool sendLine(int Fd, const std::string &Line) {
-  std::string Out = Line + "\n";
-  size_t Off = 0;
-  while (Off < Out.size()) {
-    ssize_t N = ::send(Fd, Out.data() + Off, Out.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool recvLine(int Fd, std::string &Buf, std::string &Line) {
-  for (;;) {
-    size_t NL = Buf.find('\n');
-    if (NL != std::string::npos) {
-      Line = Buf.substr(0, NL);
-      Buf.erase(0, NL + 1);
-      return true;
-    }
-    char Tmp[4096];
-    ssize_t N = ::recv(Fd, Tmp, sizeof(Tmp), 0);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return false;
-    Buf.append(Tmp, static_cast<size_t>(N));
-  }
-}
-
 std::string testSocketPath(const char *Tag) {
   return formatString("/tmp/tawa-serve-%s-%lld.sock", Tag,
                       static_cast<long long>(::getpid()));
@@ -720,7 +625,7 @@ TEST(ServeSocket, RoundTripAndGracefulShutdown) {
   std::string Err;
   ASSERT_TRUE(Srv.start(Err)) << Err;
 
-  int A = connectTo(Srv.path());
+  int A = connectUnix(Srv.path());
   ASSERT_GE(A, 0);
   std::string BufA, Line;
   ASSERT_TRUE(sendLine(A, pingReq("hello")));
@@ -738,7 +643,7 @@ TEST(ServeSocket, RoundTripAndGracefulShutdown) {
   Svc.closeGate();
   ASSERT_TRUE(sendLine(A, pingReq("parked", true)));
   waitInflight(Svc, 1);
-  int B = connectTo(Srv.path());
+  int B = connectUnix(Srv.path());
   ASSERT_GE(B, 0);
 
   std::thread Stopper([&] { Srv.shutdown(); });
@@ -854,7 +759,7 @@ TEST(ServeSocket, CorpusReplayMatchesDirectExecutionByteForByte) {
   std::string Err;
   ASSERT_TRUE(Srv.start(Err)) << Err;
 
-  int Fd = connectTo(Srv.path());
+  int Fd = connectUnix(Srv.path());
   ASSERT_GE(Fd, 0);
   std::string Buf;
   for (const char *Name : Files) {

@@ -5,16 +5,19 @@
 // a three-line-type protocol:
 //
 //   child -> parent   ready\n                 once, at startup
-//   parent -> child   req <ms> <spec|-> <tawa-serve-req-v1 json>\n
+//   parent -> child   req <ms> <steps> <workers> <spec|-> <req json>\n
 //   child -> parent   hb\n                    while a request executes
 //   child -> parent   <tawa-serve-resp-v1 json>\n   exactly one per req
 //
-// <spec> forwards the parent's process-wide fault-injection spec ("-" =
-// none; a request never arms one), so deterministic fault drills cross
-// the process boundary: sandbox.kill raises SIGKILL mid-request,
-// sandbox.hang freezes without heartbeats (the supervisor's heartbeat
-// deadline trips), and worker.* sites crash the simulation engine in here
-// instead of in the daemon.
+// <ms>, <steps> and <workers> are the attempt's serve::ExecEnv (remaining
+// deadline budget, default step budget, workers per simulation), so a
+// request runs here exactly as it would in the daemon. <spec> forwards
+// the parent's process-wide fault-injection spec ("-" = none; a request
+// never arms one), so deterministic fault drills cross the process
+// boundary: sandbox.kill raises SIGKILL mid-request, sandbox.hang freezes
+// without heartbeats (the supervisor's heartbeat deadline trips), and
+// worker.* sites crash the simulation engine in here instead of in the
+// daemon.
 //
 // Execution itself is serve::executeRequest — the same attempt core the
 // in-process service uses: the sandbox exists for isolation, not for
@@ -28,11 +31,11 @@
 #include "support/FaultInject.h"
 #include "support/Status.h"
 
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -123,10 +126,25 @@ struct Heartbeat {
   }
 };
 
+/// Reads the decimal integer field of \p Line that starts at \p Pos and
+/// ends at the next space, and steps \p Pos past that space. False when
+/// the field is missing, empty, not an integer or out of range.
+bool takeInt(const std::string &Line, size_t &Pos, int64_t &Out) {
+  size_t End = Line.find(' ', Pos);
+  if (End == std::string::npos)
+    return false;
+  const char *Last = Line.data() + End;
+  auto [Ptr, Ec] = std::from_chars(Line.data() + Pos, Last, Out);
+  if (Ec != std::errc() || Ptr != Last)
+    return false;
+  Pos = End + 1;
+  return true;
+}
+
 /// Runs one decoded frame and renders the response line. An engine
 /// exception comes back from executeRequest as a worker crash, so it
 /// reaches the supervisor as a structured line rather than a death.
-std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
+std::string handleFrame(const ExecEnv &Env, const std::string &Json) {
   ServeRequest Req;
   ServeResponse Resp;
   std::string ParseErr = parseRequest(Json, Req);
@@ -138,11 +156,6 @@ std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
     Resp.Error = ParseErr;
     return Resp.render();
   }
-
-  ExecEnv Env;
-  Env.RemainingMs = RemainingMs;
-  Env.DefaultMaxSteps = envInt64("TAWA_SERVE_MAX_STEPS", Env.DefaultMaxSteps);
-  Env.ExecWorkers = envInt64("TAWA_SERVE_EXEC_WORKERS", Env.ExecWorkers);
 
   ErrorKind Kind = ErrorKind::None;
   std::string Err = executeRequest(Req, Env, Resp, Kind);
@@ -186,18 +199,21 @@ int main() {
     if (Line.empty())
       continue;
 
-    // Frame: req <remaining-ms> <fault-spec|-> <json>.
+    // Frame: req <remaining-ms> <max-steps> <exec-workers> <fault-spec|->
+    // <json>. Anything else is a corrupted stream: die loudly, the
+    // supervisor replaces us.
     if (Line.compare(0, 4, "req ") != 0)
-      return 2; // Corrupted stream; die loudly, the supervisor replaces us.
-    size_t MsEnd = Line.find(' ', 4);
-    if (MsEnd == std::string::npos)
       return 2;
-    size_t SpecEnd = Line.find(' ', MsEnd + 1);
+    size_t Pos = 4;
+    ExecEnv Env;
+    if (!takeInt(Line, Pos, Env.RemainingMs) ||
+        !takeInt(Line, Pos, Env.DefaultMaxSteps) ||
+        !takeInt(Line, Pos, Env.ExecWorkers))
+      return 2;
+    size_t SpecEnd = Line.find(' ', Pos);
     if (SpecEnd == std::string::npos)
       return 2;
-    int64_t RemainingMs =
-        std::strtoll(Line.c_str() + 4, nullptr, 10);
-    std::string Spec = Line.substr(MsEnd + 1, SpecEnd - MsEnd - 1);
+    std::string Spec = Line.substr(Pos, SpecEnd - Pos);
     std::string Json = Line.substr(SpecEnd + 1);
 
     // Mirror the parent's fault-injection state for this request. A bad
@@ -223,7 +239,7 @@ int main() {
     if (faults::enabled() &&
         faults::shouldFailNext(faults::Site::SandboxKill))
       ::raise(SIGKILL);
-    std::string RespLine = handleFrame(RemainingMs, Json);
+    std::string RespLine = handleFrame(Env, Json);
     Hb.end();
 
     if (!writeAll(RespLine + "\n"))
