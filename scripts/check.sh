@@ -28,8 +28,9 @@
 # Then checks the documentation tree: every relative .md link and every
 # source-file path mentioned in docs/, README.md and the verify skill must
 # exist in the repo, every ./<binary> they tell a reader to run must
-# have a source file, and every .md a source comment names must exist, so
-# docs cannot silently rot as files move.
+# have a source file, every TAWA_* name they mention must be one the tree
+# reads or sets, and every .md a source comment names must exist, so
+# docs cannot silently rot as files move or knobs go.
 #
 # Then runs the differential fuzz smoke: tawa-fuzz sweeps seeded kernel
 # configurations across all seven engine x worker combos (docs/fuzzing.md)
@@ -385,6 +386,24 @@ done < <(grep -rhoE '//.*' --include='*.cpp' --include='*.h' \
            "$REPO_ROOT/src" "$REPO_ROOT/tools" "$REPO_ROOT/tests" \
            "$REPO_ROOT/bench" "$REPO_ROOT/examples" |
          grep -oE '[A-Za-z0-9_./-]+\.md\b' | sort -u)
+# 6) Every TAWA_* name in docs/, README.md or the verify skill must be one
+#    the tree uses: quoted in a .cpp or .h under src/, tools/ or tests/
+#    (a getenv name), or named in this script, CMakeLists.txt or
+#    perfbench/run.py (a CI, build or benchmark setting).
+KNOWN_TAWA_NAMES="$(
+  { grep -rhoE '"TAWA_[A-Z0-9_]+"' --include='*.cpp' --include='*.h' \
+      "$REPO_ROOT/src" "$REPO_ROOT/tools" "$REPO_ROOT/tests" | tr -d '"'
+    grep -hoE 'TAWA_[A-Z0-9_]+' "$REPO_ROOT/scripts/check.sh" \
+      "$REPO_ROOT/CMakeLists.txt" "$REPO_ROOT/perfbench/run.py"; } |
+    sort -u)"
+while IFS= read -r NAME; do
+  if ! grep -qxF "$NAME" <<<"$KNOWN_TAWA_NAMES"; then
+    echo "unknown TAWA_* name in the docs: $NAME"
+    DOCS_FAIL=1
+  fi
+done < <(grep -hoE 'TAWA_[A-Z0-9_]+' "$REPO_ROOT"/docs/*.md \
+           "$REPO_ROOT/README.md" "$REPO_ROOT/.claude/skills/verify/SKILL.md" |
+         sort -u)
 if [[ "$DOCS_FAIL" != 0 ]]; then
   echo "FAIL: docs link check"
   exit 1

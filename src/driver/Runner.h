@@ -67,10 +67,9 @@ public:
   int64_t NumWorkers = 0;
 
   /// Execution watchdog (docs/robustness.md): per-CTA step budget in
-  /// engine-independent step units. 0 = no explicit budget; the
-  /// TAWA_MAX_STEPS environment variable then supplies a process-wide
-  /// default. A trip fails the run with ErrorKind::StepBudget and a
-  /// deterministic message — identical at any NumWorkers.
+  /// engine-independent step units; 0 = off. A trip fails the run with
+  /// ErrorKind::StepBudget and a deterministic message — identical at any
+  /// NumWorkers.
   int64_t MaxSteps = 0;
 
   /// Wall-clock guard in milliseconds per CTA (0 = off). A

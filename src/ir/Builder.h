@@ -35,7 +35,6 @@ public:
     InsertBlock = Op->getParentBlock();
     InsertBefore = Op->getNextNode();
   }
-  Block *getInsertionBlock() const { return InsertBlock; }
 
   /// Creates an op at the insertion point.
   Operation *create(OpKind Kind, std::vector<Type *> ResultTypes,

@@ -194,8 +194,8 @@ Operation *Operation::create(IrContext &Ctx, OpKind Kind,
                              std::vector<Value *> Operands,
                              unsigned NumRegions) {
   auto *Op = new Operation(Ctx, Kind);
-  for (unsigned I = 0, E = ResultTypes.size(); I != E; ++I)
-    Op->Results.emplace_back(new OpResult(ResultTypes[I], Op, I));
+  for (Type *Ty : ResultTypes)
+    Op->Results.emplace_back(new OpResult(Ty, Op));
   for (Value *V : Operands)
     Op->addOperand(V);
   for (unsigned I = 0; I != NumRegions; ++I)

@@ -59,7 +59,6 @@ public:
 
   Kind getValueKind() const { return VKind; }
   Type *getType() const { return Ty; }
-  void setType(Type *T) { Ty = T; }
 
   /// All current users. Do not mutate the IR while iterating; copy first.
   const std::vector<Use> &getUses() const { return Uses; }
@@ -88,7 +87,6 @@ private:
 class OpResult : public Value {
 public:
   Operation *getOwner() const { return Owner; }
-  unsigned getResultIndex() const { return Index; }
 
   static bool classof(const Value *V) {
     return V->getValueKind() == Kind::OpResult;
@@ -96,11 +94,10 @@ public:
 
 private:
   friend class Operation;
-  OpResult(Type *Ty, Operation *Owner, unsigned Index)
-      : Value(Kind::OpResult, Ty), Owner(Owner), Index(Index) {}
+  OpResult(Type *Ty, Operation *Owner)
+      : Value(Kind::OpResult, Ty), Owner(Owner) {}
 
   Operation *Owner;
-  unsigned Index;
 };
 
 /// An argument of a Block (loop induction variables, iter_args, function
@@ -192,7 +189,6 @@ public:
   Operation *getParentOp() const;
   /// The enclosing function, or null.
   Operation *getParentFuncOp() const;
-  Operation *getPrevNode() const { return Prev; }
   Operation *getNextNode() const { return Next; }
 
   /// Detaches from the parent block without destroying.

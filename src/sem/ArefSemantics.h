@@ -21,9 +21,13 @@
 // violation the run reports, or "" when it is legal. A write into a Full
 // or Borrowed slot (overwrite before consumed) still counts and moves the
 // slot on; a read of an Empty or Filling slot (premature get) leaves it
-// alone; a release of an Empty or Filling slot (consumed without get) is
-// flagged, one from Full or Borrowed is not. The slot empties, and its
-// counts reset, only once Readers releases have arrived.
+// alone; a release of any slot that is not Borrowed (consumed without get)
+// is flagged, Full included: a consumer that waited on the full barrier
+// but never read the slot has consumed nothing. The slot empties, and its
+// counts reset, only once Readers releases have arrived. The check is per
+// slot, not per reader: of a cooperative group, a reader that releases
+// without reading after its partner has read finds the slot Borrowed and
+// passes.
 //
 // The bytecode executor (src/sim/Executor.cpp) keeps one SlotMonitor per
 // staging slot and calls these transitions; the tree-walking oracle
@@ -73,7 +77,7 @@ struct SlotMonitor {
   /// One empty-barrier arrive on a slot that \p Readers arrives release.
   std::string release(int Readers, int64_t Channel, int64_t Slot) {
     std::string Err;
-    if (S == State::Empty || S == State::Filling)
+    if (S != State::Borrowed)
       Err = violation(Channel, Slot, "released", "consumed without get");
     if (++Releases >= Readers) {
       S = State::Empty;

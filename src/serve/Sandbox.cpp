@@ -2,7 +2,6 @@
 
 #include "serve/Sandbox.h"
 
-#include "support/Env.h"
 #include "support/FaultInject.h"
 #include "support/Support.h"
 
@@ -20,25 +19,12 @@ using namespace tawa;
 using namespace tawa::serve;
 using Clock = std::chrono::steady_clock;
 
-//===----------------------------------------------------------------------===//
-// Config
-//===----------------------------------------------------------------------===//
-
-SandboxConfig SandboxConfig::fromEnv() {
-  SandboxConfig C;
-  C.Pool = envInt64("TAWA_SANDBOX_POOL", C.Pool);
-  C.HeartbeatMs = envInt64("TAWA_SANDBOX_HEARTBEAT_MS", C.HeartbeatMs);
-  C.HeartbeatTimeoutMs =
-      envInt64("TAWA_SANDBOX_HEARTBEAT_TIMEOUT_MS", C.HeartbeatTimeoutMs);
-  C.BackoffBaseMs = envInt64("TAWA_SANDBOX_BACKOFF_MS", C.BackoffBaseMs);
-  C.BackoffMaxMs = envInt64("TAWA_SANDBOX_BACKOFF_MAX_MS", C.BackoffMaxMs);
-  C.RlimitAsMb = envInt64("TAWA_SANDBOX_RLIMIT_AS_MB", C.RlimitAsMb);
-  C.RlimitCpuSec = envInt64("TAWA_SANDBOX_RLIMIT_CPU_S", C.RlimitCpuSec);
-  C.Binary = envString("TAWA_SANDBOX_BIN", "");
-  return C;
-}
-
 namespace {
+
+/// Warm sandbox processes: the most out-of-process requests in flight.
+constexpr int64_t SandboxPool = 2;
+/// Cap on the respawn backoff.
+constexpr int64_t RespawnBackoffMaxMs = 2000;
 
 /// The runner binary ships next to whatever executable is running (the
 /// daemon and the test binaries all live in the build dir).
@@ -76,15 +62,10 @@ bool sendAllFd(int Fd, const std::string &Data) {
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-Supervisor::Supervisor(SandboxConfig C) : Cfg(C) {
-  Cfg.Pool = std::max<int64_t>(1, Cfg.Pool);
-  Cfg.HeartbeatMs = std::max<int64_t>(1, Cfg.HeartbeatMs);
+Supervisor::Supervisor(SandboxConfig C) : Cfg(C), Slots(SandboxPool) {
   Cfg.HeartbeatTimeoutMs = std::max<int64_t>(1, Cfg.HeartbeatTimeoutMs);
-  Cfg.BackoffBaseMs = std::max<int64_t>(0, Cfg.BackoffBaseMs);
-  Cfg.BackoffMaxMs = std::max(Cfg.BackoffBaseMs, Cfg.BackoffMaxMs);
   if (Cfg.Binary.empty())
     Cfg.Binary = siblingSandboxBinary();
-  Slots.resize(static_cast<size_t>(Cfg.Pool));
 }
 
 Supervisor::~Supervisor() {
@@ -105,9 +86,9 @@ int64_t tawa::serve::backoffMs(int64_t K, int64_t BaseMs, int64_t MaxMs) {
 
 void Supervisor::noteFailure(Slot &S) {
   ++S.ConsecFails;
-  S.NextSpawnAt =
-      Clock::now() + std::chrono::milliseconds(backoffMs(
-                         S.ConsecFails, Cfg.BackoffBaseMs, Cfg.BackoffMaxMs));
+  S.NextSpawnAt = Clock::now() +
+                  std::chrono::milliseconds(backoffMs(
+                      S.ConsecFails, Cfg.BackoffBaseMs, RespawnBackoffMaxMs));
 }
 
 //===----------------------------------------------------------------------===//
@@ -143,7 +124,7 @@ int Supervisor::readLine(Slot &S, int64_t TimeoutMs, std::string &Line) {
 
 std::string Supervisor::ensureChild(Slot &S) {
   if (S.Proc) {
-    // Reap a child that died while idle (OOM kill, rlimit, external kill)
+    // Reap a child that died while idle (OOM kill, external kill)
     // so the respawn path below handles it like any other death.
     if (!S.Proc->poll().Running)
       S.Proc.reset();
@@ -161,14 +142,8 @@ std::string Supervisor::ensureChild(Slot &S) {
     return "sandbox spawn: injected sandbox.spawn fault";
   }
 
-  Subprocess::Options O;
-  O.Argv = {Cfg.Binary};
-  O.RlimitAsMb = Cfg.RlimitAsMb;
-  O.RlimitCpuSec = Cfg.RlimitCpuSec;
-  O.ExtraEnv.emplace_back("TAWA_SANDBOX_HEARTBEAT_MS",
-                          std::to_string(Cfg.HeartbeatMs));
   std::string Err;
-  S.Proc = Subprocess::spawn(O, Err);
+  S.Proc = Subprocess::spawn({Cfg.Binary}, Err);
   if (!S.Proc) {
     noteFailure(S);
     return "sandbox spawn: " + Err;

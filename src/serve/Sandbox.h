@@ -48,35 +48,23 @@
 namespace tawa {
 namespace serve {
 
-/// Sandbox knobs, each with a TAWA_SANDBOX_* environment override
-/// (docs/serving.md has the table).
+/// The period of the `hb` lines the runner (tools/tawa_sandbox.cpp)
+/// emits while a request executes; HeartbeatTimeoutMs stays well above it.
+constexpr int64_t SandboxHeartbeatMs = 100;
+
+/// Sandbox knobs. Binary is read from TAWA_SANDBOX_BIN by
+/// ServeConfig::fromEnv; the other two are set in code.
 struct SandboxConfig {
-  /// Warm sandbox processes (concurrent out-of-process requests).
-  /// TAWA_SANDBOX_POOL.
-  int64_t Pool = 2;
-  /// Child heartbeat period while a request executes.
-  /// TAWA_SANDBOX_HEARTBEAT_MS.
-  int64_t HeartbeatMs = 100;
   /// Silence past this is a hang: the child is SIGKILLed and the request
   /// fails SandboxTimeout. Also the grace the supervisor grants past the
-  /// request's own deadline budget. TAWA_SANDBOX_HEARTBEAT_TIMEOUT_MS.
+  /// request's own deadline budget.
   int64_t HeartbeatTimeoutMs = 2000;
   /// Respawn backoff after K consecutive failures is
-  /// min(BackoffBaseMs << (K-1), BackoffMaxMs). TAWA_SANDBOX_BACKOFF_MS /
-  /// TAWA_SANDBOX_BACKOFF_MAX_MS.
+  /// backoffMs(K, BackoffBaseMs, MaxMs = 2000).
   int64_t BackoffBaseMs = 10;
-  int64_t BackoffMaxMs = 2000;
-  /// rlimit caps applied to each child; 0 = off. The AS cap defaults off
-  /// because sanitizer runtimes reserve terabytes of address space.
-  /// TAWA_SANDBOX_RLIMIT_AS_MB / TAWA_SANDBOX_RLIMIT_CPU_S.
-  int64_t RlimitAsMb = 0;
-  int64_t RlimitCpuSec = 0;
   /// Runner binary; "" resolves to the sibling "tawa-sandbox" of
   /// /proc/self/exe (daemon and ctest both run out of the build dir).
-  /// TAWA_SANDBOX_BIN.
   std::string Binary;
-
-  static SandboxConfig fromEnv();
 };
 
 /// Exponential backoff shared by sandbox respawns and service retries:
@@ -94,7 +82,7 @@ public:
   using DeathHook = std::function<void(const std::string &Reason,
                                        const std::string &Detail)>;
 
-  explicit Supervisor(SandboxConfig C = SandboxConfig::fromEnv());
+  explicit Supervisor(SandboxConfig C = SandboxConfig());
   /// Kills and reaps every child.
   ~Supervisor();
 

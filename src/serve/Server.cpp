@@ -43,22 +43,24 @@ using Clock = std::chrono::steady_clock;
 // Config
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Cap on the retry backoff before jitter.
+constexpr int64_t RetryBackoffMaxMs = 64;
+/// Deadline applied when a request names none.
+constexpr int64_t DefaultDeadlineMs = 30000;
+/// Flight-recorder ring depth: the last N admitted requests a crash dump
+/// carries.
+constexpr int64_t FlightRecorderDepth = 64;
+
+} // namespace
+
 ServeConfig ServeConfig::fromEnv() {
   ServeConfig C;
   C.Workers = envInt64("TAWA_SERVE_WORKERS", C.Workers);
   C.QueueDepth = envInt64("TAWA_SERVE_QUEUE_DEPTH", C.QueueDepth);
-  C.MaxRetries = envInt64("TAWA_SERVE_RETRIES", C.MaxRetries);
-  C.BackoffBaseMs = envInt64("TAWA_SERVE_BACKOFF_MS", C.BackoffBaseMs);
-  C.BackoffMaxMs = envInt64("TAWA_SERVE_BACKOFF_MAX_MS", C.BackoffMaxMs);
-  C.DegradeThreshold =
-      envInt64("TAWA_SERVE_DEGRADE_FAILURES", C.DegradeThreshold);
-  C.DefaultDeadlineMs = envInt64("TAWA_SERVE_DEADLINE_MS", C.DefaultDeadlineMs);
-  C.DefaultMaxSteps = envInt64("TAWA_SERVE_MAX_STEPS", C.DefaultMaxSteps);
   C.ExecWorkers = envInt64("TAWA_SERVE_EXEC_WORKERS", C.ExecWorkers);
-  C.FlightRecorderDepth =
-      envInt64("TAWA_SERVE_FLIGHT_RECORDER", C.FlightRecorderDepth);
-  C.CrashDumpDir = envString("TAWA_SERVE_CRASH_DIR", C.CrashDumpDir);
-  C.Sandbox = SandboxConfig::fromEnv();
+  C.Sandbox.Binary = envString("TAWA_SANDBOX_BIN");
   return C;
 }
 
@@ -67,7 +69,7 @@ ServeConfig ServeConfig::fromEnv() {
 //===----------------------------------------------------------------------===//
 
 Service::Service(ServeConfig C)
-    : Cfg(C), Recorder(C.FlightRecorderDepth, C.CrashDumpDir) {
+    : Cfg(C), Recorder(FlightRecorderDepth, C.CrashDumpDir) {
   if (Cfg.Workers <= 0)
     Cfg.Workers = std::max<int64_t>(
         1, WorkerPool::shared().getNumWorkers() / 2);
@@ -336,7 +338,7 @@ std::string Service::process(const Job &J) {
   }
 
   int64_t DeadlineMs =
-      Req.DeadlineMs > 0 ? Req.DeadlineMs : Cfg.DefaultDeadlineMs;
+      Req.DeadlineMs > 0 ? Req.DeadlineMs : DefaultDeadlineMs;
   Clock::time_point DeadlineAt =
       J.Enqueued + std::chrono::milliseconds(DeadlineMs);
   auto remainingMs = [&] {
@@ -389,7 +391,7 @@ std::string Service::process(const Job &J) {
         std::lock_guard<std::mutex> L(StatsMu);
         ++Stats.Retries;
       }
-      int64_t Back = backoffMs(Attempt, Cfg.BackoffBaseMs, Cfg.BackoffMaxMs);
+      int64_t Back = backoffMs(Attempt, Cfg.BackoffBaseMs, RetryBackoffMaxMs);
       // Deterministic jitter: keyed by (id, attempt), not a clock, so a
       // replayed trace backs off identically.
       int64_t Jitter =

@@ -42,8 +42,9 @@
 namespace tawa {
 namespace serve {
 
-/// Tuning knobs, each with a TAWA_SERVE_* environment override
-/// (docs/serving.md has the full table).
+/// Tuning knobs. fromEnv() reads Workers, QueueDepth, ExecWorkers and
+/// Sandbox.Binary from the environment (docs/serving.md has the table);
+/// the rest are set in code.
 struct ServeConfig {
   /// Executor threads; 0 = half the pool's worker count (executors
   /// multiplex onto the shared WorkerPool, so more executors than workers
@@ -53,32 +54,22 @@ struct ServeConfig {
   /// with `rejected: overloaded`. TAWA_SERVE_QUEUE_DEPTH.
   int64_t QueueDepth = 16;
   /// Retries after the first attempt, transient kinds only.
-  /// TAWA_SERVE_RETRIES.
   int64_t MaxRetries = 2;
-  /// Backoff before retry K is backoffMs(K, BackoffBaseMs, BackoffMaxMs)
+  /// Backoff before retry K is backoffMs(K, BackoffBaseMs, MaxMs = 64)
   /// (serve/Sandbox.h) plus deterministic jitter in [0, BackoffBaseMs)
-  /// keyed by (request id, attempt). TAWA_SERVE_BACKOFF_MS /
-  /// TAWA_SERVE_BACKOFF_MAX_MS.
+  /// keyed by (request id, attempt).
   int64_t BackoffBaseMs = 1;
-  int64_t BackoffMaxMs = 64;
   /// Crash-kind failures of one compile key in process before the key
   /// runs in the sandbox for the rest of the process lifetime.
-  /// TAWA_SERVE_DEGRADE_FAILURES.
   int64_t DegradeThreshold = 2;
-  /// Deadline applied when a request names none. TAWA_SERVE_DEADLINE_MS.
-  int64_t DefaultDeadlineMs = 30000;
   /// Step budget applied when a request names none; matches the fuzz
   /// harness bound so corpus replays trip identically.
-  /// TAWA_SERVE_MAX_STEPS.
   int64_t DefaultMaxSteps = 1000000;
   /// Workers per simulation (Runner::NumWorkers); 0 = hardware.
   /// TAWA_SERVE_EXEC_WORKERS.
   int64_t ExecWorkers = 0;
-  /// Flight-recorder ring depth (last N admitted requests kept for crash
-  /// dumps). TAWA_SERVE_FLIGHT_RECORDER.
-  int64_t FlightRecorderDepth = 64;
   /// Crash-dump directory; "" disables dumping (the ring still records).
-  /// TAWA_SERVE_CRASH_DIR / tawa-serve --crash-dir.
+  /// tawa-serve --crash-dir.
   std::string CrashDumpDir;
   /// Out-of-process sandbox knobs (serve/Sandbox.h); the supervisor is
   /// created lazily on the first sandbox-routed request.

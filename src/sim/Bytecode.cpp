@@ -541,63 +541,6 @@ void Compiler::compileOp(Operation *Op, RegionProgram &RP) {
 
 } // namespace
 
-const char *tawa::sim::bc::opName(BcOp Op) {
-  switch (Op) {
-  case BcOp::Nop:              return "Nop";
-  case BcOp::LoopBegin:        return "LoopBegin";
-  case BcOp::LoopEnd:          return "LoopEnd";
-  case BcOp::Unsupported:      return "Unsupported";
-  case BcOp::Halt:             return "Halt";
-  case BcOp::ConstInt:         return "ConstInt";
-  case BcOp::ConstFloat:       return "ConstFloat";
-  case BcOp::ProgramId:        return "ProgramId";
-  case BcOp::NumPrograms:      return "NumPrograms";
-  case BcOp::IntBin:           return "IntBin";
-  case BcOp::ConstTensor:      return "ConstTensor";
-  case BcOp::MakeRange:        return "MakeRange";
-  case BcOp::Splat:            return "Splat";
-  case BcOp::ExpandBroadcast:  return "ExpandBroadcast";
-  case BcOp::Transpose2D:      return "Transpose2D";
-  case BcOp::FloatBin:         return "FloatBin";
-  case BcOp::Exp2:             return "Exp2";
-  case BcOp::Select:           return "Select";
-  case BcOp::Reduce:           return "Reduce";
-  case BcOp::Cast:             return "Cast";
-  case BcOp::AddPtr:           return "AddPtr";
-  case BcOp::TmaLoad:          return "TmaLoad";
-  case BcOp::TmaStore:         return "TmaStore";
-  case BcOp::Store:            return "Store";
-  case BcOp::Dot:              return "Dot";
-  case BcOp::SmemAlloc:        return "SmemAlloc";
-  case BcOp::MBarrierAlloc:    return "MBarrierAlloc";
-  case BcOp::MBarrierExpectTx: return "MBarrierExpectTx";
-  case BcOp::MBarrierArrive:   return "MBarrierArrive";
-  case BcOp::MBarrierWait:     return "MBarrierWait";
-  case BcOp::MBarrierWaitBlock:return "MBarrierWaitBlock";
-  case BcOp::TmaLoadAsync:     return "TmaLoadAsync";
-  case BcOp::SmemRead:         return "SmemRead";
-  case BcOp::WgmmaIssue:       return "WgmmaIssue";
-  case BcOp::WgmmaWait:        return "WgmmaWait";
-  case BcOp::Fence:            return "Fence";
-  case BcOp::IntBinImm:        return "IntBinImm";
-  case BcOp::WaitFused:        return "WaitFused";
-  case BcOp::WaitRead:         return "WaitRead";
-  case BcOp::TmaLoadAsyncOff:  return "TmaLoadAsyncOff";
-  case BcOp::LoopEndFast:      return "LoopEndFast";
-  case BcOp::ConstIntBin:      return "ConstIntBin";
-  case BcOp::IntBin2:          return "IntBin2";
-  case BcOp::FloatBin2:        return "FloatBin2";
-  case BcOp::WgmmaIssueWait:   return "WgmmaIssueWait";
-  case BcOp::TmaLoadAsyncTx:   return "TmaLoadAsyncTx";
-  case BcOp::IntBinImm2:       return "IntBinImm2";
-  case BcOp::ConstIntBin2:     return "ConstIntBin2";
-  case BcOp::WaitRead2:        return "WaitRead2";
-  case BcOp::AtomicAdd:        return "AtomicAdd";
-  case BcOp::LoadScalar:       return "LoadScalar";
-  }
-  return "<bad-op>";
-}
-
 std::shared_ptr<const CompiledProgram>
 tawa::sim::bc::compileModule(Module &M, const GpuConfig &Config, bool Fuse) {
   auto P = std::make_shared<CompiledProgram>();

@@ -156,12 +156,9 @@ enum class BcOp : uint8_t {
                     ///< of a runtime tensor argument; FImm = cycle cost.
 };
 
-/// Number of opcodes (dispatch-table / histogram sizing). Keep in sync with
-/// the last enumerator above.
+/// Number of opcodes (dispatch-table sizing, load-time opcode check). Keep
+/// in sync with the last enumerator above.
 constexpr int NumBcOps = static_cast<int>(BcOp::LoadScalar) + 1;
-
-/// Human-readable opcode name (profiler dumps, test diagnostics).
-const char *opName(BcOp Op);
 
 /// One flat instruction. Operand value slots live in
 /// CompiledProgram::OperandSlots[OpBegin, OpBegin+NumOps).

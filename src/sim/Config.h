@@ -69,9 +69,6 @@ struct GpuConfig {
     double Peak = Fp8 ? Fp8TflopsPeak : Fp16TflopsPeak;
     return Peak * 1e12 / (NumSms * ClockGhz * 1e9);
   }
-  double dramBytesPerCyclePerSm() const {
-    return HbmTBps * 1e12 / (NumSms * ClockGhz * 1e9);
-  }
   double cyclesToMicros(double Cycles) const {
     return Cycles / (ClockGhz * 1e3);
   }

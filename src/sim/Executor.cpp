@@ -41,17 +41,12 @@
 #include "sim/Diag.h"
 #include "sim/ExecCommon.h"
 #include "sim/Interpreter.h"
-#include "support/Env.h"
 #include "support/Status.h"
 #include "support/Support.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 using namespace tawa;
@@ -60,85 +55,6 @@ using namespace tawa::sim::bc;
 using namespace tawa::sim::exec;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Dynamic opcode / opcode-pair histogram (TAWA_BC_PROFILE=1)
-//===----------------------------------------------------------------------===//
-//
-// The data source for choosing the superinstruction set (Peephole.cpp):
-// every executed instruction bumps its opcode count and the (previous,
-// current) pair count. Each executor accumulates locally (no atomics on
-// the hot path) and merges into the process-wide table once per CTA; the
-// table is dumped to stderr at process exit, pairs sorted by count.
-
-struct BcProfileCounts {
-  std::array<uint64_t, NumBcOps> Ops{};
-  std::array<uint64_t, static_cast<size_t>(NumBcOps) * NumBcOps> Pairs{};
-};
-
-class BcProfile {
-public:
-  /// Null unless TAWA_BC_PROFILE is set (the hot path pays one pointer
-  /// test per executed instruction when disabled).
-  static BcProfile *instance() {
-    static BcProfile *P = envFlag("TAWA_BC_PROFILE") ? new BcProfile : nullptr;
-    return P;
-  }
-
-  void merge(const BcProfileCounts &C) {
-    std::lock_guard<std::mutex> L(Mu);
-    for (size_t I = 0; I < C.Ops.size(); ++I)
-      Total.Ops[I] += C.Ops[I];
-    for (size_t I = 0; I < C.Pairs.size(); ++I)
-      Total.Pairs[I] += C.Pairs[I];
-  }
-
-private:
-  BcProfile() { std::atexit(dump); }
-
-  static void dump() {
-    BcProfile &P = *instance();
-    BcProfileCounts C;
-    {
-      std::lock_guard<std::mutex> L(P.Mu);
-      C = P.Total;
-    }
-    uint64_t TotalOps = 0;
-    for (uint64_t N : C.Ops)
-      TotalOps += N;
-    std::fprintf(stderr, "== bytecode profile (%llu instructions) ==\n",
-                 static_cast<unsigned long long>(TotalOps));
-    std::vector<std::pair<uint64_t, int>> Ops;
-    for (int I = 0; I < NumBcOps; ++I)
-      if (C.Ops[I])
-        Ops.push_back({C.Ops[I], I});
-    std::sort(Ops.rbegin(), Ops.rend());
-    for (auto &[N, I] : Ops)
-      std::fprintf(stderr, "  %-20s %12llu  (%.1f%%)\n",
-                   opName(static_cast<BcOp>(I)),
-                   static_cast<unsigned long long>(N),
-                   100.0 * static_cast<double>(N) /
-                       static_cast<double>(std::max<uint64_t>(TotalOps, 1)));
-    std::vector<std::pair<uint64_t, int>> Pairs;
-    for (int I = 0; I < NumBcOps * NumBcOps; ++I)
-      if (C.Pairs[I])
-        Pairs.push_back({C.Pairs[I], I});
-    std::sort(Pairs.rbegin(), Pairs.rend());
-    std::fprintf(stderr, "== hottest pairs ==\n");
-    for (size_t K = 0; K < Pairs.size() && K < 32; ++K) {
-      auto [N, I] = Pairs[K];
-      std::fprintf(stderr, "  %-20s -> %-20s %12llu  (%.1f%%)\n",
-                   opName(static_cast<BcOp>(I / NumBcOps)),
-                   opName(static_cast<BcOp>(I % NumBcOps)),
-                   static_cast<unsigned long long>(N),
-                   100.0 * static_cast<double>(N) /
-                       static_cast<double>(std::max<uint64_t>(TotalOps, 1)));
-    }
-  }
-
-  std::mutex Mu;
-  BcProfileCounts Total;
-};
 
 /// A shared-memory staging buffer with flat (slot, field) tensor storage.
 /// Tiles are stored by reference: a TMA deposit installs a fresh tensor, so
@@ -177,7 +93,6 @@ struct AgentRun {
   /// wait condition holds): a fused wait superinstruction must skip its
   /// already-executed issue half on re-entry. Consumed by step().
   bool Resumed = false;
-  uint8_t PrevOp = 0xff; ///< Profiler pair tracking (0xff = none yet).
 };
 
 class BcExec {
@@ -185,15 +100,7 @@ public:
   BcExec(const CompiledProgram &P, const RunOptions &Opts, int64_t PidX,
          int64_t PidY, TileArena *ExternalArena)
       : P(P), Config(P.Config), Opts(Opts), PidX(PidX), PidY(PidY),
-        Arena(ExternalArena ? ExternalArena : &LocalArena) {
-    if (BcProfile::instance())
-      Prof = std::make_unique<BcProfileCounts>();
-  }
-
-  ~BcExec() {
-    if (Prof)
-      BcProfile::instance()->merge(*Prof);
-  }
+        Arena(ExternalArena ? ExternalArena : &LocalArena) {}
 
   std::string run(CtaTrace &Out);
 
@@ -530,11 +437,10 @@ private:
   bool Aborted = false;
   std::string AbortMsg;
   std::vector<RValue> Gather; ///< LoopEnd yield staging (single-threaded).
-  std::unique_ptr<BcProfileCounts> Prof; ///< Non-null under TAWA_BC_PROFILE.
 
   //===--- Execution watchdog + abort diagnostics (docs/robustness.md) ---===//
 
-  int64_t MaxSteps = 0;  ///< Resolved in run(): Opts or TAWA_MAX_STEPS.
+  int64_t MaxSteps = 0;  ///< Opts.MaxSteps, read in run(); 0 = off.
   std::chrono::steady_clock::time_point WallDeadline;
   uint32_t WallCheckTick = 0; ///< Clock polled every 1024 step events.
   /// Scheduler state snapshotted after schedule() while the AgentRuns are
@@ -716,15 +622,6 @@ void BcExec::step(AgentRun &Run) {
   auto V = [&](int64_t K) -> const RValue & {
     return S[OpSlot[IP->OpBegin + K]];
   };
-  auto Profile = [&] {
-    if (Prof) {
-      ++Prof->Ops[static_cast<size_t>(IP->Op)];
-      if (Run.PrevOp != 0xff)
-        ++Prof->Pairs[static_cast<size_t>(Run.PrevOp) * NumBcOps +
-                      static_cast<size_t>(IP->Op)];
-      Run.PrevOp = static_cast<uint8_t>(IP->Op);
-    }
-  };
 
   // Label table in exact BcOp order (static_assert below guards drift).
   static const void *const Dispatch[NumBcOps] = {
@@ -757,7 +654,6 @@ void BcExec::step(AgentRun &Run) {
 #define TAWA_DISPATCH()                                                     \
   do {                                                                      \
     IP = Code + Pc;                                                         \
-    Profile();                                                              \
     goto *Dispatch[static_cast<size_t>(IP->Op)];                            \
   } while (0)
 #define TAWA_NEXT()                                                         \
@@ -1635,9 +1531,8 @@ std::string BcExec::run(CtaTrace &Out) {
   if (!P.CompileError.empty())
     return P.CompileError;
   Functional = Opts.Functional;
-  // Execution watchdog: an explicit step budget wins, TAWA_MAX_STEPS
-  // supplies a process-wide default (see docs/robustness.md).
-  MaxSteps = Opts.MaxSteps > 0 ? Opts.MaxSteps : envInt64("TAWA_MAX_STEPS", 0);
+  // Execution watchdog (docs/robustness.md).
+  MaxSteps = Opts.MaxSteps;
   if (Opts.MaxWallMs > 0)
     WallDeadline = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(Opts.MaxWallMs);

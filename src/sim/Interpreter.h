@@ -89,13 +89,12 @@ struct RunOptions {
   /// already-compiled program (the Runner's program-cache path — the
   /// Runner folds its own fusion flag into the compile key instead).
   bool FuseBytecode = true;
-  /// Execution-watchdog step budget per agent (0 = off; the TAWA_MAX_STEPS
-  /// environment variable supplies a process-wide default when this is 0).
-  /// Steps are engine-independent units — loop iterations started plus
-  /// mbarrier waits issued — so a budget trip is deterministic and
-  /// identical across engines and worker counts. An agent exceeding the
-  /// budget fails with a "step budget exceeded" error (ErrorKind::
-  /// StepBudget). See docs/robustness.md.
+  /// Execution-watchdog step budget per agent (0 = off). Steps are
+  /// engine-independent units — loop iterations started plus mbarrier
+  /// waits issued — so a budget trip is deterministic and identical
+  /// across engines and worker counts. An agent exceeding the budget
+  /// fails with a "step budget exceeded" error (ErrorKind::StepBudget).
+  /// See docs/robustness.md.
   int64_t MaxSteps = 0;
   /// Wall-clock watchdog per CTA in milliseconds (0 = off). A safety net
   /// behind MaxSteps for kernels whose step rate is pathological: NOT

@@ -5,9 +5,8 @@
 // superinstruction opcodes (Bytecode.h's IntBinImm, WaitFused, WaitRead,
 // TmaLoadAsyncOff) and the LoopEnd back edge is specialized for the
 // dominant single-yield shape (LoopEndFast). The fusion set was chosen
-// from the executor's dynamic pair histogram (TAWA_BC_PROFILE=1), not
-// guessed — see docs/bytecode-isa.md for the measured pair counts and the
-// full legality rules.
+// from measured dynamic opcode-pair counts, not guessed — see
+// docs/bytecode-isa.md for the patterns and the full legality rules.
 //
 // Every rewrite is observably identical to the sequence it replaces:
 // identical numerics, trace event sequences, happens-before counts and

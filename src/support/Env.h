@@ -1,19 +1,18 @@
 //===- Env.h - TAWA_* environment-knob parsing ------------------*- C++ -*-===//
 //
-// One home for the ad-hoc getenv parsing that had grown across the tree
-// (TAWA_NO_FUSE, TAWA_BC_PROFILE, TAWA_CACHE_DIR, and the
-// watchdog/fault knobs added with them). Two properties every knob now
-// shares:
+// One home for the getenv parsing of the tree's environment knobs
+// (TAWA_NO_FUSE, TAWA_CACHE_DIR, TAWA_FAULTS and the serve knobs that
+// serve::ServeConfig::fromEnv reads). Two properties every knob shares:
 //
 //   * uniform flag semantics: "0" / "false" / "off" / "no" / "" mean OFF,
 //     "1" / "true" / "on" / "yes" mean ON (historically a knob was "on"
 //     merely by being set, so TAWA_NO_FUSE=0 silently disabled fusion);
 //   * malformed values WARN once to stderr instead of being silently
-//     ignored — a mistyped TAWA_MAX_STEPS=10k no longer turns the watchdog
-//     off without a trace.
+//     ignored — a mistyped TAWA_SERVE_QUEUE_DEPTH=1k falls back to the
+//     default with a warning, not without a trace.
 //
-// Warnings are once-per-(variable, value) for the process, so hot callers
-// (per-CTA executors) can re-read knobs without log spam.
+// Warnings are once-per-(variable, value) for the process, so a caller
+// may re-read a knob without log spam.
 //
 //===----------------------------------------------------------------------===//
 

@@ -320,11 +320,6 @@ void ProgramCache::setPersistDir(std::string Dir) {
   Impl::sweepStaleTmpFiles(Dir);
 }
 
-std::string ProgramCache::getPersistDir() const {
-  std::lock_guard<std::mutex> L(Pimpl->Mu);
-  return Pimpl->PersistDir;
-}
-
 ProgramCache::Stats ProgramCache::getStats() const {
   std::lock_guard<std::mutex> L(Pimpl->Mu);
   Stats S = Pimpl->St;

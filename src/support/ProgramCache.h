@@ -122,7 +122,6 @@ public:
   /// Overrides the persist directory ("" disables persistence). Created on
   /// first write if missing.
   void setPersistDir(std::string Dir);
-  std::string getPersistDir() const;
 
   Stats getStats() const;
   void resetStats();

@@ -6,11 +6,9 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,9 +48,9 @@ const char *Subprocess::signalName(int Sig) {
   }
 }
 
-std::unique_ptr<Subprocess> Subprocess::spawn(const Options &Opts,
-                                              std::string &Err) {
-  if (Opts.Argv.empty()) {
+std::unique_ptr<Subprocess>
+Subprocess::spawn(const std::vector<std::string> &Argv, std::string &Err) {
+  if (Argv.empty()) {
     Err = "empty argv";
     return nullptr;
   }
@@ -76,31 +74,10 @@ std::unique_ptr<Subprocess> Subprocess::spawn(const Options &Opts,
     return nullptr;
   }
 
-  std::vector<char *> Argv;
-  for (const std::string &A : Opts.Argv)
-    Argv.push_back(const_cast<char *>(A.c_str()));
-  Argv.push_back(nullptr);
-
-  std::vector<std::string> EnvStore;
-  std::vector<char *> Envp;
-  for (char **E = environ; *E; ++E) {
-    const char *Eq = std::strchr(*E, '=');
-    size_t NameLen = Eq ? static_cast<size_t>(Eq - *E) : std::strlen(*E);
-    bool Overridden = false;
-    for (const auto &KV : Opts.ExtraEnv)
-      if (KV.first.size() == NameLen &&
-          std::memcmp(KV.first.data(), *E, NameLen) == 0) {
-        Overridden = true;
-        break;
-      }
-    if (!Overridden)
-      Envp.push_back(*E);
-  }
-  for (const auto &KV : Opts.ExtraEnv)
-    EnvStore.push_back(KV.first + "=" + KV.second);
-  for (std::string &S : EnvStore)
-    Envp.push_back(const_cast<char *>(S.c_str()));
-  Envp.push_back(nullptr);
+  std::vector<char *> Args;
+  for (const std::string &A : Argv)
+    Args.push_back(const_cast<char *>(A.c_str()));
+  Args.push_back(nullptr);
 
   int Pid = ::fork();
   if (Pid < 0) {
@@ -119,18 +96,7 @@ std::unique_ptr<Subprocess> Subprocess::spawn(const Options &Opts,
     if (::dup2(Ch[1], 0) < 0 || ::dup2(Ch[1], 1) < 0)
       ::_exit(127);
     ::close(Ch[1]);
-    if (Opts.RlimitAsMb > 0) {
-      rlimit R;
-      R.rlim_cur = R.rlim_max =
-          static_cast<rlim_t>(Opts.RlimitAsMb) * 1024 * 1024;
-      ::setrlimit(RLIMIT_AS, &R);
-    }
-    if (Opts.RlimitCpuSec > 0) {
-      rlimit R;
-      R.rlim_cur = R.rlim_max = static_cast<rlim_t>(Opts.RlimitCpuSec);
-      ::setrlimit(RLIMIT_CPU, &R);
-    }
-    ::execve(Argv[0], Argv.data(), Envp.data());
+    ::execve(Args[0], Args.data(), environ);
     int E = errno;
     (void)!::write(St[1], &E, sizeof(E));
     ::_exit(127);
@@ -151,7 +117,7 @@ std::unique_ptr<Subprocess> Subprocess::spawn(const Options &Opts,
     while (::waitpid(Pid, &WS, 0) < 0 && errno == EINTR) {
     }
     ::close(Ch[0]);
-    Err = formatString("exec %s: %s", Opts.Argv[0].c_str(),
+    Err = formatString("exec %s: %s", Argv[0].c_str(),
                        std::strerror(ExecErrno));
     return nullptr;
   }

@@ -2,10 +2,10 @@
 //
 // The out-of-process execution sandbox's foundation (docs/serving.md): a
 // child process spawned by fork + execve with a bidirectional AF_UNIX
-// socketpair as its stdin/stdout, waitpid-based exit/signal
-// classification, and optional rlimit caps applied in the child before
-// exec. The parent talks newline-delimited frames over channel(); a dead
-// peer surfaces as a send/recv error, never SIGPIPE (MSG_NOSIGNAL).
+// socketpair as its stdin/stdout, the parent's environment, and
+// waitpid-based exit/signal classification. The parent talks
+// newline-delimited frames over channel(); a dead peer surfaces as a
+// send/recv error, never SIGPIPE (MSG_NOSIGNAL).
 //
 // This layer is transport + lifecycle only. The sandbox protocol (request
 // framing, heartbeats, restart policy) lives in serve/Sandbox; the runner
@@ -16,31 +16,14 @@
 #ifndef TAWA_SUPPORT_SUBPROCESS_H
 #define TAWA_SUPPORT_SUBPROCESS_H
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tawa {
 
 class Subprocess {
 public:
-  struct Options {
-    /// argv[0] is the executable path (execve, no PATH search).
-    std::vector<std::string> Argv;
-    /// Appended to (and overriding) the parent environment.
-    std::vector<std::pair<std::string, std::string>> ExtraEnv;
-    /// RLIMIT_AS cap in MiB; 0 = inherit. Off by default: sanitizer
-    /// runtimes (ASan/TSan) reserve terabytes of virtual address space, so
-    /// an AS cap would kill every sanitized child at startup.
-    int64_t RlimitAsMb = 0;
-    /// RLIMIT_CPU cap in seconds; 0 = inherit. A hard backstop behind the
-    /// supervisor's heartbeat timeout (the kernel delivers SIGXCPU, then
-    /// SIGKILL).
-    int64_t RlimitCpuSec = 0;
-  };
-
   /// How a child exited, from waitpid. describe() renders the
   /// deterministic forms "exit code N" / "signal N (NAME)" used in
   /// sandbox-crash error strings.
@@ -52,11 +35,12 @@ public:
     std::string describe() const;
   };
 
-  /// Forks + execs. Returns null with \p Err set when the pipe/fork/exec
+  /// Forks + execs \p Argv; Argv[0] is the executable path (execve, no
+  /// PATH search). Returns null with \p Err set when the pipe/fork/exec
   /// fails (exec failures are detected in the parent via a CLOEXEC status
   /// pipe, so a missing binary reports its errno instead of a dead child).
-  static std::unique_ptr<Subprocess> spawn(const Options &Opts,
-                                           std::string &Err);
+  static std::unique_ptr<Subprocess>
+  spawn(const std::vector<std::string> &Argv, std::string &Err);
 
   /// Kills (SIGKILL by default) and reaps if still running.
   ~Subprocess();

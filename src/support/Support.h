@@ -32,11 +32,6 @@ inline int64_t ceilDiv(int64_t A, int64_t B) {
   return (A + B - 1) / B;
 }
 
-/// Rounds \p Value up to the next multiple of \p Align.
-inline int64_t alignTo(int64_t Value, int64_t Align) {
-  return ceilDiv(Value, Align) * Align;
-}
-
 /// FNV-1a 64-bit hash — the one hash used for program-cache keys, cache
 /// file names, and serialized-blob checksums (sim/Bytecode.cpp,
 /// support/ProgramCache.cpp); keep a single definition so file naming and

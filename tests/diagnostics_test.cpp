@@ -10,9 +10,7 @@
 //     seven engine x worker combinations — pinned here against embedded
 //     golden strings;
 //   * classifyError maps every engine message prefix onto the ErrorKind
-//     taxonomy (support/Status.h);
-//   * the TAWA_MAX_STEPS environment knob supplies a process-wide default
-//     that an explicit RunOptions::MaxSteps overrides.
+//     taxonomy (support/Status.h).
 //
 // Regenerating the goldens after an intentional diag-format change:
 //   TAWA_DUMP_DIAG=1 ./diagnostics_test 2>diag.txt
@@ -31,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace tawa;
 using namespace tawa::sim;
@@ -310,31 +307,6 @@ TEST(StepBudget, GoldenAcrossEnginesAndWorkers) {
   Base.MaxSteps = 100;
   expectDiagGolden(*Mod, Base, kStepBudgetErr, kStepBudgetText,
                    kStepBudgetJson);
-}
-
-TEST(StepBudget, EnvDefaultAndExplicitOverride) {
-  IrContext Ctx;
-  auto Mod = buildRunawayLoop(Ctx);
-  GpuConfig Cfg;
-
-  // The environment supplies the process-wide default...
-  ::setenv("TAWA_MAX_STEPS", "50", 1);
-  RunOptions Opts;
-  {
-    Interpreter Interp(*Mod, Cfg);
-    EXPECT_EQ(Interp.runGrid(Opts),
-              "cta (0,0): step budget exceeded: agent 0 used 51 steps "
-              "(budget 50)");
-  }
-  // ...and an explicit option wins over it.
-  Opts.MaxSteps = 100;
-  {
-    Interpreter Interp(*Mod, Cfg);
-    EXPECT_EQ(Interp.runGrid(Opts),
-              "cta (0,0): step budget exceeded: agent 0 used 101 steps "
-              "(budget 100)");
-  }
-  ::unsetenv("TAWA_MAX_STEPS");
 }
 
 TEST(StepBudget, RunCtaBatchReportsFirstInListOrder) {

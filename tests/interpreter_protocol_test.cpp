@@ -4,8 +4,9 @@
 // §III-B says aref prevents by construction — and checks that each of the
 // slot monitor's three checks (sem::SlotMonitor) catches its own bug by
 // name: premature get (read before publication), overwrite before
-// consumed, and consumed without get; a missing consumed deadlocks. Also
-// checks that the correct hand-built program passes cleanly, so the
+// consumed, and consumed without get (a slot released before anything was
+// published, or published and never read); a missing consumed deadlocks.
+// Also checks that the correct hand-built program passes cleanly, so the
 // monitors are not trivially noisy.
 //
 //===----------------------------------------------------------------------===//
@@ -13,6 +14,7 @@
 #include "ir/Builder.h"
 #include "ir/Verifier.h"
 #include "sim/Interpreter.h"
+#include "tests/oracle/TreeWalk.h"
 
 #include <gtest/gtest.h>
 
@@ -30,7 +32,8 @@ struct ProtocolHarness {
     ConsumerSkipsFullWait,  ///< Premature get: reads without waiting.
     ConsumerSkipsRelease,   ///< Never arrives on empty: producer starves.
     ProducerSkipsEmptyWait, ///< Overwrites a slot still in use.
-    ConsumerSkipsGet        ///< Releases slots it never waited for or read.
+    ConsumerSkipsGet,       ///< Releases slots it never waited for or read.
+    ConsumerSkipsRead       ///< Waits for each slot, releases it unread.
   };
 
   IrContext Ctx;
@@ -107,7 +110,8 @@ struct ProtocolHarness {
         Value *Parity = L.createRem(Wrap, Two);
         L.createMBarrierWait(Full, Slot, Parity);
       }
-      if (Inject != Bug::ConsumerSkipsGet) {
+      if (Inject != Bug::ConsumerSkipsGet &&
+          Inject != Bug::ConsumerSkipsRead) {
         Value *Tile = L.createSmemRead(Smem, Slot, TileTy, 0);
         L.createTmaStore(OutDesc, {Slot, Slot}, Tile);
       }
@@ -119,16 +123,28 @@ struct ProtocolHarness {
     ASSERT_EQ(verify(*M), "") << M->print();
   }
 
-  std::string run() {
-    GpuConfig Cfg;
-    Interpreter Interp(*M, Cfg);
+  RunOptions options() {
     RunOptions Opts;
     auto In = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
     auto Out = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
     In->fillRandom(3);
     Opts.Args = {RuntimeArg::tensor(In), RuntimeArg::tensor(Out)};
+    return Opts;
+  }
+
+  /// Runs CTA (0,0) on the bytecode engine.
+  std::string run() {
+    GpuConfig Cfg;
+    Interpreter Interp(*M, Cfg);
     CtaTrace T;
-    return Interp.runCta(Opts, 0, 0, T);
+    return Interp.runCta(options(), 0, 0, T);
+  }
+
+  /// Runs CTA (0,0) on the tree-walking oracle.
+  std::string runOracle() {
+    GpuConfig Cfg;
+    CtaTrace T;
+    return runCtaOracle(*M, Cfg, options(), 0, 0, T);
   }
 };
 
@@ -190,6 +206,21 @@ TEST(ProtocolMonitors, ConsumedWithoutGetIsCaught) {
   EXPECT_NE(Err.find("released while empty (consumed without get)"),
             std::string::npos)
       << Err;
+}
+
+TEST(ProtocolMonitors, ReleaseOfAnUnreadSlotIsCaught) {
+  // The consumer waits on the full barrier, so every slot it releases was
+  // published, but it never reads one: it hands the producer back tiles
+  // nothing consumed. Nothing is read, so the happens-before tracker sees
+  // nothing; both engines' slot monitors must flag the release from Full.
+  ProtocolHarness H;
+  H.build(2, 6, ProtocolHarness::Bug::ConsumerSkipsRead);
+  for (const std::string &Err : {H.run(), H.runOracle()}) {
+    EXPECT_NE(Err.find("protocol violations:"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("released while full (consumed without get)"),
+              std::string::npos)
+        << Err;
+  }
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 #include "sem/HappensBefore.h"
 #include "sim/Diag.h"
 #include "sim/ExecCommon.h"
-#include "support/Env.h"
 #include "support/FaultInject.h"
 #include "support/Status.h"
 #include "support/Support.h"
@@ -126,9 +125,9 @@ private:
   };
   std::map<int, BlockedOn> BlockInfo;
 
-  /// Execution-watchdog step budget, resolved in run() exactly like the
-  /// bytecode engine's (Opts.MaxSteps or TAWA_MAX_STEPS). The wall-clock
-  /// guard is bytecode-only — the oracle is expected to be slow.
+  /// Execution-watchdog step budget, Opts.MaxSteps as in the bytecode
+  /// engine (0 = off). The wall-clock guard is bytecode-only — the oracle
+  /// is expected to be slow.
   int64_t MaxSteps = 0;
 
   /// Watchdog accounting at one step event (loop iteration starting /
@@ -937,13 +936,15 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
         if (Buf.Channel != Arr.Channel)
           continue;
         sem::SlotMonitor &Mon = Buf.Monitors[Idx];
-        if (Mon.S == Slot::Empty || Mon.S == Slot::Filling)
+        if (Mon.S != Slot::Borrowed)
           recordViolation(formatString(
               "channel %lld slot %lld: released while %s (consumed without "
               "get)",
               static_cast<long long>(Arr.Channel),
               static_cast<long long>(Idx),
-              Mon.S == Slot::Empty ? "empty" : "filling"));
+              Mon.S == Slot::Empty     ? "empty"
+              : Mon.S == Slot::Filling ? "filling"
+                                       : "full"));
         if (++Mon.Releases >= Buf.ReadersPerSlot) {
           Mon.S = Slot::Empty;
           Mon.Writes = 0;
@@ -1121,9 +1122,9 @@ bool CtaExec::interpretBlock(Block &B, Env &E, AgentCtx &A) {
 std::string CtaExec::run(CtaTrace &Out) {
   Functional = Opts.Functional;
   SwPipelineDepth = M.getIntAttrOr("sw_pipeline_depth", 0);
-  // Execution watchdog, resolved exactly like the bytecode engine's so
-  // budget trips are engine-identical.
-  MaxSteps = Opts.MaxSteps > 0 ? Opts.MaxSteps : envInt64("TAWA_MAX_STEPS", 0);
+  // Execution watchdog, as in the bytecode engine so budget trips are
+  // engine-identical.
+  MaxSteps = Opts.MaxSteps;
 
   Operation *Func = nullptr;
   for (Operation &Op : M.getBody())

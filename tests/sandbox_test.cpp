@@ -76,7 +76,6 @@ ServeConfig chaosConfig(const std::string &CrashDir) {
   C.MaxRetries = 2;
   C.BackoffBaseMs = 0;
   C.CrashDumpDir = CrashDir;
-  C.Sandbox.Pool = 2;
   C.Sandbox.BackoffBaseMs = 0;
   return C;
 }
@@ -109,10 +108,8 @@ bool fileExists(const std::string &Path) {
 //===----------------------------------------------------------------------===//
 
 TEST(Subprocess, ExitCodeClassification) {
-  Subprocess::Options O;
-  O.Argv = {"/bin/sh", "-c", "exit 7"};
   std::string Err;
-  auto P = Subprocess::spawn(O, Err);
+  auto P = Subprocess::spawn({"/bin/sh", "-c", "exit 7"}, Err);
   ASSERT_NE(P, nullptr) << Err;
   Subprocess::ExitStatus St = P->wait();
   EXPECT_FALSE(St.Running);
@@ -122,10 +119,8 @@ TEST(Subprocess, ExitCodeClassification) {
 }
 
 TEST(Subprocess, SignalClassification) {
-  Subprocess::Options O;
-  O.Argv = {"/bin/sh", "-c", "kill -9 $$"};
   std::string Err;
-  auto P = Subprocess::spawn(O, Err);
+  auto P = Subprocess::spawn({"/bin/sh", "-c", "kill -9 $$"}, Err);
   ASSERT_NE(P, nullptr) << Err;
   Subprocess::ExitStatus St = P->wait();
   EXPECT_TRUE(St.Signaled);
@@ -134,10 +129,8 @@ TEST(Subprocess, SignalClassification) {
 }
 
 TEST(Subprocess, ExecFailureReportsErrno) {
-  Subprocess::Options O;
-  O.Argv = {"/nonexistent/tawa-no-such-binary"};
   std::string Err;
-  auto P = Subprocess::spawn(O, Err);
+  auto P = Subprocess::spawn({"/nonexistent/tawa-no-such-binary"}, Err);
   EXPECT_EQ(P, nullptr);
   // The CLOEXEC status pipe carries the child's exec errno to the parent.
   EXPECT_NE(Err.find("exec /nonexistent/tawa-no-such-binary"),
@@ -147,10 +140,8 @@ TEST(Subprocess, ExecFailureReportsErrno) {
 }
 
 TEST(Subprocess, ChannelRoundTrip) {
-  Subprocess::Options O;
-  O.Argv = {"/bin/cat"};
   std::string Err;
-  auto P = Subprocess::spawn(O, Err);
+  auto P = Subprocess::spawn({"/bin/cat"}, Err);
   ASSERT_NE(P, nullptr) << Err;
   const char Msg[] = "hello sandbox\n";
   ASSERT_EQ(::send(P->channel(), Msg, sizeof(Msg) - 1, MSG_NOSIGNAL),
@@ -402,10 +393,8 @@ TEST(SandboxService, MalformedFrameFieldIsStreamCorruption) {
         "req 100 1000000 two - {}",               // Not a number.
         "req 1e3 1000000 0 - {}",                 // Trailing garbage.
         "req 100 99999999999999999999 0 - {}"}) { // Out of range.
-    Subprocess::Options O;
-    O.Argv = {Sup.config().Binary};
     std::string Err;
-    auto P = Subprocess::spawn(O, Err);
+    auto P = Subprocess::spawn({Sup.config().Binary}, Err);
     ASSERT_NE(P, nullptr) << Err;
     ASSERT_TRUE(sendLine(P->channel(), Frame));
     EXPECT_EQ(P->wait().describe(), "exit code 2") << Frame;
@@ -477,7 +466,6 @@ TEST(SandboxService, SigkillMidRequestRecoversWithStructuredResponse) {
 TEST(SandboxService, HangTripsHeartbeatTimeoutDeterministically) {
   std::string Dir = mkTmpDir("sbx-hang");
   ServeConfig C = chaosConfig(Dir);
-  C.Sandbox.HeartbeatMs = 50;
   C.Sandbox.HeartbeatTimeoutMs = 600;
   Service Svc(C);
 
@@ -506,7 +494,6 @@ TEST(SandboxService, HangTripsHeartbeatTimeoutDeterministically) {
 
 TEST(SandboxService, DeadlineExceededKillsSleeperMidRequest) {
   ServeConfig C = chaosConfig("");
-  C.Sandbox.HeartbeatMs = 50;
   C.Sandbox.HeartbeatTimeoutMs = 600;
   Service Svc(C);
 

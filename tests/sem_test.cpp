@@ -69,7 +69,10 @@ TEST(SlotMonitor, CooperativeReadersReleaseAtReaders) {
   EXPECT_EQ(M.write(1, 0, 2),
             "channel 0 slot 2: TMA write while borrowed (overwrite before "
             "consumed)");
-  EXPECT_EQ(M.release(2, 0, 2), "");
+  // The overwrite left the slot Full, so this release consumes a tile
+  // nobody read.
+  EXPECT_EQ(M.release(2, 0, 2),
+            "channel 0 slot 2: released while full (consumed without get)");
   EXPECT_EQ(M.S, State::Empty);
   EXPECT_EQ(M.Writes, 0);
   EXPECT_EQ(M.Releases, 0);
@@ -111,7 +114,7 @@ TEST(SlotMonitor, PrematureReadLeavesTheSlotAlone) {
   EXPECT_EQ(M.Releases, 0);
 }
 
-TEST(SlotMonitor, ReleaseChecksOnlyThatTheSlotWasPublished) {
+TEST(SlotMonitor, ReleaseChecksThatTheSlotWasRead) {
   SlotMonitor Empty;
   EXPECT_EQ(Empty.release(1, 2, 0),
             "channel 2 slot 0: released while empty (consumed without get)");
@@ -124,10 +127,11 @@ TEST(SlotMonitor, ReleaseChecksOnlyThatTheSlotWasPublished) {
   // The flagged release still empties the slot and resets its counts.
   EXPECT_EQ(Filling.S, State::Empty);
   EXPECT_EQ(Filling.Writes, 0);
-  // From Full (published, never read) the release is not flagged.
+  // From Full (published, never read) the release is flagged too.
   SlotMonitor Full;
   ASSERT_EQ(Full.write(1, 2, 0), "");
-  EXPECT_EQ(Full.release(1, 2, 0), "");
+  EXPECT_EQ(Full.release(1, 2, 0),
+            "channel 2 slot 0: released while full (consumed without get)");
   EXPECT_EQ(Full.S, State::Empty);
 }
 

@@ -3,6 +3,7 @@
 // tawa-serve robustness coverage (docs/serving.md):
 //
 //  * protocol strictness: poisoned requests shed as `bad-request`,
+//  * the environment variables ServeConfig::fromEnv reads,
 //  * deterministic admission: a pinned accept/reject sequence under a
 //    closed execution gate,
 //  * graceful shutdown: in-flight requests drain, new ones shed,
@@ -39,7 +40,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +165,44 @@ TEST(ServeProtocol, ResponseRenderIsSingleLine) {
   EXPECT_EQ(respField(Line, "status"), "failed");
   EXPECT_EQ(respField(Line, "id"), "r\n1");
   EXPECT_EQ(respField(Line, "attempts"), "2");
+}
+
+//===----------------------------------------------------------------------===//
+// Configuration
+//===----------------------------------------------------------------------===//
+
+TEST(ServeConfig, FromEnvReadsTheBenchmarkKnobs) {
+  // The four variables fromEnv reads. The benchmark's serve workload sets
+  // the first three (perfbench/run.py) and relies on its queue depth.
+  const char *const Names[] = {"TAWA_SERVE_WORKERS", "TAWA_SERVE_QUEUE_DEPTH",
+                               "TAWA_SERVE_EXEC_WORKERS", "TAWA_SANDBOX_BIN"};
+  std::vector<std::optional<std::string>> Saved;
+  for (const char *N : Names) {
+    const char *V = std::getenv(N);
+    Saved.push_back(V ? std::optional<std::string>(V) : std::nullopt);
+  }
+
+  ::setenv("TAWA_SERVE_WORKERS", "1", 1);
+  ::setenv("TAWA_SERVE_QUEUE_DEPTH", "256", 1);
+  ::setenv("TAWA_SERVE_EXEC_WORKERS", "3", 1);
+  ::setenv("TAWA_SANDBOX_BIN", "custom/tawa-sandbox", 1);
+  ServeConfig Set = ServeConfig::fromEnv();
+  EXPECT_EQ(Set.Workers, 1);
+  EXPECT_EQ(Set.QueueDepth, 256);
+  EXPECT_EQ(Set.ExecWorkers, 3);
+  EXPECT_EQ(Set.Sandbox.Binary, "custom/tawa-sandbox");
+
+  for (const char *N : Names)
+    ::unsetenv(N);
+  ServeConfig Unset = ServeConfig::fromEnv();
+  EXPECT_EQ(Unset.Workers, 0);
+  EXPECT_EQ(Unset.QueueDepth, 16);
+  EXPECT_EQ(Unset.ExecWorkers, 0);
+  EXPECT_EQ(Unset.Sandbox.Binary, "");
+
+  for (size_t I = 0; I < Saved.size(); ++I)
+    if (Saved[I])
+      ::setenv(Names[I], Saved[I]->c_str(), 1);
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,7 +27,7 @@
 
 #include "serve/Execute.h"
 #include "serve/Protocol.h"
-#include "support/Env.h"
+#include "serve/Sandbox.h"
 #include "support/FaultInject.h"
 #include "support/Status.h"
 
@@ -67,21 +67,17 @@ bool writeAll(const std::string &Data) {
   return true;
 }
 
-/// Heartbeat pump: emits `hb` every HeartbeatMs, but only while a request
-/// is in flight — an idle child is silent (the supervisor only arms its
-/// heartbeat deadline per-request).
+/// Heartbeat pump: emits `hb` every SandboxHeartbeatMs, but only while a
+/// request is in flight — an idle child is silent (the supervisor only
+/// arms its heartbeat deadline per-request).
 struct Heartbeat {
   std::mutex Mu;
   std::condition_variable CV;
   bool InFlight = false;
   bool Exit = false;
-  int64_t PeriodMs;
   std::thread T;
 
-  Heartbeat()
-      : PeriodMs(std::max<int64_t>(
-            1, envInt64("TAWA_SANDBOX_HEARTBEAT_MS", 100))),
-        T([this] { loop(); }) {}
+  Heartbeat() : T([this] { loop(); }) {}
 
   ~Heartbeat() {
     {
@@ -99,7 +95,7 @@ struct Heartbeat {
       if (Exit)
         return;
       while (InFlight && !Exit) {
-        CV.wait_for(L, std::chrono::milliseconds(PeriodMs));
+        CV.wait_for(L, std::chrono::milliseconds(SandboxHeartbeatMs));
         if (InFlight && !Exit) {
           L.unlock();
           writeAll("hb\n");

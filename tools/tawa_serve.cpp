@@ -39,10 +39,10 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--crash-dir PATH]\n"
                "  --crash-dir PATH  flight-recorder crash dumps go here\n"
-               "                    (overrides TAWA_SERVE_CRASH_DIR)\n"
-               "Environment: TAWA_SERVE_* / TAWA_SANDBOX_* knobs\n"
-               "(docs/serving.md), plus the usual TAWA_CACHE_DIR /\n"
-               "TAWA_MAX_STEPS / TAWA_FAULTS.\n",
+               "Environment: TAWA_SERVE_WORKERS, TAWA_SERVE_QUEUE_DEPTH,\n"
+               "TAWA_SERVE_EXEC_WORKERS, TAWA_SANDBOX_BIN "
+               "(docs/serving.md),\n"
+               "plus TAWA_CACHE_DIR / TAWA_NO_FUSE / TAWA_FAULTS.\n",
                Argv0);
   return 1;
 }
