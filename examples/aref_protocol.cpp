@@ -30,28 +30,28 @@ void show(const char *What, const std::string &Violation,
 } // namespace
 
 int main() {
-  std::printf("A 2-slot aref ring (D = 2), one writer and one reader per "
-              "slot:\n\n");
+  std::printf("A 2-slot aref ring (D = 2), one writer and one reader "
+              "(agent 1) per slot:\n\n");
   std::vector<SlotMonitor> Ring(2);
 
   std::printf("The legal pipeline (producer one slot ahead):\n");
   show("write slot 0 (put)", Ring[0].write(1, 0, 0), Ring[0]);
   show("write slot 1 (put)", Ring[1].write(1, 0, 1), Ring[1]);
-  show("read slot 0 (get)", Ring[0].read(0, 0), Ring[0]);
-  show("release slot 0 (consumed)", Ring[0].release(1, 0, 0), Ring[0]);
+  show("read slot 0 (get)", Ring[0].read(1, 0, 0), Ring[0]);
+  show("release slot 0 (consumed)", Ring[0].release(1, 1, 0, 0), Ring[0]);
   show("write slot 0 again", Ring[0].write(1, 0, 0), Ring[0]);
 
   std::printf("\nA tuple slot filled by two TMA writes:\n");
   SlotMonitor Tuple;
   show("first write", Tuple.write(2, 1, 0), Tuple);
-  show("read before the second", Tuple.read(1, 0), Tuple);
+  show("read before the second", Tuple.read(1, 1, 0), Tuple);
   show("second write", Tuple.write(2, 1, 0), Tuple);
-  show("read", Tuple.read(1, 0), Tuple);
+  show("read", Tuple.read(1, 1, 0), Tuple);
 
   std::printf("\nWhat the hardware mbarriers protect against:\n");
   SlotMonitor Bad;
-  show("read before any write", Bad.read(2, 0), Bad);
-  show("release before any read", Bad.release(1, 2, 0), Bad);
+  show("read before any write", Bad.read(1, 2, 0), Bad);
+  show("release before any read", Bad.release(1, 1, 2, 0), Bad);
   Bad.write(1, 2, 0);
   show("write while full", Bad.write(1, 2, 0), Bad);
 

@@ -29,14 +29,14 @@
 # source-file path mentioned in docs/, README.md and the verify skill must
 # exist in the repo, every ./<binary> they tell a reader to run must
 # have a source file, every TAWA_* name they mention must be one the tree
-# reads or sets, and every .md a source comment names must exist, so
-# docs cannot silently rot as files move or knobs go.
+# reads or sets, every .md a source comment names must exist, and no
+# ROADMAP item is cited by its number, so docs cannot silently rot as
+# files move, knobs go or the ROADMAP is renumbered.
 #
 # Then runs the differential fuzz smoke: tawa-fuzz sweeps seeded kernel
 # configurations across all seven engine x worker combos (docs/fuzzing.md)
 # under a time budget, and every committed tests/corpus/*.tawa regression
-# file is replayed. TAWA_FUZZ_SEED / TAWA_FUZZ_ITERS override the sweep's
-# seed base and size.
+# file is replayed.
 #
 # Then runs the serving smoke: tawa-serve is started on a scratch unix
 # socket, serve_load fires a closed-loop request mix against it (writing
@@ -404,6 +404,18 @@ while IFS= read -r NAME; do
 done < <(grep -hoE 'TAWA_[A-Z0-9_]+' "$REPO_ROOT"/docs/*.md \
            "$REPO_ROOT/README.md" "$REPO_ROOT/.claude/skills/verify/SKILL.md" |
          sort -u)
+# 7) No ROADMAP item is cited by number in docs/, README.md, the verify
+#    skill or a // comment in src/, tools/, tests/, bench/ or examples/:
+#    the items are renumbered at every re-anchor of ROADMAP.md.
+while IFS= read -r HIT; do
+  echo "ROADMAP item cited by number: ${HIT#"$REPO_ROOT"/}"
+  DOCS_FAIL=1
+done < <({ grep -nE 'ROADMAP items? [0-9]+' "$REPO_ROOT"/docs/*.md \
+             "$REPO_ROOT/README.md" "$REPO_ROOT/.claude/skills/verify/SKILL.md"
+           grep -rnE '//.*ROADMAP items? [0-9]+' --include='*.cpp' \
+             --include='*.h' "$REPO_ROOT/src" "$REPO_ROOT/tools" \
+             "$REPO_ROOT/tests" "$REPO_ROOT/bench" "$REPO_ROOT/examples"; } ||
+         true)
 if [[ "$DOCS_FAIL" != 0 ]]; then
   echo "FAIL: docs link check"
   exit 1

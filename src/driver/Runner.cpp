@@ -157,10 +157,17 @@ bool reachesCompiler(const FrameworkEnvelope &E, const TawaOptions &O) {
 /// What a family's CTAs leave for the replay: the interpreted traces,
 /// SM0's schedule as indices into them (one trace may stand for many
 /// CTAs), and the family's DRAM model (BwShareSms, DramReuseFactor).
+/// Runner::execute destroys it after the replay, which gives the traces'
+/// action vectors back to the store (sim::recycleActions).
 struct Sm0Replay {
   std::vector<CtaTrace> Traces;
   std::vector<size_t> Schedule;
   ReplayParams Params;
+
+  ~Sm0Replay() {
+    for (CtaTrace &T : Traces)
+      recycleActions(T);
+  }
 };
 
 } // namespace

@@ -25,9 +25,9 @@
 // is flagged, Full included: a consumer that waited on the full barrier
 // but never read the slot has consumed nothing. The slot empties, and its
 // counts reset, only once Readers releases have arrived. The check is per
-// slot, not per reader: of a cooperative group, a reader that releases
-// without reading after its partner has read finds the slot Borrowed and
-// passes.
+// reader: read() marks the reading agent, and release() flags an agent
+// without a mark, so of a cooperative group a reader that releases
+// without reading is caught even after its partner has read.
 //
 // The bytecode executor (src/sim/Executor.cpp) keeps one SlotMonitor per
 // staging slot and calls these transitions; the tree-walking oracle
@@ -41,6 +41,7 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -54,6 +55,16 @@ struct SlotMonitor {
   State S = State::Empty;
   int Writes = 0;   ///< Deposits since the slot last emptied.
   int Releases = 0; ///< Releases since the slot last emptied.
+  /// Agents that read the slot since it last emptied, one bit per agent
+  /// id (readerBit).
+  uint64_t ReadBy = 0;
+
+  /// Agent \p Agent's bit in ReadBy. Ids past 63 share the top bit, which
+  /// can miss a violation but never reports a false one (a CTA has at most
+  /// eight warp groups).
+  static uint64_t readerBit(int Agent) {
+    return uint64_t{1} << std::min(Agent, 63);
+  }
 
   /// One TMA deposit into slot \p Slot of channel \p Channel, a slot that
   /// \p Writers deposits fill.
@@ -66,23 +77,27 @@ struct SlotMonitor {
     return Err;
   }
 
-  /// One staging read of the slot.
-  std::string read(int64_t Channel, int64_t Slot) {
+  /// One staging read of the slot by agent \p Agent.
+  std::string read(int Agent, int64_t Channel, int64_t Slot) {
     if (S == State::Empty || S == State::Filling)
       return violation(Channel, Slot, "read", "premature get");
     S = State::Borrowed;
+    ReadBy |= readerBit(Agent);
     return "";
   }
 
-  /// One empty-barrier arrive on a slot that \p Readers arrives release.
-  std::string release(int Readers, int64_t Channel, int64_t Slot) {
+  /// One empty-barrier arrive by agent \p Agent on a slot that \p Readers
+  /// arrives release.
+  std::string release(int Agent, int Readers, int64_t Channel,
+                      int64_t Slot) {
     std::string Err;
-    if (S != State::Borrowed)
+    if (S != State::Borrowed || !(ReadBy & readerBit(Agent)))
       Err = violation(Channel, Slot, "released", "consumed without get");
     if (++Releases >= Readers) {
       S = State::Empty;
       Writes = 0;
       Releases = 0;
+      ReadBy = 0;
     }
     return Err;
   }

@@ -287,7 +287,7 @@ private:
     Act.Kind = ActionKind::BarWait;
     Act.Bar = Bar;
     Act.Idx = static_cast<int32_t>(Idx);
-    Act.Parity = static_cast<int32_t>(Parity % 2);
+    Act.Parity = static_cast<int8_t>(Parity % 2);
     Act.Cycles = Config.BarrierOpCycles;
     emitAction(A, Act);
   }
@@ -344,7 +344,7 @@ private:
                     AgentCtx &A, int32_t SmemH, int64_t Idx,
                     std::vector<RValue> &S) {
     ExecSmem &Buf = SmemBuffers[SmemH];
-    if (std::string Err = Buf.Monitors[Idx].read(Buf.Channel, Idx);
+    if (std::string Err = Buf.Monitors[Idx].read(A.Id, Buf.Channel, Idx);
         !Err.empty())
       recordViolation(std::move(Err));
     if (std::string Err = HB->recordRead(A.Id, Buf.Channel, Idx);
@@ -1261,7 +1261,7 @@ void BcExec::step(AgentRun &Run) {
       A.Trace.emit(Issue);
       Action Wait;
       Wait.Kind = ActionKind::TensorWait;
-      Wait.Pendings = I.Imm1;
+      Wait.Pendings = pendingsBound(I.Imm1);
       A.Trace.emit(Wait);
       const RValue &X = V(0), &Y = V(1), &Acc = V(2);
       if (!Functional || !X.T) {
@@ -1341,8 +1341,8 @@ void BcExec::step(AgentRun &Run) {
         for (ExecSmem &Buf : SmemBuffers) {
           if (Buf.Channel != Arr.Channel)
             continue;
-          if (std::string Err =
-                  Buf.Monitors[Idx].release(Buf.Readers, Arr.Channel, Idx);
+          if (std::string Err = Buf.Monitors[Idx].release(
+                  A.Id, Buf.Readers, Arr.Channel, Idx);
               !Err.empty())
             recordViolation(std::move(Err));
         }
@@ -1488,7 +1488,7 @@ void BcExec::step(AgentRun &Run) {
       flushCuda(A);
       Action Act;
       Act.Kind = ActionKind::TensorWait;
-      Act.Pendings = IP->Imm0;
+      Act.Pendings = pendingsBound(IP->Imm0);
       A.Trace.emit(Act);
       TAWA_NEXT();
     }
@@ -1512,7 +1512,7 @@ void BcExec::step(AgentRun &Run) {
       flushCuda(A);
       Action Wait;
       Wait.Kind = ActionKind::TensorWait;
-      Wait.Pendings = I.Imm1;
+      Wait.Pendings = pendingsBound(I.Imm1);
       A.Trace.emit(Wait);
       TAWA_NEXT();
     }
@@ -1565,6 +1565,9 @@ std::string BcExec::run(CtaTrace &Out) {
     R.Env = std::move(Shared);
     R.A.Id = 0;
     R.A.Trace.Name = "preamble";
+    // A plain tile module's preamble trace is its one agent trace.
+    if (P.Agents.empty())
+      R.A.Trace.Actions = takeActionVector();
     if (!schedule(PreRuns) || PreRuns[0].St == AgentRun::State::Failed) {
       std::string Err = PreRuns[0].A.Error.empty() ? "preamble execution failed"
                                                    : PreRuns[0].A.Error;
@@ -1600,7 +1603,10 @@ std::string BcExec::run(CtaTrace &Out) {
       R.A.Trace.Name = formatString(
           "cta(%lld,%lld)/wg%d(%s)", static_cast<long long>(PidX),
           static_cast<long long>(PidY), G, P.AgentInfos[G].Role.c_str());
-      R.A.Trace.Actions = Preamble.Trace.Actions; // Redundant preamble work.
+      // Redundant preamble work.
+      R.A.Trace.Actions = takeActionVector();
+      R.A.Trace.Actions.assign(Preamble.Trace.Actions.begin(),
+                               Preamble.Trace.Actions.end());
     }
     schedule(Runs);
     // Snapshot scheduler state (block conditions, per-agent steps) before
@@ -1637,6 +1643,8 @@ std::string BcExec::run(CtaTrace &Out) {
   for (AgentCtx &A : Agents)
     Out.Agents.push_back(std::move(A.Trace));
   Out.NumBarrierArrays = static_cast<int32_t>(BarrierArrays.size());
+  Out.BarrierArrivals.clear();
+  Out.BarrierSizes.clear();
   for (BarrierArray &Arr : BarrierArrays) {
     Out.BarrierArrivals.push_back(Arr.Expected);
     Out.BarrierSizes.push_back(static_cast<int64_t>(Arr.Bars.size()));

@@ -7,11 +7,18 @@
 // from timing keeps the functional execution deterministic while the timing
 // remains faithfully concurrent.
 //
+// A persistent CTA's trace holds tens of thousands of actions, so their
+// storage is recycled: an Action packs into 32 bytes, and each agent's
+// vector comes from a process-wide store of cleared vectors that keep
+// their capacity (takeActionVector) and goes back to it once nothing reads
+// the trace any more (recycleActions; see docs/threading-and-memory.md).
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef TAWA_SIM_TRACE_H
 #define TAWA_SIM_TRACE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,15 +44,27 @@ enum class ActionKind : uint8_t {
 };
 
 struct Action {
-  ActionKind Kind;
   double Cycles = 0;   ///< Work duration / issue cost.
   int64_t Bytes = 0;   ///< Transfer size (before reuse scaling).
   int32_t Bar = -1;    ///< Barrier array id.
   int32_t Idx = 0;     ///< Barrier index within the array.
-  int32_t Parity = 0;  ///< Wait parity.
-  int64_t Pendings = 0;///< TensorWait bound.
-  int32_t Lookahead = 0; ///< CopyPipelined ring depth.
+  /// No kind uses both, so they share one field.
+  union {
+    int32_t Pendings = 0; ///< TensorWait bound (pendingsBound).
+    int32_t Lookahead;    ///< CopyPipelined ring depth.
+  };
+  ActionKind Kind;
+  int8_t Parity = 0;   ///< Wait parity (Parity % 2 of the wait's operand).
 };
+static_assert(sizeof(Action) == 32, "an Action packs into 32 bytes");
+
+/// A TensorWait bound as its 32-bit field holds it. Replay keeps at most
+/// max(bound, 0) MMAs in flight, and an agent never has 2^31 of them, so
+/// saturating changes no wait.
+inline int32_t pendingsBound(int64_t Pendings) {
+  return static_cast<int32_t>(
+      std::clamp<int64_t>(Pendings, INT32_MIN, INT32_MAX));
+}
 
 /// One agent's (warp group's) linear action sequence.
 struct AgentTrace {
@@ -78,8 +97,6 @@ struct CtaTrace {
   std::vector<int64_t> BarrierSizes;
   /// Total shared memory allocated (for the capacity check).
   int64_t SmemBytes = 0;
-  /// Peak registers per thread across consumer groups (occupancy model).
-  int64_t RegsPerThread = 0;
   /// Total happens-before events recorded while executing this CTA (used by
   /// the differential tests to check engine equivalence).
   uint64_t HbEvents = 0;
@@ -88,6 +105,17 @@ struct CtaTrace {
   /// without atomics. Consumed by Interpreter::runCta / runCtas.
   std::vector<AtomicContrib> Atomics;
 };
+
+/// An empty action vector, with the largest capacity the process-wide store
+/// holds (or none when it is empty). bc::executeProgram takes one per agent
+/// trace, so a long trace refills memory an earlier one grew and touched
+/// instead of regrowing a fresh vector. Thread-safe.
+std::vector<Action> takeActionVector();
+
+/// Gives every agent's action vector of \p T back to the store and leaves
+/// \p T without agents. Call it only once nothing reads the trace: the
+/// Runner recycles its traces after replay. Thread-safe.
+void recycleActions(CtaTrace &T);
 
 } // namespace sim
 } // namespace tawa

@@ -14,15 +14,11 @@
 //   tawa-fuzz --emit-corpus DIR
 //   tawa-fuzz --replay FILE.tawa
 //
-// Environment (support/Env.h semantics): TAWA_FUZZ_SEED and TAWA_FUZZ_ITERS
-// supply defaults for --seed / --configs (the scripts/check.sh smoke leg).
-//
 //===----------------------------------------------------------------------===//
 
 #include "tests/fuzz/Diff.h"
 #include "tests/fuzz/Gen.h"
 
-#include "support/Env.h"
 #include "support/Support.h"
 
 #include <chrono>
@@ -507,16 +503,14 @@ void usage() {
       "       tawa-fuzz --minimize-demo [--corpus DIR]\n"
       "       tawa-fuzz --emit-corpus DIR\n"
       "       tawa-fuzz --replay FILE.tawa\n"
-      "       tawa-fuzz --replay-all CORPUS_DIR   (reads DIR/MANIFEST)\n"
-      "env: TAWA_FUZZ_SEED, TAWA_FUZZ_ITERS set --seed/--configs "
-      "defaults\n");
+      "       tawa-fuzz --replay-all CORPUS_DIR   (reads DIR/MANIFEST)\n");
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = static_cast<uint64_t>(envInt64("TAWA_FUZZ_SEED", 0));
-  int64_t Configs = envInt64("TAWA_FUZZ_ITERS", 200);
+  uint64_t Seed = 0;
+  int64_t Configs = 200;
   int64_t BudgetMs = 0;
   std::string CorpusDir;
   std::string EmitDir;

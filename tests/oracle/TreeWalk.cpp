@@ -18,6 +18,7 @@
 #include "support/Status.h"
 #include "support/Support.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <functional>
@@ -936,7 +937,9 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
         if (Buf.Channel != Arr.Channel)
           continue;
         sem::SlotMonitor &Mon = Buf.Monitors[Idx];
-        if (Mon.S != Slot::Borrowed)
+        // Agents past 63 share the top mark bit.
+        uint64_t Mark = uint64_t{1} << std::min(A.Id, 63);
+        if (Mon.S != Slot::Borrowed || !(Mon.ReadBy & Mark))
           recordViolation(formatString(
               "channel %lld slot %lld: released while %s (consumed without "
               "get)",
@@ -944,11 +947,13 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
               static_cast<long long>(Idx),
               Mon.S == Slot::Empty     ? "empty"
               : Mon.S == Slot::Filling ? "filling"
-                                       : "full"));
+              : Mon.S == Slot::Full    ? "full"
+                                       : "borrowed"));
         if (++Mon.Releases >= Buf.ReadersPerSlot) {
           Mon.S = Slot::Empty;
           Mon.Writes = 0;
           Mon.Releases = 0;
+          Mon.ReadBy = 0;
         }
       }
     }
@@ -964,7 +969,7 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     Act.Kind = ActionKind::BarWait;
     Act.Bar = Bar;
     Act.Idx = static_cast<int32_t>(Idx);
-    Act.Parity = static_cast<int32_t>(Parity % 2);
+    Act.Parity = static_cast<int8_t>(Parity % 2);
     Act.Cycles = Config.BarrierOpCycles;
     EmitAction(Act);
     BarrierArray &Arr = BarrierArrays[Bar];
@@ -1053,8 +1058,10 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
           "channel %lld slot %lld: read while %s (premature get)",
           static_cast<long long>(Buf.Channel), static_cast<long long>(Idx),
           Mon.S == Slot::Empty ? "empty" : "filling"));
-    else
+    else {
       Mon.S = Slot::Borrowed;
+      Mon.ReadBy |= uint64_t{1} << std::min(A.Id, 63);
+    }
     if (std::string Err = HB->recordRead(A.Id, Buf.Channel, Idx);
         !Err.empty())
       recordViolation(Err);
@@ -1094,7 +1101,7 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     flushCuda(A);
     Action Act;
     Act.Kind = ActionKind::TensorWait;
-    Act.Pendings = Op->getIntAttr("pendings");
+    Act.Pendings = pendingsBound(Op->getIntAttr("pendings"));
     A.Trace.emit(Act);
     return true;
   }

@@ -9,7 +9,8 @@
 // calls; scripts/check.sh additionally runs them under
 // ThreadSanitizer so pool/arena races fail CI. SamplerClasses.* checks the
 // Runner's attention sampler, which interprets one CTA per trace class,
-// against SM0's full CTA list.
+// against SM0's full CTA list. RecycledTraces.* checks that the process-wide
+// action-vector store (sim/Trace.h) changes no result and no trace.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -538,6 +540,126 @@ TEST(SamplerClasses, EveryTraceMatchesItsClassRepresentative) {
     AttentionWorkload Fp8 = W;
     Fp8.Prec = Precision::FP8;
     expectSamplerClassesHold(Fp8, getAttentionEnvelope(Framework::Tawa, Fp8));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Recycled trace storage (sim::takeActionVector / sim::recycleActions)
+//===----------------------------------------------------------------------===//
+
+/// Every RunResult field, doubles at %.17g.
+std::string resultFields(const RunResult &R) {
+  return formatString(
+      "error='%s' kind=%d supported=%d feasible=%d micros=%.17g "
+      "tflops=%.17g maxrel=%.17g util=%.17g smem=%lld regs=%lld",
+      R.Error.c_str(), static_cast<int>(R.Kind), R.Supported ? 1 : 0,
+      R.Feasible ? 1 : 0, R.Micros, R.TFlops, R.MaxRelError,
+      R.TensorUtilization, static_cast<long long>(R.SmemBytes),
+      static_cast<long long>(R.RegsPerThread));
+}
+
+TEST(RecycledTraces, PointOrderDoesNotChangeResults) {
+  // The store hands vectors out by capacity, so this order passes the
+  // persistent GEMM's long traces (one CTA, ~82k actions) to shorter ones
+  // and back: causal attention (one trace per class), a Triton GEMM (one
+  // agent), a functional MoE GEMM (a ragged CTA list), then the persistent
+  // GEMM again. Each point must report exactly what it reports when the
+  // order runs backwards.
+  GemmWorkload Persistent;
+  Persistent.K = 16384;
+  AttentionWorkload Causal;
+  Causal.SeqLen = 4096;
+  Causal.Causal = true;
+  GemmWorkload Plain;
+  Plain.K = 2048;
+  GemmWorkload Moe;
+  Moe.MoE = true;
+  Moe.N = 256;
+  Moe.K = 128;
+  Moe.GroupMs = {96, 0, 200, 64};
+  using PointFn = std::function<RunResult(Runner &)>;
+  const std::vector<std::pair<const char *, PointFn>> Points = {
+      {"persistent gemm",
+       [&](Runner &R) { return R.runGemm(Framework::Tawa, Persistent); }},
+      {"causal attention",
+       [&](Runner &R) { return R.runAttention(Framework::Tawa, Causal); }},
+      {"triton gemm",
+       [&](Runner &R) { return R.runGemm(Framework::Triton, Plain); }},
+      {"moe gemm",
+       [&](Runner &R) {
+         return R.runGemm(Framework::Tawa, Moe, /*Functional=*/true);
+       }},
+      {"persistent gemm again",
+       [&](Runner &R) { return R.runGemm(Framework::Tawa, Persistent); }},
+  };
+  for (int64_t Workers : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << Workers << " workers");
+    std::vector<RunResult> Forward(Points.size()), Backward(Points.size());
+    Runner R;
+    R.NumWorkers = Workers;
+    for (size_t I = 0; I < Points.size(); ++I)
+      Forward[I] = Points[I].second(R);
+    for (size_t I = Points.size(); I-- > 0;)
+      Backward[I] = Points[I].second(R);
+    for (size_t I = 0; I < Points.size(); ++I) {
+      SCOPED_TRACE(Points[I].first);
+      ASSERT_TRUE(Forward[I].ok()) << Forward[I].Error;
+      EXPECT_EQ(resultFields(Forward[I]), resultFields(Backward[I]));
+    }
+    EXPECT_EQ(resultFields(Forward.front()), resultFields(Forward.back()));
+  }
+}
+
+TEST(RecycledTraces, BatchTraceIgnoresWhatTheStoreHeld) {
+  // Warp-specialized agents copy the preamble's actions into the vector
+  // they take; a plain tile module appends to it from the start.
+  for (bool WarpSpecialized : {true, false}) {
+    SCOPED_TRACE(WarpSpecialized ? "warp-specialized" : "plain");
+    GpuConfig Cfg;
+    IrContext Ctx;
+    GemmKernelConfig Kernel;
+    auto Mod = buildGemmModule(Ctx, Kernel);
+    TawaOptions Options;
+    Options.EnableWarpSpecialization = WarpSpecialized;
+    Options.ArefDepth = 3;
+    Options.MmaPipelineDepth = 2;
+    PassManager PM;
+    buildTawaPipeline(PM, Options);
+    ASSERT_EQ(PM.run(*Mod), "");
+    auto Launch = [](int64_t K) {
+      RunOptions L;
+      L.Functional = false;
+      L.Args = {RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr),
+                RuntimeArg::tensor(nullptr), RuntimeArg::scalar(1024),
+                RuntimeArg::scalar(1024), RuntimeArg::scalar(K)};
+      return L;
+    };
+    Interpreter Interp(*Mod, Cfg);
+
+    // Empty the store: it hands out its largest vector first, and a
+    // vector without capacity once it holds none.
+    while (takeActionVector().capacity() > 0) {
+    }
+    std::vector<CtaTrace> Fresh;
+    ASSERT_EQ(Interp.runCtaBatch(Launch(512), {{0, 0}}, Fresh), "");
+
+    // A longer K loop of the same kernel, given back to the store.
+    std::vector<CtaTrace> Long;
+    ASSERT_EQ(Interp.runCtaBatch(Launch(65536), {{0, 0}}, Long), "");
+    size_t LongCapacity = 0;
+    for (const AgentTrace &A : Long[0].Agents) {
+      ASSERT_GT(A.Actions.size(), Fresh[0].Agents[0].Actions.size());
+      LongCapacity = std::max(LongCapacity, A.Actions.capacity());
+    }
+    recycleActions(Long[0]);
+    EXPECT_TRUE(Long[0].Agents.empty());
+
+    std::vector<CtaTrace> Reused;
+    ASSERT_EQ(Interp.runCtaBatch(Launch(512), {{0, 0}}, Reused), "");
+    // The first agent took the longest vector the store held.
+    ASSERT_FALSE(Reused[0].Agents.empty());
+    EXPECT_EQ(Reused[0].Agents[0].Actions.capacity(), LongCapacity);
+    EXPECT_EQ(traceDiff(Fresh[0], Reused[0]), "");
   }
 }
 

@@ -58,7 +58,7 @@ Action tensorIssue(double Cycles) {
 Action tensorWait(int64_t Pendings) {
   Action A;
   A.Kind = ActionKind::TensorWait;
-  A.Pendings = Pendings;
+  A.Pendings = pendingsBound(Pendings);
   return A;
 }
 Action tmaIssue(int32_t Bar, int32_t Idx, int64_t Bytes) {
@@ -85,7 +85,7 @@ Action arrive(int32_t Bar, int32_t Idx) {
   A.Idx = Idx;
   return A;
 }
-Action wait(int32_t Bar, int32_t Idx, int32_t Parity) {
+Action wait(int32_t Bar, int32_t Idx, int8_t Parity) {
   Action A;
   A.Kind = ActionKind::BarWait;
   A.Bar = Bar;
@@ -494,9 +494,14 @@ CtaTrace randomCta(fuzz::Rng &R, bool Waits, bool TieProne = false) {
         X.Bar = static_cast<int32_t>(R.range(0, T.NumBarrierArrays - 1));
         X.Idx = static_cast<int32_t>(R.range(0, T.BarrierSizes[X.Bar] - 1));
       }
-      X.Parity = static_cast<int32_t>(R.range(0, 1));
-      X.Pendings = R.range(0, 3);
-      X.Lookahead = R.pick({1, 2, 3, 64, 65, 100});
+      X.Parity = static_cast<int8_t>(R.range(0, 1));
+      int32_t Pendings = static_cast<int32_t>(R.range(0, 3));
+      int32_t Lookahead = R.pick({1, 2, 3, 64, 65, 100});
+      // The two share one field; each kind reads its own.
+      if (X.Kind == ActionKind::CopyPipelined)
+        X.Lookahead = Lookahead;
+      else
+        X.Pendings = Pendings;
       A.emit(X);
     }
     T.Agents.push_back(std::move(A));

@@ -2,7 +2,8 @@
 //
 // Transition checks of sem::SlotMonitor, the slot machine both engines
 // run: the Fig. 4 handshake, tuple slots (several writers), cooperative
-// readers, the outcome of every illegal transition, and property-style
+// readers with their per-reader read marks, the outcome of every illegal
+// transition, and property-style
 // sweeps: every valid producer/consumer pipeline over a D-slot ring runs
 // without a violation, and a producer that overruns the ring is flagged.
 // Then the happens-before tracker.
@@ -29,10 +30,10 @@ TEST(SlotMonitor, Fig4Handshake) {
   EXPECT_EQ(M.write(/*Writers=*/1, /*Channel=*/7, /*Slot=*/0), ""); // Put.
   EXPECT_EQ(M.S, State::Full);
   EXPECT_EQ(M.letter(), 'F');
-  EXPECT_EQ(M.read(7, 0), ""); // Get.
+  EXPECT_EQ(M.read(/*Agent=*/1, 7, 0), ""); // Get.
   EXPECT_EQ(M.S, State::Borrowed);
   EXPECT_EQ(M.letter(), 'B');
-  EXPECT_EQ(M.release(/*Readers=*/1, 7, 0), ""); // Consumed.
+  EXPECT_EQ(M.release(/*Agent=*/1, /*Readers=*/1, 7, 0), ""); // Consumed.
   EXPECT_EQ(M.S, State::Empty);
   EXPECT_EQ(M.Writes, 0);
   EXPECT_EQ(M.Releases, 0);
@@ -44,13 +45,13 @@ TEST(SlotMonitor, TupleSlotFillsAtWriters) {
   EXPECT_EQ(M.S, State::Filling);
   EXPECT_EQ(M.letter(), 'W');
   // A read before the last deposit is premature and changes nothing.
-  EXPECT_EQ(M.read(3, 1),
+  EXPECT_EQ(M.read(1, 3, 1),
             "channel 3 slot 1: read while filling (premature get)");
   EXPECT_EQ(M.S, State::Filling);
   EXPECT_EQ(M.write(2, 3, 1), "");
   EXPECT_EQ(M.S, State::Full);
-  EXPECT_EQ(M.read(3, 1), "");
-  EXPECT_EQ(M.release(1, 3, 1), "");
+  EXPECT_EQ(M.read(1, 3, 1), "");
+  EXPECT_EQ(M.release(1, 1, 3, 1), "");
   EXPECT_EQ(M.S, State::Empty);
   // The write count reset with the release: the next fill needs two again.
   EXPECT_EQ(M.write(2, 3, 1), "");
@@ -60,9 +61,9 @@ TEST(SlotMonitor, TupleSlotFillsAtWriters) {
 TEST(SlotMonitor, CooperativeReadersReleaseAtReaders) {
   SlotMonitor M;
   EXPECT_EQ(M.write(1, 0, 2), "");
-  EXPECT_EQ(M.read(0, 2), "");
-  EXPECT_EQ(M.read(0, 2), "");
-  EXPECT_EQ(M.release(/*Readers=*/2, 0, 2), "");
+  EXPECT_EQ(M.read(/*Agent=*/1, 0, 2), "");
+  EXPECT_EQ(M.read(/*Agent=*/2, 0, 2), "");
+  EXPECT_EQ(M.release(/*Agent=*/1, /*Readers=*/2, 0, 2), "");
   // One of two readers has released: the slot is still borrowed.
   EXPECT_EQ(M.S, State::Borrowed);
   EXPECT_EQ(M.Releases, 1);
@@ -71,19 +72,36 @@ TEST(SlotMonitor, CooperativeReadersReleaseAtReaders) {
             "consumed)");
   // The overwrite left the slot Full, so this release consumes a tile
   // nobody read.
-  EXPECT_EQ(M.release(2, 0, 2),
+  EXPECT_EQ(M.release(2, 2, 0, 2),
             "channel 0 slot 2: released while full (consumed without get)");
   EXPECT_EQ(M.S, State::Empty);
   EXPECT_EQ(M.Writes, 0);
   EXPECT_EQ(M.Releases, 0);
   // A second round needs both releases again.
   EXPECT_EQ(M.write(1, 0, 2), "");
-  EXPECT_EQ(M.read(0, 2), "");
-  EXPECT_EQ(M.read(0, 2), "");
-  EXPECT_EQ(M.release(2, 0, 2), "");
+  EXPECT_EQ(M.read(1, 0, 2), "");
+  EXPECT_EQ(M.read(2, 0, 2), "");
+  EXPECT_EQ(M.release(1, 2, 0, 2), "");
   EXPECT_EQ(M.S, State::Borrowed);
-  EXPECT_EQ(M.release(2, 0, 2), "");
+  EXPECT_EQ(M.release(2, 2, 0, 2), "");
   EXPECT_EQ(M.S, State::Empty);
+  EXPECT_EQ(M.ReadBy, 0u);
+}
+
+TEST(SlotMonitor, ReaderThatNeverReadIsFlaggedAtRelease) {
+  // Of two cooperative readers, one reads and the other releases without
+  // reading: the slot is Borrowed, but not by the releasing agent.
+  SlotMonitor M;
+  EXPECT_EQ(M.write(1, 0, 3), "");
+  EXPECT_EQ(M.read(/*Agent=*/1, 0, 3), "");
+  EXPECT_EQ(M.release(/*Agent=*/2, /*Readers=*/2, 0, 3),
+            "channel 0 slot 3: released while borrowed (consumed without "
+            "get)");
+  EXPECT_EQ(M.S, State::Borrowed);
+  // The reader's own release is legal and empties the slot.
+  EXPECT_EQ(M.release(1, 2, 0, 3), "");
+  EXPECT_EQ(M.S, State::Empty);
+  EXPECT_EQ(M.ReadBy, 0u);
 }
 
 TEST(SlotMonitor, IllegalWriteStillCounts) {
@@ -99,7 +117,7 @@ TEST(SlotMonitor, IllegalWriteStillCounts) {
   ASSERT_EQ(T.write(3, 5, 1), "");
   ASSERT_EQ(T.write(3, 5, 1), "");
   ASSERT_EQ(T.write(3, 5, 1), "");
-  ASSERT_EQ(T.read(5, 1), "");
+  ASSERT_EQ(T.read(1, 5, 1), "");
   EXPECT_NE(T.write(3, 5, 1), "");
   EXPECT_EQ(T.S, State::Full);
   EXPECT_EQ(T.Writes, 4);
@@ -107,7 +125,7 @@ TEST(SlotMonitor, IllegalWriteStillCounts) {
 
 TEST(SlotMonitor, PrematureReadLeavesTheSlotAlone) {
   SlotMonitor M;
-  EXPECT_EQ(M.read(1, 4),
+  EXPECT_EQ(M.read(1, 1, 4),
             "channel 1 slot 4: read while empty (premature get)");
   EXPECT_EQ(M.S, State::Empty);
   EXPECT_EQ(M.Writes, 0);
@@ -116,12 +134,12 @@ TEST(SlotMonitor, PrematureReadLeavesTheSlotAlone) {
 
 TEST(SlotMonitor, ReleaseChecksThatTheSlotWasRead) {
   SlotMonitor Empty;
-  EXPECT_EQ(Empty.release(1, 2, 0),
+  EXPECT_EQ(Empty.release(1, 1, 2, 0),
             "channel 2 slot 0: released while empty (consumed without get)");
   EXPECT_EQ(Empty.S, State::Empty);
   SlotMonitor Filling;
   ASSERT_EQ(Filling.write(2, 2, 0), "");
-  EXPECT_EQ(Filling.release(1, 2, 0),
+  EXPECT_EQ(Filling.release(1, 1, 2, 0),
             "channel 2 slot 0: released while filling (consumed without "
             "get)");
   // The flagged release still empties the slot and resets its counts.
@@ -130,7 +148,7 @@ TEST(SlotMonitor, ReleaseChecksThatTheSlotWasRead) {
   // From Full (published, never read) the release is flagged too.
   SlotMonitor Full;
   ASSERT_EQ(Full.write(1, 2, 0), "");
-  EXPECT_EQ(Full.release(1, 2, 0),
+  EXPECT_EQ(Full.release(1, 1, 2, 0),
             "channel 2 slot 0: released while full (consumed without get)");
   EXPECT_EQ(Full.S, State::Empty);
 }
@@ -142,10 +160,10 @@ TEST(SlotMonitor, RingSlotsAreIndependent) {
   EXPECT_EQ(Ring[0].S, State::Full);
   EXPECT_EQ(Ring[1].S, State::Full);
   EXPECT_EQ(Ring[2].S, State::Empty);
-  EXPECT_EQ(Ring[0].read(0, 0), "");
+  EXPECT_EQ(Ring[0].read(1, 0, 0), "");
   EXPECT_EQ(Ring[0].S, State::Borrowed);
   EXPECT_EQ(Ring[1].S, State::Full);
-  EXPECT_EQ(Ring[2].read(0, 2),
+  EXPECT_EQ(Ring[2].read(1, 0, 2),
             "channel 0 slot 2: read while empty (premature get)");
   EXPECT_EQ(Ring[0].S, State::Borrowed);
 }
@@ -178,9 +196,9 @@ TEST_P(SlotPipelineProperty, ValidPipelinesNeverViolate) {
         if (C < 0 || C >= N)
           continue;
         for (int R = 0; R < Readers; ++R)
-          ASSERT_EQ(Ring[C % D].read(0, C % D), "") << "get " << C;
+          ASSERT_EQ(Ring[C % D].read(R, 0, C % D), "") << "get " << C;
         for (int R = 0; R < Readers; ++R)
-          ASSERT_EQ(Ring[C % D].release(Readers, 0, C % D), "")
+          ASSERT_EQ(Ring[C % D].release(R, Readers, 0, C % D), "")
               << "consumed " << C;
       }
       for (const SlotMonitor &M : Ring)

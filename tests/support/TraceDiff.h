@@ -20,7 +20,7 @@ namespace sim {
 
 /// "" when \p A and \p B match: agent names (skipped when \p SameCta is
 /// false, since they carry the CTA coordinates), replica counts, every
-/// Action field, barrier arrays, shared memory, registers, happens-before
+/// Action field, barrier arrays, shared memory, happens-before
 /// event counts and the atomic contributions in recording order. Otherwise
 /// a description of the first difference.
 inline std::string traceDiff(const CtaTrace &A, const CtaTrace &B,
@@ -45,7 +45,7 @@ inline std::string traceDiff(const CtaTrace &A, const CtaTrace &B,
       const Action &Q = Y.Actions[J];
       if (P.Kind != Q.Kind || P.Cycles != Q.Cycles || P.Bytes != Q.Bytes ||
           P.Bar != Q.Bar || P.Idx != Q.Idx || P.Parity != Q.Parity ||
-          P.Pendings != Q.Pendings || P.Lookahead != Q.Lookahead)
+          P.Pendings != Q.Pendings) // Shared with Lookahead.
         return formatString("agent %s action %zu differs", X.Name.c_str(),
                             J);
     }
@@ -58,8 +58,6 @@ inline std::string traceDiff(const CtaTrace &A, const CtaTrace &B,
     return "barrier sizes";
   if (A.SmemBytes != B.SmemBytes)
     return "smem bytes";
-  if (A.RegsPerThread != B.RegsPerThread)
-    return "regs per thread";
   if (A.HbEvents != B.HbEvents)
     return formatString("happens-before events %llu vs %llu",
                         static_cast<unsigned long long>(A.HbEvents),
