@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Sweep.h"
+#include "FigureGrids.h"
 
 #include <cstdio>
 #include <string>
@@ -20,30 +20,8 @@
 using namespace tawa;
 
 int main() {
-  Sweep S("fig10_mha");
-  const std::vector<Framework> Frameworks = {
-      Framework::FA3, Framework::Tawa, Framework::Triton,
-      Framework::TileLang, Framework::ThunderKittens};
-
-  for (Precision Prec : {Precision::FP16, Precision::FP8}) {
-    for (bool Causal : {false, true}) {
-      const char *PrecName = Prec == Precision::FP16 ? "FP16" : "FP8";
-      std::string Panel = std::string(PrecName) +
-                          (Causal ? ", causal" : ", non-causal");
-      for (int64_t L : {1024, 2048, 4096, 8192, 16384})
-        for (Framework F : Frameworks) {
-          AttentionWorkload W;
-          W.SeqLen = L;
-          W.Causal = Causal;
-          W.Prec = Prec;
-          S.addAttention(W, F,
-                         {{"panel", Panel},
-                          {"prec", PrecName},
-                          {"causal", Causal ? "true" : "false"},
-                          {"L", std::to_string(L)}});
-        }
-    }
-  }
+  std::unique_ptr<Sweep> Grid = figures::fig10Mha();
+  Sweep &S = *Grid;
 
   if (std::string Err = S.prewarm(); !Err.empty())
     std::fprintf(stderr, "prewarm: %s\n", Err.c_str());

@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Sweep.h"
+#include "FigureGrids.h"
 
 #include <cstdio>
 #include <string>
@@ -21,23 +21,8 @@
 using namespace tawa;
 
 int main() {
-  Sweep S("fig11_hyperparam");
-  GemmWorkload W;
-  W.K = 16384;
-
-  for (bool Persistent : {false, true})
-    for (int64_t D = 1; D <= 3; ++D)
-      for (int64_t P = 1; P <= 3; ++P) {
-        FrameworkEnvelope E = getGemmEnvelope(Framework::Tawa, W);
-        E.Options.ArefDepth = D;
-        E.Options.MmaPipelineDepth = P;
-        E.Options.Persistent = Persistent;
-        S.addGemm(W, E, "Tawa",
-                  {{"persistent", Persistent ? "Persistent"
-                                             : "Non-Persistent"},
-                   {"D", std::to_string(D)},
-                   {"P", std::to_string(P)}});
-      }
+  std::unique_ptr<Sweep> Grid = figures::fig11Hyperparam();
+  Sweep &S = *Grid;
 
   if (std::string Err = S.prewarm(); !Err.empty())
     std::fprintf(stderr, "prewarm: %s\n", Err.c_str());

@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Sweep.h"
+#include "FigureGrids.h"
 
 #include <cstdio>
 #include <string>
@@ -24,77 +24,8 @@
 using namespace tawa;
 
 int main() {
-  Sweep S("fig12_ablation");
-
-  {
-    GemmWorkload W;
-    W.K = 16384;
-    auto Add = [&](const char *Step, const FrameworkEnvelope &E) {
-      S.addGemm(W, E, Step, {{"workload", "gemm"}, {"step", Step}});
-    };
-
-    // Step 0: Triton without warp specialization (synchronous loads).
-    Add("Triton w/o WS", getGemmEnvelope(Framework::TritonNoPipe, W));
-
-    // Step 1: + automatic warp specialization (one consumer group, same
-    // 128x128 tiling).
-    FrameworkEnvelope E;
-    E.TileM = 128;
-    E.TileN = 128;
-    E.TileK = 64;
-    E.Options.EnableWarpSpecialization = true;
-    E.Options.ArefDepth = 2;
-    E.Options.MmaPipelineDepth = 1;
-    E.Options.NumConsumerGroups = 1;
-    Add("+Auto WS", E);
-
-    // Step 2: + cooperative warp groups (same tile: little change, but the
-    // register headroom enables the next step).
-    E.Options.NumConsumerGroups = 2;
-    Add("+Cooperative WGs", E);
-
-    // Step 3: + large tile size (128x256, register pooling of §IV-A).
-    E.TileN = 256;
-    Add("+Large Tile Size", E);
-
-    // Step 4: + persistent kernel.
-    E.Options.Persistent = true;
-    Add("+Persistent Kernel", E);
-
-    // Step 5: + tuned aref size / MMA depth.
-    E.Options.ArefDepth = 3;
-    E.Options.MmaPipelineDepth = 2;
-    Add("+Better Aref Size", E);
-  }
-
-  {
-    AttentionWorkload W;
-    W.SeqLen = 16384;
-    auto Add = [&](const char *Step, const FrameworkEnvelope &E) {
-      S.addAttention(W, E, Step, {{"workload", "mha"}, {"step", Step}});
-    };
-
-    Add("Triton w/o WS", getAttentionEnvelope(Framework::TritonNoPipe, W));
-
-    FrameworkEnvelope E;
-    E.TileQ = 128;
-    E.TileKv = 128;
-    E.ComputeScale = getAttentionEnvelope(Framework::Tawa, W).ComputeScale;
-    E.Options.EnableWarpSpecialization = true;
-    E.Options.ArefDepth = 2;
-    E.Options.MmaPipelineDepth = 0; // Synchronous dots.
-    E.Options.NumConsumerGroups = 1;
-    Add("+Auto WS", E);
-
-    E.Options.NumConsumerGroups = 2;
-    Add("+Cooperative WGs", E);
-
-    E.Options.CoarsePipeline = true;
-    Add("+Pipeline", E);
-
-    E.Options.ArefDepth = 3;
-    Add("+Better Aref Size", E);
-  }
+  std::unique_ptr<Sweep> Grid = figures::fig12Ablation();
+  Sweep &S = *Grid;
 
   if (std::string Err = S.prewarm(); !Err.empty())
     std::fprintf(stderr, "prewarm: %s\n", Err.c_str());

@@ -18,7 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Sweep.h"
+#include "FigureGrids.h"
 
 #include <cstdio>
 #include <string>
@@ -27,32 +27,8 @@
 using namespace tawa;
 
 int main() {
-  Sweep S("fig13_splitk");
-  const std::vector<Framework> Frameworks = {Framework::Tawa,
-                                             Framework::Triton};
-
-  // Left panel: M = N = 512 (few output tiles), K = 16384 (deep reduction).
-  for (int64_t Split : {1, 2, 3, 4, 6, 8})
-    for (Framework F : Frameworks) {
-      GemmWorkload W;
-      W.M = W.N = 512;
-      W.K = 16384;
-      W.SplitK = Split;
-      S.addGemm(W, F,
-                {{"panel", "splitk"}, {"split", std::to_string(Split)}});
-    }
-
-  // Right panel: N = K = 4096, experts of ragged M (multiples of 384, so
-  // most experts end on a partial tile); expert 2 is empty from E = 4 on.
-  for (int64_t E = 2; E <= 8; E += 2)
-    for (Framework F : Frameworks) {
-      GemmWorkload W;
-      W.N = W.K = 4096;
-      W.MoE = true;
-      for (int64_t I = 0; I < E; ++I)
-        W.GroupMs.push_back(I == 2 ? 0 : 384 * (I + 1));
-      S.addGemm(W, F, {{"panel", "moe"}, {"E", std::to_string(E)}});
-    }
+  std::unique_ptr<Sweep> Grid = figures::fig13Splitk();
+  Sweep &S = *Grid;
 
   if (std::string Err = S.prewarm(); !Err.empty())
     std::fprintf(stderr, "prewarm: %s\n", Err.c_str());

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Sweep.h"
+#include "FigureGrids.h"
 
 #include <cstdio>
 #include <string>
@@ -23,23 +23,8 @@
 using namespace tawa;
 
 int main() {
-  Sweep S("fig8_gemm");
-  const std::vector<int64_t> Ks = {256,  512,  1024, 2048,
-                                   4096, 8192, 16384};
-  const std::vector<Framework> Frameworks = {
-      Framework::Peak,     Framework::CuBlas,        Framework::Tawa,
-      Framework::Triton,   Framework::TileLang,      Framework::ThunderKittens};
-
-  for (Precision Prec : {Precision::FP16, Precision::FP8}) {
-    const char *PrecName = Prec == Precision::FP16 ? "FP16" : "FP8";
-    for (int64_t K : Ks)
-      for (Framework F : Frameworks) {
-        GemmWorkload W;
-        W.K = K;
-        W.Prec = Prec;
-        S.addGemm(W, F, {{"prec", PrecName}, {"K", std::to_string(K)}});
-      }
-  }
+  std::unique_ptr<Sweep> Grid = figures::fig8Gemm();
+  Sweep &S = *Grid;
 
   if (std::string Err = S.prewarm(); !Err.empty())
     std::fprintf(stderr, "prewarm: %s\n", Err.c_str());

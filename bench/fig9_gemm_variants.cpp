@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Sweep.h"
+#include "FigureGrids.h"
 
 #include <cstdio>
 #include <string>
@@ -22,28 +22,8 @@
 using namespace tawa;
 
 int main() {
-  Sweep S("fig9_gemm_variants");
-  const std::vector<Framework> Frameworks = {
-      Framework::Tawa, Framework::Triton, Framework::TileLang};
-
-  for (int64_t Size : {1024, 2048, 4096, 8192, 16384})
-    for (Framework F : Frameworks) {
-      GemmWorkload W;
-      W.M = W.N = W.K = Size;
-      W.Batch = 8;
-      S.addGemm(W, F,
-                {{"panel", "batched"}, {"MNK", std::to_string(Size)}});
-    }
-
-  for (int64_t G = 2; G <= 6; ++G)
-    for (Framework F : Frameworks) {
-      GemmWorkload W;
-      W.N = W.K = 4096;
-      // Group sizes 512, 1024, ..., G*512 (heterogeneous shapes).
-      for (int64_t I = 1; I <= G; ++I)
-        W.GroupMs.push_back(512 * I);
-      S.addGemm(W, F, {{"panel", "grouped"}, {"G", std::to_string(G)}});
-    }
+  std::unique_ptr<Sweep> Grid = figures::fig9GemmVariants();
+  Sweep &S = *Grid;
 
   if (std::string Err = S.prewarm(); !Err.empty())
     std::fprintf(stderr, "prewarm: %s\n", Err.c_str());
