@@ -16,9 +16,9 @@
 # defect that changes observable behavior fails here even if every
 # individual test passes.
 #
-# Then runs the sweep-driver smoke on fig8_gemm and on fig13_splitk (the
-# split-K / MoE kernel-family sweep, whose split factors are launch
-# parameters sharing one compile key). One shell function runs each
+# Then runs the sweep-driver smoke on all six figure sweeps, fig8_gemm
+# through fig13_splitk (the grouped, attention, persistent, ablation and
+# split-K / MoE points among them). One shell function runs each
 # twice against its own fresh TAWA_CACHE_DIR — cold (prewarm compiles +
 # serializes every kernel) and warm (prewarm loads everything from disk)
 # — asserting that neither run phase compiled, that the warm prewarm
@@ -318,11 +318,11 @@ sweep_cold_warm() { # <bench> <short name: BENCH_<name>.json>
        "performed zero compiles"
 }
 
-echo "== sweep driver cold/warm smoke (fig8_gemm) =="
-sweep_cold_warm fig8_gemm fig8
-
-echo "== sweep driver cold/warm smoke (fig13_splitk) =="
-sweep_cold_warm fig13_splitk fig13
+for FIG in fig8_gemm fig9_gemm_variants fig10_mha fig11_hyperparam \
+           fig12_ablation fig13_splitk; do
+  echo "== sweep driver cold/warm smoke ($FIG) =="
+  sweep_cold_warm "$FIG" "${FIG%%_*}"
+done
 
 echo "== docs link check =="
 DOCS_FAIL=0

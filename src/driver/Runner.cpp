@@ -680,6 +680,8 @@ RunResult Runner::runGemmMoe(const GemmWorkload &W,
       R.MaxRelError = Worst;
       for (int64_t I = 0; I < TotalCtas; I += Config.NumSms)
         S.Traces.push_back(std::move(AllTraces[I]));
+      for (CtaTrace &T : AllTraces)
+        recycleActions(T); // The CTAs off SM0's list are discarded.
     }
 
     for (size_t I = 0; I < S.Traces.size(); ++I)

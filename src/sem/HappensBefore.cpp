@@ -4,6 +4,8 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
+
 using namespace tawa;
 using namespace tawa::sem;
 
@@ -112,4 +114,76 @@ void HappensBeforeTracker::recordAcquireEmpty(int Agent, int64_t Channel,
   ++NextSeq;
   SlotMeta &Meta = SlotMetas[{Channel, Slot}];
   join(Clocks[Agent], Meta.FreeClock);
+}
+
+namespace {
+
+/// The fingerprint value of a saturated stored clock entry (relative
+/// entries are at most 0).
+constexpr int64_t Saturated = 1;
+
+bool isLive(uint64_t Live, size_t Agent) { return (Live >> Agent) & 1; }
+
+} // namespace
+
+void HappensBeforeTracker::fingerprint(std::vector<int64_t> &Key,
+                                       uint64_t Live) const {
+  // Floor[b]: the smallest entry for agent b over the live clocks.
+  std::vector<uint64_t> Floor(NumAgents, UINT64_MAX);
+  for (int A = 0; A < NumAgents; ++A) {
+    if (!isLive(Live, A))
+      continue;
+    for (int B = 0; B < NumAgents; ++B) {
+      Floor[B] = std::min(Floor[B], Clocks[A][B]);
+      Key.push_back(static_cast<int64_t>(Clocks[A][B] - Clocks[B][B]));
+    }
+  }
+  auto Stored = [&](const Clock &X) {
+    Key.push_back(static_cast<int64_t>(X.size()));
+    for (size_t B = 0; B < X.size(); ++B)
+      Key.push_back(X[B] <= Floor[B]
+                        ? Saturated
+                        : static_cast<int64_t>(X[B] - Clocks[B][B]));
+  };
+  for (const auto &[Where, Meta] : SlotMetas) {
+    Key.push_back(Where.first);
+    Key.push_back(Where.second);
+    Key.push_back(Meta.HasPublish | Meta.HasRead << 1 |
+                  Meta.ReadReleased << 2);
+    Stored(Meta.PublishClock);
+    Stored(Meta.FreeClock);
+    Stored(Meta.LastReadClock);
+  }
+}
+
+void HappensBeforeTracker::appendCounts(std::vector<int64_t> &Drift) const {
+  for (int A = 0; A < NumAgents; ++A)
+    Drift.push_back(static_cast<int64_t>(Clocks[A][A]));
+  Drift.push_back(static_cast<int64_t>(NextSeq));
+}
+
+void HappensBeforeTracker::advance(int64_t N, const int64_t *Before,
+                                   const int64_t *After, uint64_t Live) {
+  std::vector<uint64_t> Move(NumAgents), Floor(NumAgents, UINT64_MAX);
+  for (int B = 0; B < NumAgents; ++B)
+    Move[B] = static_cast<uint64_t>(N * (After[B] - Before[B]));
+  for (int A = 0; A < NumAgents; ++A)
+    if (isLive(Live, A))
+      for (int B = 0; B < NumAgents; ++B)
+        Floor[B] = std::min(Floor[B], Clocks[A][B]);
+  auto Shift = [&](Clock &X) {
+    for (size_t B = 0; B < X.size(); ++B)
+      if (X[B] > Floor[B])
+        X[B] += Move[B];
+  };
+  for (auto &[Where, Meta] : SlotMetas) {
+    Shift(Meta.PublishClock);
+    Shift(Meta.FreeClock);
+    Shift(Meta.LastReadClock);
+  }
+  for (int A = 0; A < NumAgents; ++A)
+    if (isLive(Live, A))
+      for (int B = 0; B < NumAgents; ++B)
+        Clocks[A][B] += Move[B];
+  NextSeq += static_cast<uint64_t>(N * (After[NumAgents] - Before[NumAgents]));
 }

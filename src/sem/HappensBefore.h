@@ -67,6 +67,27 @@ public:
 
   uint64_t getNumEvents() const { return NextSeq; }
 
+  //===--- Repeated loop periods (sim/LoopPeriod.h) ---------------------===//
+  // Bit \p A of \p Live marks agent A as still running: a done agent
+  // records nothing again, so its clock is never read.
+
+  /// Appends the tracker's state up to a uniform shift of each agent's
+  /// event count: every live clock entry and every stored slot clock entry
+  /// relative to its column agent's own count, with a stored entry that
+  /// every live agent's clock already covers marked saturated (it can no
+  /// longer change a leq or a join), plus the slot keys and flags.
+  void fingerprint(std::vector<int64_t> &Key, uint64_t Live) const;
+
+  /// Appends each agent's own event count, then getNumEvents().
+  void appendCounts(std::vector<int64_t> &Drift) const;
+
+  /// Moves the tracker on by \p N repeats of the period between two
+  /// appendCounts() snapshots \p Before and \p After: every live clock
+  /// entry, every unsaturated stored entry and the event count move by N
+  /// times their column's (or the count's) change.
+  void advance(int64_t N, const int64_t *Before, const int64_t *After,
+               uint64_t Live);
+
 private:
   using Clock = std::vector<uint64_t>;
 

@@ -75,6 +75,8 @@ std::string executeIr(const ServeRequest &Req, const ExecEnv &Env,
   for (const sim::CtaTrace &T : Traces)
     Ptrs.push_back(&T);
   Resp.Cycles = sim::replaySmSchedule(Ptrs, Cfg, sim::ReplayParams()).Cycles;
+  for (sim::CtaTrace &T : Traces)
+    sim::recycleActions(T);
   return "";
 }
 

@@ -23,10 +23,12 @@
 #define TAWA_SIM_BYTECODE_H
 
 #include "sim/Config.h"
+#include "sim/LoopPeriod.h"
 #include "sim/Trace.h"
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -277,6 +279,18 @@ struct CompiledProgram {
   /// compile key — so one can never be executed in place of the other.
   bool Fused = false;
   FusionStats Fusion;
+
+  /// Each loop's slot classification for the executor's period skip
+  /// (LoopPeriod.h), never serialized. Derived from the instructions by
+  /// the first timing run of two or more agents, so compiles, cache loads
+  /// and functional-only programs never pay for it; thread-safe.
+  const LoopPeriods &periods() const {
+    std::call_once(PeriodsOnce,
+                   [this] { Periods = classifyLoopPeriods(*this); });
+    return Periods;
+  }
+  mutable std::once_flag PeriodsOnce;
+  mutable LoopPeriods Periods;
 
   /// For deserialized programs only: the private type context owning every
   /// TensorType/Type the instructions reference (programs compiled from a

@@ -46,6 +46,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -93,6 +95,9 @@ struct AgentRun {
   /// wait condition holds): a fused wait superinstruction must skip its
   /// already-executed issue half on re-entry. Consumed by step().
   bool Resumed = false;
+  /// Loops this agent has entered: two snapshots with the same count are
+  /// in the same loop instance.
+  int64_t LoopEntries = 0;
 };
 
 class BcExec {
@@ -109,6 +114,35 @@ private:
   /// Runs \p Agents round-robin until all finish or none can progress
   /// (deadlock). Returns false on deadlock.
   bool schedule(std::vector<AgentRun> &Agents);
+
+  //===--- Repeated loop periods (LoopPeriod.h) ---------------------------===//
+
+  /// The CTA's state at one round's start: Key up to the counters that
+  /// move on every period, Drift those counters.
+  struct RoundSnap {
+    uint64_t Hash = 0;
+    std::vector<int64_t> Key, Drift;
+  };
+  /// Longest period looked for, in rounds (a D-slot ring repeats every
+  /// 2D rounds).
+  static constexpr int MaxPeriodRounds = 32;
+  /// Loops with fewer iterations left are not fingerprinted: finding a
+  /// period takes two of them plus the warm-up, and a skip stops one
+  /// period short of the exit.
+  static constexpr int64_t MinSkipIters = 24;
+  /// Rounds an epoch (a set of loop instances) is fingerprinted without a
+  /// repeat before it is given up.
+  static constexpr int64_t MaxEpochMisses = 4 * MaxPeriodRounds;
+
+  /// Called at each round's start while PeriodsOn: fingerprints the state
+  /// when every live agent waits inside an eligible loop, and skips ahead
+  /// when a fingerprint repeats.
+  void atRoundStart(std::vector<AgentRun> &Agents);
+  /// Copies the period between \p Old and \p Cur, \p Rounds rounds apart,
+  /// as many times as LoopPeriod.h's argument allows; false if it allows
+  /// none.
+  bool skipPeriods(std::vector<AgentRun> &Agents, const RoundSnap &Old,
+                   const RoundSnap &Cur, int64_t Rounds);
 
   bool waitSatisfied(const WaitCond &W) const {
     return BarrierArrays[W.Bar].Bars[W.Idx].Completions % 2 != W.Parity % 2;
@@ -549,10 +583,26 @@ private:
       D.Channels.push_back(std::move(C));
     }
   }
+
+  //===--- Repeated loop periods: state (after the hot members) -----------===//
+
+  bool PeriodsOn = false;
+  const LoopPeriods *Periods = nullptr; ///< P.periods() while PeriodsOn.
+  std::vector<RoundSnap> Ring; ///< The last rounds' snapshots, circular.
+  int RingNext = 0, RingSize = 0;
+  int64_t Epoch = -1; ///< Sum of the agents' LoopEntries.
+  /// Rounds fingerprinted in this epoch without a repeat; past
+  /// MaxEpochMisses the epoch is not fingerprinted again.
+  int64_t EpochMisses = 0;
+  std::vector<int32_t> LoopOf; ///< Each agent's loop this round, or -1.
+  uint64_t LiveMask = 0;       ///< Agents not yet done this round.
+  uint64_t SkippedRounds = 0;
 };
 
 bool BcExec::schedule(std::vector<AgentRun> &Agents) {
   for (;;) {
+    if (PeriodsOn)
+      atRoundStart(Agents);
     bool AllFinished = true;
     bool Progress = false;
     for (AgentRun &R : Agents) {
@@ -595,6 +645,235 @@ bool BcExec::schedule(std::vector<AgentRun> &Agents) {
       return false;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Repeated loop periods (LoopPeriod.h has the argument)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Largest n >= 0 such that x < W has the same truth value at
+/// x = Cur + n * Move as at Lo, where Move = Cur - Lo (so every value of
+/// the monotone run from Lo on is on Lo's side); -1 if Cur already is not.
+int64_t keepSide(int64_t Lo, int64_t Cur, int64_t Move, int64_t W) {
+  bool Below = Lo < W;
+  if ((Cur < W) != Below)
+    return -1;
+  if (Below && Move > 0)
+    return (W - 1 - Cur) / Move;
+  if (!Below && Move < 0)
+    return (Cur - W) / -Move;
+  return INT64_MAX;
+}
+
+/// Slot and counter values stay below this in magnitude, so nothing
+/// wraps.
+constexpr int64_t DriftLimit = int64_t{1} << 62;
+
+bool withinDrift(int64_t V) { return V > -DriftLimit && V < DriftLimit; }
+
+} // namespace
+
+void BcExec::atRoundStart(std::vector<AgentRun> &Agents) {
+  if (!Violations.empty()) {
+    PeriodsOn = false; // Never skip once a violation is recorded.
+    return;
+  }
+  // Loop entries only grow: while their sum stays put, every agent is in
+  // the loop instance it was in, and its iterations left only fall.
+  int64_t EpochNow = 0;
+  for (const AgentRun &R : Agents)
+    EpochNow += R.LoopEntries;
+  if (EpochNow != Epoch) {
+    Epoch = EpochNow;
+    EpochMisses = 0;
+    RingSize = 0;
+  } else if (EpochMisses > MaxEpochMisses) {
+    return; // These loop instances do not repeat, or end too soon.
+  }
+  const LoopPeriods &LP = *Periods;
+  LiveMask = 0;
+  for (size_t G = 0; G < Agents.size(); ++G) {
+    AgentRun &R = Agents[G];
+    LoopOf[G] = -1;
+    if (R.St == AgentRun::State::Done)
+      continue;
+    if (R.St != AgentRun::State::Blocked)
+      return; // The first round, or a failed agent.
+    int32_t L = LP.AgentLoopAt[G][R.Pc];
+    if (L < 0) {
+      RingSize = 0;
+      return;
+    }
+    if (static_cast<size_t>(L) >= LP.Loops.size() || !LP.Loops[L].Eligible) {
+      EpochMisses = MaxEpochMisses + 1; // Not for this epoch.
+      return;
+    }
+    const LoopInfo &LI = P.Loops[L];
+    int64_t Iv = R.Env[LI.IvSlot].I, Step = R.Env[LI.StepSlot].I;
+    int64_t Lb = R.Env[LI.LbSlot].I, Ub = R.Env[LI.UbSlot].I;
+    if (Step <= 0 || !withinDrift(Lb) || !withinDrift(Ub) ||
+        (Ub - Iv) / Step < MinSkipIters) {
+      EpochMisses = MaxEpochMisses + 1; // Too short for this epoch.
+      return;
+    }
+    if ((Iv - Lb) / Step <= LP.Loops[L].WarmIters)
+      return;
+    LoopOf[G] = L;
+    LiveMask |= uint64_t{1} << G;
+  }
+
+  RoundSnap &Cur = Ring[RingNext];
+  std::vector<int64_t> &Key = Cur.Key, &Drift = Cur.Drift;
+  Key.clear();
+  Drift.clear();
+  for (size_t G = 0; G < Agents.size(); ++G) {
+    const AgentRun &R = Agents[G];
+    Key.push_back(static_cast<int64_t>(R.St));
+    if (LoopOf[G] < 0)
+      continue;
+    const LoopPeriod &Loop = LP.Loops[LoopOf[G]];
+    int64_t Pending;
+    std::memcpy(&Pending, &R.A.PendingCuda, sizeof(Pending));
+    Key.insert(Key.end(), {R.Pc, R.W.Bar, R.W.Idx, R.W.Parity, Pending});
+    for (int32_t S : Loop.Periodic)
+      Key.push_back(R.Env[S].I);
+    Drift.push_back(R.A.Steps);
+    Drift.push_back(static_cast<int64_t>(R.A.Trace.Actions.size()));
+    for (int32_t S : Loop.Shift)
+      Drift.push_back(R.Env[S].I);
+  }
+  for (const BarrierArray &Arr : BarrierArrays)
+    for (const FunctionalBarrier &B : Arr.Bars) {
+      Key.insert(Key.end(),
+                 {B.Completions & 1, B.Arrivals, B.TxExpected, B.TxArrived});
+      Drift.push_back(B.Completions);
+    }
+  for (const ExecSmem &Buf : SmemBuffers)
+    for (const sem::SlotMonitor &M : Buf.Monitors)
+      Key.insert(Key.end(), {static_cast<int64_t>(M.S), M.Writes, M.Releases,
+                             static_cast<int64_t>(M.ReadBy)});
+  HB->fingerprint(Key, LiveMask);
+  HB->appendCounts(Drift);
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (int64_t V : Key)
+    H = (H ^ static_cast<uint64_t>(V)) * 0x100000001b3ull;
+  Cur.Hash = H;
+
+  for (int Back = 1; Back <= RingSize; ++Back) {
+    const RoundSnap &Old =
+        Ring[(RingNext - Back + MaxPeriodRounds) % MaxPeriodRounds];
+    if (Old.Hash == H && Old.Key == Key &&
+        skipPeriods(Agents, Old, Cur, Back)) {
+      RingSize = 0;
+      return;
+    }
+  }
+  ++EpochMisses;
+  RingNext = (RingNext + 1) % MaxPeriodRounds;
+  RingSize = std::min(RingSize + 1, MaxPeriodRounds - 1);
+}
+
+bool BcExec::skipPeriods(std::vector<AgentRun> &Agents, const RoundSnap &Old,
+                         const RoundSnap &Cur, int64_t Rounds) {
+  const int64_t *Lo = Old.Drift.data(), *Hi = Cur.Drift.data();
+  // The number of periods to copy: the largest n that keeps every
+  // condition of the argument over the whole range. First, no counter
+  // wraps.
+  int64_t N = INT64_MAX;
+  for (size_t I = 0; I < Cur.Drift.size(); ++I) {
+    if (!withinDrift(Lo[I]) || !withinDrift(Hi[I]))
+      return false;
+    if (int64_t M = std::abs(Hi[I] - Lo[I]); M != 0)
+      N = std::min(N, (DriftLimit - std::abs(Hi[I])) / M - 1);
+  }
+  bool Moved = false;
+  size_t K = 0;
+  for (size_t G = 0; G < Agents.size(); ++G) {
+    if (LoopOf[G] < 0)
+      continue;
+    const AgentRun &R = Agents[G];
+    const LoopPeriod &Loop = Periods->Loops[LoopOf[G]];
+    const LoopInfo &LI = P.Loops[LoopOf[G]];
+    int64_t StepMove = Hi[K] - Lo[K];
+    if (MaxSteps > 0 && StepMove > 0)
+      N = std::min(N, (MaxSteps - Hi[K]) / StepMove - 1);
+    size_t Base = K + 2;
+    auto Move = [&](int32_t I) { return Hi[Base + I] - Lo[Base + I]; };
+    auto Value = [&](const PeriodOperand &O) {
+      return O.Slot >= 0 ? R.Env[O.Slot].I : O.Imm;
+    };
+    // The loop takes its back edge for one period past the copies.
+    if (int64_t IvMove = Move(0); IvMove > 0) {
+      Moved = true;
+      N = std::min(N, (R.Env[LI.UbSlot].I - 1 - Hi[Base]) / IvMove - 1);
+    }
+    for (const PeriodDivision &D : Loop.Divisions) {
+      int64_t C = Value(D.Divisor), M = Move(D.Operand);
+      if (C == 0 || M % C != 0)
+        return false;
+      int64_t From = Lo[Base + D.Operand];
+      N = std::min(N, keepSide(From, Hi[Base + D.Operand], M,
+                               From >= 0 ? 0 : 1));
+    }
+    for (const PeriodThreshold &T : Loop.Thresholds) {
+      // Bound < x is !(x < Bound + 1). The operand stays within
+      // DriftLimit, so clamping the bound to it changes no comparison.
+      int64_t W = std::clamp(Value(T.Bound), -DriftLimit, DriftLimit);
+      N = std::min(N, keepSide(Lo[Base + T.Operand], Hi[Base + T.Operand],
+                               Move(T.Operand), T.ShiftOnLeft ? W : W + 1));
+    }
+    K = Base + Loop.Shift.size();
+  }
+  if (!Moved || N < 1)
+    return false;
+
+  // Apply tau N times.
+  K = 0;
+  int64_t StepsPerPeriod = 0;
+  for (size_t G = 0; G < Agents.size(); ++G) {
+    if (LoopOf[G] < 0)
+      continue;
+    AgentRun &R = Agents[G];
+    const LoopPeriod &Loop = Periods->Loops[LoopOf[G]];
+    int64_t StepMove = Hi[K] - Lo[K];
+    R.A.Steps += N * StepMove;
+    StepsPerPeriod += StepMove;
+    std::vector<Action> &Acts = R.A.Trace.Actions;
+    size_t From = static_cast<size_t>(Lo[K + 1]);
+    size_t Len = static_cast<size_t>(Hi[K + 1]) - From;
+    size_t End = Acts.size();
+    size_t Need = End + static_cast<size_t>(N) * Len;
+    // Grow by doubling, as push_back does, not to the exact size: an
+    // exact-size vector doubles past its need at the next push_back, and
+    // such capacities lifted a figures pass's peak RSS by 12% (the action
+    // store, Trace.cpp, keeps them).
+    if (Need > Acts.capacity()) {
+      size_t Cap = std::max<size_t>(Acts.capacity(), 1);
+      while (Cap < Need)
+        Cap *= 2;
+      Acts.reserve(Cap);
+    }
+    Acts.resize(Need);
+    for (int64_t J = 0; J < N; ++J)
+      std::copy_n(Acts.begin() + From, Len,
+                  Acts.begin() + End + static_cast<size_t>(J) * Len);
+    size_t Base = K + 2;
+    for (size_t I = 0; I < Loop.Shift.size(); ++I)
+      R.Env[Loop.Shift[I]].I += N * (Hi[Base + I] - Lo[Base + I]);
+    K = Base + Loop.Shift.size();
+  }
+  for (BarrierArray &Arr : BarrierArrays)
+    for (FunctionalBarrier &B : Arr.Bars) {
+      B.Completions += N * (Hi[K] - Lo[K]);
+      ++K;
+    }
+  HB->advance(N, Lo + K, Hi + K, LiveMask);
+  if (Opts.MaxWallMs > 0)
+    WallCheckTick += static_cast<uint32_t>(N * StepsPerPeriod);
+  SkippedRounds += static_cast<uint64_t>(N * Rounds);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -684,6 +963,7 @@ void BcExec::step(AgentRun &Run) {
       const LoopInfo &L = P.Loops[I.Aux];
       int64_t Lb = asInt(S[L.LbSlot]), Ub = asInt(S[L.UbSlot]);
       assert(asInt(S[L.StepSlot]) > 0 && "non-positive loop step");
+      ++Run.LoopEntries;
       for (size_t K = 0, E = L.InitSlots.size(); K != E; ++K)
         S[L.IterSlots[K]] = S[L.InitSlots[K]];
       S[L.IvSlot] = RValue::makeInt(Lb);
@@ -1608,6 +1888,14 @@ std::string BcExec::run(CtaTrace &Out) {
       R.A.Trace.Actions.assign(Preamble.Trace.Actions.begin(),
                                Preamble.Trace.Actions.end());
     }
+    // Timing mode copies repeated loop periods instead of interpreting
+    // them (LoopPeriod.h).
+    PeriodsOn = !Functional && NumAgents >= 2 && NumAgents <= 64;
+    if (PeriodsOn) {
+      Periods = &P.periods();
+      Ring.resize(MaxPeriodRounds);
+      LoopOf.assign(NumAgents, -1);
+    }
     schedule(Runs);
     // Snapshot scheduler state (block conditions, per-agent steps) before
     // the AgentCtxs are moved out, so an abort below can fill Opts.Diag.
@@ -1616,6 +1904,9 @@ std::string BcExec::run(CtaTrace &Out) {
     for (AgentRun &R : Runs)
       Agents.push_back(std::move(R.A));
   }
+
+  // Set on failure too, so a test can see a skip before a watchdog trip.
+  Out.SkippedRounds = SkippedRounds;
 
   // Gather errors / violations. Protocol violations are reported first:
   // when a corrupted protocol also wedges the machine, the violation is the

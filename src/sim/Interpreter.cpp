@@ -168,6 +168,7 @@ std::string Interpreter::runCtas(const RunOptions &Opts, int64_t Total,
             ;
         } else if (!T) {
           Retained[I] = std::move(Local.Atomics);
+          recycleActions(Local); // Discarded: its vectors go back.
         }
       });
 

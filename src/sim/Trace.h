@@ -100,6 +100,10 @@ struct CtaTrace {
   /// Total happens-before events recorded while executing this CTA (used by
   /// the differential tests to check engine equivalence).
   uint64_t HbEvents = 0;
+  /// Scheduler rounds the executor copied instead of interpreting
+  /// (sim/LoopPeriod.h); 0 in functional mode and on the oracle. Set even
+  /// when the CTA fails.
+  uint64_t SkippedRounds = 0;
   /// Recorded (not yet applied) tt.atomic_add contributions, preamble first
   /// then agents in id order. Empty for non-functional runs and kernels
   /// without atomics. Consumed by Interpreter::runCta / runCtas.

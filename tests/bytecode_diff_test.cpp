@@ -16,6 +16,7 @@
 #include "ir/Builder.h"
 #include "ir/Verifier.h"
 #include "passes/Passes.h"
+#include "sim/Diag.h"
 #include "sim/Interpreter.h"
 #include "support/Support.h"
 #include "tests/oracle/TreeWalk.h"
@@ -295,11 +296,23 @@ TEST(BytecodeDiff, AttentionCooperative) {
 // Hand-built aref protocol ring (the protocol-example family)
 //===----------------------------------------------------------------------===//
 
-/// Builds the producer/consumer mbarrier ring of the protocol tests, with an
-/// optional missing-release bug to compare deadlock diagnostics.
+/// Variants of the protocol ring.
+enum class Ring {
+  Clean,
+  SkipRelease,     ///< The consumer never releases: a deadlock.
+  SideArriveUntil, ///< The consumer also arrives on a barrier nobody
+                   ///< waits on while k < Flip: a predicate that flips.
+  LateRelease,     ///< The consumer also releases an unused channel-1
+                   ///< slot once Flip < k: a late protocol bug.
+  SlowSlot,        ///< Depth 2, slot (k / 64) % 2: the slot moves every
+                   ///< 64 iterations, not with the ring's phase.
+};
+
+/// Builds the producer/consumer mbarrier ring of the protocol tests, in
+/// one of the variants above.
 std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
-                                          int64_t Iters,
-                                          bool SkipRelease) {
+                                          int64_t Iters, Ring Variant,
+                                          int64_t Flip = 0) {
   auto M = std::make_unique<Module>(Ctx);
   OpBuilder B(Ctx);
   B.setInsertionPointToEnd(&M->getBody());
@@ -325,11 +338,37 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
   EmptyOp->setAttr("channel", static_cast<int64_t>(0));
   EmptyOp->setAttr("kind", std::string("empty"));
 
+  Value *Side = nullptr;
+  if (Variant == Ring::SideArriveUntil) {
+    Side = B.createMBarrierAlloc(1, "side");
+  } else if (Variant == Ring::LateRelease) {
+    Value *Unused = B.createSmemAlloc(Bytes, "unused");
+    Operation *UnusedOp = cast<OpResult>(Unused)->getOwner();
+    UnusedOp->setAttr("slot_bytes", Bytes);
+    UnusedOp->setAttr("channel", static_cast<int64_t>(1));
+    UnusedOp->setAttr("num_slots", static_cast<int64_t>(1));
+    Side = B.createMBarrierAlloc(1, "unused.empty");
+    Operation *SideOp = cast<OpResult>(Side)->getOwner();
+    SideOp->setAttr("channel", static_cast<int64_t>(1));
+    SideOp->setAttr("kind", std::string("empty"));
+  }
+
   Value *Zero = B.createConstantInt(0);
   Value *One = B.createConstantInt(1);
   Value *Two = B.createConstantInt(2);
   Value *DepthC = B.createConstantInt(Depth);
   Value *N = B.createConstantInt(Iters);
+  Value *FlipC = B.createConstantInt(Flip);
+  Value *SlowC = B.createConstantInt(64);
+  // The slot of iteration K and its parity count: the use count's parity
+  // is K's own when every slot serves 64 consecutive iterations.
+  auto SlotOf = [&](OpBuilder &L, Value *K) {
+    return Variant == Ring::SlowSlot ? L.createRem(L.createDiv(K, SlowC), Two)
+                                     : L.createRem(K, DepthC);
+  };
+  auto UsesOf = [&](OpBuilder &L, Value *K) {
+    return Variant == Ring::SlowSlot ? K : L.createDiv(K, DepthC);
+  };
 
   WarpGroupOp *WG0 = B.createWarpGroup(0, "producer");
   {
@@ -339,8 +378,8 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
     OpBuilder L(Ctx);
     L.setInsertionPointToEnd(&Loop->getBody());
     Value *K = Loop->getInductionVar();
-    Value *Slot = L.createRem(K, DepthC);
-    Value *Wrap = L.createDiv(K, DepthC);
+    Value *Slot = SlotOf(L, K);
+    Value *Wrap = UsesOf(L, K);
     Value *Parity = L.createRem(L.createAdd(Wrap, One), Two);
     L.createMBarrierWait(Empty, Slot, Parity);
     L.createMBarrierExpectTx(Full, Slot, Bytes);
@@ -358,14 +397,20 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
     OpBuilder L(Ctx);
     L.setInsertionPointToEnd(&Loop->getBody());
     Value *K = Loop->getInductionVar();
-    Value *Slot = L.createRem(K, DepthC);
-    Value *Wrap = L.createDiv(K, DepthC);
+    Value *Slot = SlotOf(L, K);
+    Value *Wrap = UsesOf(L, K);
     Value *Parity = L.createRem(Wrap, Two);
     L.createMBarrierWait(Full, Slot, Parity);
     Value *Tile = L.createSmemRead(Smem, Slot, TileTy, 0);
     L.createTmaStore(OutDesc, {Slot, Slot}, Tile);
-    if (!SkipRelease)
+    if (Variant != Ring::SkipRelease)
       L.createMBarrierArrive(Empty, Slot);
+    if (Side) {
+      Value *Pred = Variant == Ring::SideArriveUntil
+                        ? L.createCmpSlt(K, FlipC)
+                        : L.createCmpSlt(FlipC, K);
+      L.createMBarrierArrive(Side, Zero)->addOperand(Pred);
+    }
     L.createYield({});
   }
   B.createReturn();
@@ -374,8 +419,7 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
 
 TEST(BytecodeDiff, ArefProtocolRing) {
   IrContext Ctx;
-  auto Mod = buildProtocolRing(Ctx, /*Depth=*/2, /*Iters=*/6,
-                               /*SkipRelease=*/false);
+  auto Mod = buildProtocolRing(Ctx, /*Depth=*/2, /*Iters=*/6, Ring::Clean);
   ASSERT_EQ(verify(*Mod), "");
 
   CtaTrace Traces[NumEngines];
@@ -434,7 +478,7 @@ TEST(BytecodeDiff, DeadlockDiagnosticsMatch) {
   // blocked fixpoint and render the identical deadlock report.
   IrContext Ctx;
   auto Mod = buildProtocolRing(Ctx, /*Depth=*/2, /*Iters=*/6,
-                               /*SkipRelease=*/true);
+                               Ring::SkipRelease);
   ASSERT_EQ(verify(*Mod), "");
 
   std::string Errors[NumEngines];
@@ -450,6 +494,197 @@ TEST(BytecodeDiff, DeadlockDiagnosticsMatch) {
   EXPECT_NE(Errors[0].find("deadlock"), std::string::npos) << Errors[0];
   for (int Engine = 1; Engine < NumEngines; ++Engine)
     EXPECT_EQ(Errors[0], Errors[Engine]);
+}
+
+//===----------------------------------------------------------------------===//
+// Repeated loop periods (sim/LoopPeriod.h)
+//===----------------------------------------------------------------------===//
+//
+// In timing mode the executor copies repeated periods of warp-specialized
+// loops; the oracle interprets every iteration. Every case compares whole
+// traces, errors and tawa-diag-v1 snapshots, and states whether the
+// bytecode engines must have skipped rounds, so a case cannot pass by
+// never reaching the skip.
+
+/// Runs CTA (X, Y) of \p M in timing mode on the three engines and diffs
+/// the bytecode engines against the oracle.
+void diffPeriods(Module &M, RunOptions Opts, int64_t X, int64_t Y,
+                 bool ExpectSkip) {
+  Opts.Functional = false;
+  CtaTrace Traces[NumEngines];
+  std::string Errors[NumEngines];
+  ExecDiagnostic Diags[NumEngines];
+  for (int Engine = 0; Engine < NumEngines; ++Engine) {
+    RunOptions O = Opts;
+    O.Diag = &Diags[Engine];
+    Errors[Engine] = runEngineCta(M, O, Engine, X, Y, Traces[Engine]);
+  }
+  EXPECT_EQ(Traces[0].SkippedRounds, 0u);
+  for (int Engine = 1; Engine < NumEngines; ++Engine) {
+    SCOPED_TRACE(Engine == 1 ? "unfused" : "fused");
+    EXPECT_EQ(Errors[0], Errors[Engine]);
+    EXPECT_EQ(Diags[0].renderJson(), Diags[Engine].renderJson());
+    if (Errors[0].empty())
+      EXPECT_EQ(traceDiff(Traces[0], Traces[Engine]), "");
+    if (ExpectSkip)
+      EXPECT_GT(Traces[Engine].SkippedRounds, 0u);
+    else
+      EXPECT_EQ(Traces[Engine].SkippedRounds, 0u);
+  }
+}
+
+RunOptions gemmTiming(int64_t M, int64_t N, int64_t K) {
+  RunOptions Timing;
+  Timing.Args = {RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr),
+                 RuntimeArg::tensor(nullptr), RuntimeArg::scalar(M),
+                 RuntimeArg::scalar(N),       RuntimeArg::scalar(K)};
+  return Timing;
+}
+
+void diffGemmPeriods(TawaOptions Options, int64_t K) {
+  IrContext Ctx;
+  GemmKernelConfig Kernel;
+  auto Mod = buildGemmModule(Ctx, Kernel);
+  PassManager PM;
+  buildTawaPipeline(PM, Options);
+  ASSERT_EQ(PM.run(*Mod), "");
+  // 2048 x 2048: a persistent CTA takes two tiles, so the skip runs in
+  // two instances of the K loop.
+  RunOptions Timing = gemmTiming(2048, 2048, K);
+  GpuConfig Cfg;
+  Timing.GridX = Options.Persistent ? Cfg.NumSms : 256;
+  diffPeriods(*Mod, Timing, 0, 0, /*ExpectSkip=*/true);
+}
+
+TEST(LoopPeriods, GemmRingDepths) {
+  for (bool Persistent : {false, true})
+    for (int64_t D = 1; D <= 3; ++D) {
+      SCOPED_TRACE(testing::Message() << (Persistent ? "persistent" : "plain")
+                                      << " D=" << D);
+      TawaOptions Options;
+      Options.ArefDepth = D;
+      Options.MmaPipelineDepth = std::min<int64_t>(D, 2);
+      Options.Persistent = Persistent;
+      diffGemmPeriods(Options, 4096);
+    }
+}
+
+TEST(LoopPeriods, GemmCooperativeConsumers) {
+  TawaOptions Options;
+  Options.ArefDepth = 3;
+  Options.MmaPipelineDepth = 2;
+  Options.NumConsumerGroups = 2;
+  Options.Persistent = true;
+  diffGemmPeriods(Options, 8192);
+}
+
+void diffAttentionPeriods(TawaOptions Options, bool Causal,
+                          int64_t ConsumerGroups) {
+  IrContext Ctx;
+  AttentionKernelConfig Kernel;
+  Kernel.Causal = Causal;
+  auto Mod = buildAttentionModule(Ctx, Kernel);
+  Options.NumConsumerGroups = ConsumerGroups;
+  PassManager PM;
+  buildTawaPipeline(PM, Options);
+  ASSERT_EQ(PM.run(*Mod), "");
+  const int64_t SeqLen = 8192;
+  int64_t QTiles = ceilDiv(SeqLen, Kernel.TileQ);
+  RunOptions Timing;
+  Timing.GridX = QTiles;
+  Timing.GridY = 2;
+  Timing.Args = {RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr),
+                 RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr),
+                 RuntimeArg::scalar(SeqLen)};
+  // Causal CTAs differ by their KV trip count: the last Q tile runs the
+  // whole loop, a later middle one three quarters of it, the first one
+  // too little to fingerprint.
+  for (int64_t X : {QTiles - 1, 3 * QTiles / 4, int64_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "q tile " << X);
+    diffPeriods(*Mod, Timing, X, 1, /*ExpectSkip=*/!Causal || X > 0);
+  }
+}
+
+TEST(LoopPeriods, AttentionNonCausal) {
+  TawaOptions Options;
+  Options.ArefDepth = 2;
+  diffAttentionPeriods(Options, /*Causal=*/false, 1);
+}
+
+TEST(LoopPeriods, AttentionCausalClasses) {
+  for (int64_t Depth : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << "D=" << Depth);
+    TawaOptions Options;
+    Options.ArefDepth = Depth;
+    Options.CoarsePipeline = true;
+    diffAttentionPeriods(Options, /*Causal=*/true, 2);
+  }
+}
+
+TEST(LoopPeriods, AttentionCooperativeConsumers) {
+  TawaOptions Options;
+  Options.ArefDepth = 2;
+  diffAttentionPeriods(Options, /*Causal=*/false, 2);
+}
+
+RunOptions ringTiming() {
+  RunOptions Opts;
+  Opts.Args = {RuntimeArg::tensor(nullptr), RuntimeArg::tensor(nullptr)};
+  return Opts;
+}
+
+TEST(LoopPeriods, PredicateFlipsMidLoop) {
+  // The side arrive stops at iteration 300 of 600: a skip must stop short
+  // of the flip and interpret across it.
+  IrContext Ctx;
+  auto Mod = buildProtocolRing(Ctx, 2, 600, Ring::SideArriveUntil, 300);
+  ASSERT_EQ(verify(*Mod), "");
+  diffPeriods(*Mod, ringTiming(), 0, 0, /*ExpectSkip=*/true);
+}
+
+TEST(LoopPeriods, SlotThatIsNotPeriodicInTheRingPhase) {
+  // The state repeats every two iterations for 64 iterations at a time,
+  // but the slot moves on at every 64th: no period the fingerprint can
+  // see divides the slot's, so nothing may be skipped.
+  IrContext Ctx;
+  auto Mod = buildProtocolRing(Ctx, 2, 600, Ring::SlowSlot);
+  ASSERT_EQ(verify(*Mod), "");
+  diffPeriods(*Mod, ringTiming(), 0, 0, /*ExpectSkip=*/false);
+}
+
+TEST(LoopPeriods, StepBudgetTripsInsideASkippableStretch) {
+  // 600 iterations cost each agent about 1,200 steps; a budget of 700
+  // trips in the middle of the loop, after a skip, at the same step and
+  // with the same diagnostic as when every iteration is interpreted.
+  IrContext Ctx;
+  auto Mod = buildProtocolRing(Ctx, 3, 600, Ring::Clean);
+  ASSERT_EQ(verify(*Mod), "");
+  RunOptions Opts = ringTiming();
+  Opts.MaxSteps = 700;
+  diffPeriods(*Mod, Opts, 0, 0, /*ExpectSkip=*/true);
+  CtaTrace T;
+  ExecDiagnostic D;
+  Opts.Functional = false;
+  Opts.Diag = &D;
+  EXPECT_NE(runEngineCta(*Mod, Opts, 2, 0, 0, T).find("step budget exceeded"),
+            std::string::npos);
+  EXPECT_EQ(D.Kind, "step-budget");
+}
+
+TEST(LoopPeriods, ProtocolBugThatFirstAppearsLate) {
+  // From iteration 400 on the consumer releases a slot of channel 1 that
+  // nothing ever filled: the violation must be found, and reported alike,
+  // after the skip.
+  IrContext Ctx;
+  auto Mod = buildProtocolRing(Ctx, 2, 600, Ring::LateRelease, 400);
+  ASSERT_EQ(verify(*Mod), "");
+  diffPeriods(*Mod, ringTiming(), 0, 0, /*ExpectSkip=*/true);
+  CtaTrace T;
+  RunOptions Opts = ringTiming();
+  Opts.Functional = false;
+  EXPECT_NE(runEngineCta(*Mod, Opts, 2, 0, 0, T)
+                .find("channel 1 slot 0: released while empty"),
+            std::string::npos);
 }
 
 } // namespace

@@ -123,8 +123,9 @@ struct ProtocolHarness {
     ASSERT_EQ(verify(*M), "") << M->print();
   }
 
-  RunOptions options() {
+  RunOptions options(bool Functional = true) {
     RunOptions Opts;
+    Opts.Functional = Functional;
     auto In = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
     auto Out = std::make_shared<TensorData>(std::vector<int64_t>{64, 64});
     In->fillRandom(3);
@@ -133,11 +134,11 @@ struct ProtocolHarness {
   }
 
   /// Runs CTA (0,0) on the bytecode engine.
-  std::string run() {
+  std::string run(bool Functional = true) {
     GpuConfig Cfg;
     Interpreter Interp(*M, Cfg);
     CtaTrace T;
-    return Interp.runCta(options(), 0, 0, T);
+    return Interp.runCta(options(Functional), 0, 0, T);
   }
 
   /// Runs CTA (0,0) on the tree-walking oracle.
@@ -171,6 +172,28 @@ TEST(ProtocolMonitors, PrematureGetIsCaught) {
   EXPECT_NE(Err.find("protocol violations:"), std::string::npos) << Err;
   EXPECT_NE(Err.find("read while empty (premature get)"), std::string::npos)
       << Err;
+}
+
+TEST(ProtocolMonitors, ReadOfADepositedSlotWithoutWaitingIsUnordered) {
+  // With no more iterations than slots, the round-robin scheduler runs
+  // the producer's deposits first, so every slot the consumer reads
+  // without waiting is already Full: the slot monitor passes it. Only the
+  // happens-before tracker sees that no get ordered the read after the
+  // put. This is the one case that keeps the tracker in the executor.
+  // The oracle's preemptive threads may instead let the consumer overtake
+  // the producer, so only the bytecode engine is checked here.
+  ProtocolHarness H;
+  H.build(/*Depth=*/2, /*Iters=*/2,
+          ProtocolHarness::Bug::ConsumerSkipsFullWait);
+  for (bool Functional : {true, false}) {
+    std::string Err = H.run(Functional);
+    EXPECT_EQ(Err, "protocol violations:"
+                   "\n  unordered read: agent 1 reads channel 0 slot 0 "
+                   "without acquiring the producer's publication"
+                   "\n  unordered read: agent 1 reads channel 0 slot 1 "
+                   "without acquiring the producer's publication")
+        << "functional " << Functional;
+  }
 }
 
 TEST(ProtocolMonitors, MissingReleaseDeadlocks) {

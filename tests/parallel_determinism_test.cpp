@@ -663,6 +663,50 @@ TEST(RecycledTraces, BatchTraceIgnoresWhatTheStoreHeld) {
   }
 }
 
+TEST(RecycledTraces, FunctionalGridGivesDiscardedTracesBack) {
+  // A functional grid keeps one sample trace at most; every other CTA's
+  // trace is discarded and must give its vectors back to the store, so a
+  // timing point after a functional one still finds long vectors there.
+  GpuConfig Cfg;
+  IrContext Ctx;
+  GemmKernelConfig Kernel;
+  Kernel.TileM = Kernel.TileN = Kernel.TileK = 16;
+  auto Mod = buildGemmModule(Ctx, Kernel);
+  TawaOptions Options;
+  Options.ArefDepth = 2;
+  Options.MmaPipelineDepth = 1;
+  PassManager PM;
+  buildTawaPipeline(PM, Options);
+  ASSERT_EQ(PM.run(*Mod), "");
+  // 1,024 K iterations: every agent trace holds more than 4,096 actions.
+  const int64_t M = 32, N = 32, K = 16384;
+  for (int64_t Workers : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << Workers << " workers");
+    while (takeActionVector().capacity() > 0) {
+    }
+    auto A = std::make_shared<TensorData>(std::vector<int64_t>{M, K});
+    auto B = std::make_shared<TensorData>(std::vector<int64_t>{N, K});
+    auto C = std::make_shared<TensorData>(std::vector<int64_t>{M, N});
+    A->fillRandom(1, 1.0f);
+    B->fillRandom(2, 1.0f);
+    RunOptions Launch;
+    Launch.GridX = ceilDiv(M, Kernel.TileM) * ceilDiv(N, Kernel.TileN);
+    Launch.Functional = true;
+    Launch.NumWorkers = Workers;
+    Launch.Args = {RuntimeArg::tensor(A), RuntimeArg::tensor(B),
+                   RuntimeArg::tensor(C), RuntimeArg::scalar(M),
+                   RuntimeArg::scalar(N), RuntimeArg::scalar(K)};
+    Interpreter Interp(*Mod, Cfg);
+    CtaTrace Sample;
+    ASSERT_EQ(Interp.runGrid(Launch, &Sample), "");
+    size_t Shortest = SIZE_MAX;
+    for (const AgentTrace &Agent : Sample.Agents)
+      Shortest = std::min(Shortest, Agent.Actions.size());
+    ASSERT_GE(Shortest, 4096u);
+    EXPECT_GE(takeActionVector().capacity(), Shortest);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // WorkerPool unit coverage
 //===----------------------------------------------------------------------===//
